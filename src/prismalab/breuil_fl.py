@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 
-from .errors import BadRamification, HasUTorsion, InputError
-from .linalg_residue import howell_form, in_span, kernel_solve, span_length
+from .errors import BadRamification, HasUTorsion, Inconsistent, InputError
+from .linalg_residue import (
+    howell_form, in_span, kernel_solve, reduce_vector, span_length,
+)
 from .phi_modules import EtalePhiModule, etale_fixed_points
 from .series_rings import DpRing, eisenstein_make, int_poly_pow, s_phi_div
 
@@ -36,7 +38,6 @@ class BreuilModule:
             raise InputError("phi images must align with Fil generators")
         self.p = S.p
         self.dim = r * S.dim
-        self._fil_cols = None
         self._fil_H = None
 
     # -- coordinates (mod p) ------------------------------------------------
@@ -55,9 +56,6 @@ class BreuilModule:
     def scale_vector(self, s, v):
         return [s * c for c in v]
 
-    def add_vectors(self, v, w):
-        return [a + b for a, b in zip(v, w)]
-
     def s_multiples(self, v):
         """Coordinate rows spanning the S-multiples of the vector v."""
         S = self.S
@@ -71,11 +69,17 @@ class BreuilModule:
         return rows
 
     def _fil_data(self):
-        """Expanded Fil columns (with their phi_h images) and Howell span."""
-        if self._fil_cols is None:
+        """Howell form of the graph rows [x | phi_h(x)] of phi_h on Fil.
+
+        Each Fil generator g is expanded over the F_p-basis x^a b_t of S,
+        with image phi(x^a b_t) phi_h(g).  Over F_p this is the reduced
+        echelon form, so the rows with a nonzero source block have as
+        source blocks the reduced echelon basis of Fil.
+        """
+        if self._fil_H is None:
             S = self.S
             xgen = S.ring.gen()
-            cols = []
+            rows = []
             for g, img in zip(self.fil_gens, self.phi_gens):
                 for t in range(S.D):
                     bt = S.basis_elem(t)
@@ -83,46 +87,38 @@ class BreuilModule:
                     for a in range(S.m):
                         mult = bt.scale_w(xgen ** a)
                         tw = pb.scale_w(S.ring.sigma(xgen ** a))
-                        cols.append((
-                            self.vec([mult * c for c in g]),
-                            [tw * c for c in img]))
-            H, _ = howell_form([c[0] for c in cols], self.p, 1)
-            self._fil_cols = cols
-            self._fil_H = H
-        return self._fil_cols, self._fil_H
+                        rows.append(self.vec([mult * c for c in g])
+                                    + self.vec([tw * c for c in img]))
+            self._fil_H, _ = howell_form(rows, self.p, 1)
+        return self._fil_H
+
+    def _fil_rows(self):
+        return [r for r in self._fil_data() if any(r[:self.dim])]
 
     def fil_span(self):
-        return self._fil_data()[1]
+        return [r[:self.dim] for r in self._fil_rows()]
 
     def fil_contains(self, v):
         return in_span(self.fil_span(), self.vec(v), self.p, 1)
 
     def phi_h_consistent(self):
-        """phi_h extends semilinearly without ambiguity (syzygy check)."""
-        cols, _ = self._fil_data()
-        A = [[c[0][row] for c in cols] for row in range(self.dim)]
-        K, _ = kernel_solve(A, None, self.p, 1)
-        for k in K:
-            acc = [self.S.zero() for _ in range(self.r)]
-            for c, col in zip(k, cols):
-                if c:
-                    acc = self.add_vectors(
-                        acc, [x * c for x in col[1]])
-            if any(not x.reduce_prec(1).is_zero() for x in acc):
-                return False
-        return True
+        """phi_h is well defined: no graph row has a zero source block."""
+        return all(any(r[:self.dim]) for r in self._fil_data())
 
     def phi_h(self, v):
-        """phi_h of a vector in Fil, via a representation on the generators."""
-        cols, _ = self._fil_data()
-        _, sol = kernel_solve(
-            [[c[0][row] for c in cols] for row in range(self.dim)],
-            self.vec(v), self.p, 1)
-        acc = [self.S.zero() for _ in range(self.r)]
-        for c, col in zip(sol, cols):
-            if c:
-                acc = self.add_vectors(acc, [x * c for x in col[1]])
-        return [x.reduce_prec(1) for x in acc]
+        """phi_h of a vector in Fil, by reduction against the graph rows.
+
+        Raises Inconsistent when v is not in Fil.
+        """
+        d = self.dim
+        rem = reduce_vector(self._fil_rows(), self.vec(v) + [0] * d,
+                            self.p, 1)
+        if any(rem[:d]):
+            raise Inconsistent("vector is not in Fil")
+        img = [-x % self.p for x in rem[d:]]
+        k = self.S.dim
+        return [self.S.from_vec(img[i * k:(i + 1) * k], prec=1)
+                for i in range(self.r)]
 
     def nabla_vector(self, v):
         """Connection by the Leibniz rule from the basis matrix."""
@@ -163,7 +159,7 @@ class BreuilModule:
         return f"BreuilModule(r={self.r}, h={self.h}, over {self.S!r})"
 
 
-def is_breuil_module(B, samples=3):
+def is_breuil_module(B):
     """All axioms of the mod-p Breuil category; returns (ok, failing)."""
     if B.r == 0:
         return True, None
@@ -180,19 +176,19 @@ def is_breuil_module(B, samples=3):
                 return False, "fil-contains-filS"
     if not B.phi_h_consistent():
         return False, "phi-not-well-defined"
-    # functional equation phi_h(s x) = c1^{-h} phi_h(s) phi_h(E^h x)
+    # functional equation phi_h(s x) = c1^{-h} phi_h(s) phi_h(E^h x), on
+    # every Howell row s of Fil^h S and every basis vector x
     c1ih = (S.c1_inv() ** B.h).reduce_prec(1)
     Eh = S.from_int_poly(int_poly_pow(list(S.eis.int_coeffs), B.h))
-    for row in filS[:samples]:
+    mids = [B.phi_h(B.scale_vector(Eh.reduce_prec(1), B.basis_vector(i)))
+            for i in range(B.r)]
+    for row in filS:
         s = S.from_vec(row, prec=1)
-        fs = s_phi_div(s, B.h).reduce_prec(1)
+        fs = (c1ih * s_phi_div(s, B.h)).reduce_prec(1)
         for i in range(B.r):
-            x = B.basis_vector(i)
-            lhs = B.phi_h(B.scale_vector(s, x))
-            mid = B.phi_h(B.scale_vector(Eh.reduce_prec(1), x))
-            rhs = [(c1ih * fs * c).reduce_prec(1) for c in mid]
-            if any(not (a - b).reduce_prec(1).is_zero()
-                   for a, b in zip(lhs, rhs)):
+            lhs = B.phi_h(B.scale_vector(s, B.basis_vector(i)))
+            if any(not (a - fs * b).reduce_prec(1).is_zero()
+                   for a, b in zip(lhs, mids[i])):
                 return False, "functional-equation"
     # generation: the S-span of phi_h(Fil) is everything
     rows = []
@@ -302,54 +298,51 @@ class FLModule:
         H, _ = howell_form(rows, self.p, self.W.n) if rows else ([], None)
         return H
 
-    def semilinear_apply(self, gens, images, target):
-        """sigma-semilinear value at target, or None when inconsistent.
+    def _graph(self, gens, images):
+        """Howell form of the graph rows [f | phi(f)] of a semilinear map.
 
-        The map sends sum a_k f_k to sum sigma(a_k) phi(f_k); target is
-        expressed on the gens over W and the twisted value is assembled.
+        Generator f is expanded over the W-basis x^j with image
+        sigma(x^j) phi(f), and the relations enter as rows [rel | 0].  By
+        the Howell property the rows with a zero source block span the
+        images of all syzygies, also at n > 1.
         """
         W = self.W
         xgen = W.gen()
-        cols = []
-        vals = []
+        zero = [0] * self.dim
+        rows = [list(r) + zero for r in self.relation_rows()]
         for f, im in zip(gens, images):
             for j in range(self.m):
-                cols.append(self.vec([c * xgen ** j for c in f]))
                 tw = W.sigma(xgen ** j)
-                vals.append([c * tw for c in im])
-        rel = self.relation_rows()
-        A = [[c[row] for c in cols] + [r[row] for r in rel]
-             for row in range(self.dim)]
-        _, sol = kernel_solve(A, self.vec(target), self.p, W.n)
-        acc = [W.zero() for _ in range(self.g)]
-        for c, val in zip(sol[:len(cols)], vals):
-            if c:
-                acc = [a + v.scale(c) for a, v in zip(acc, val)]
-        return acc
+                rows.append(self.vec([c * xgen ** j for c in f])
+                            + self.vec([c * tw for c in im]))
+        H, _ = howell_form(rows, self.p, W.n)
+        return H
+
+    def semilinear_apply(self, gens, images, target):
+        """sigma-semilinear value at target; raises Inconsistent when
+        target is not in the W-span of gens.
+
+        The map sends sum a_k f_k to sum sigma(a_k) phi(f_k): [target | 0]
+        is reduced against the graph rows with a nonzero source block, and
+        the value is minus what is left of the image block.
+        """
+        d = self.dim
+        rows = [r for r in self._graph(gens, images) if any(r[:d])]
+        rem = reduce_vector(rows, self.vec(target) + [0] * d, self.p,
+                            self.W.n)
+        if any(rem[:d]):
+            raise Inconsistent("target is not in the span of the generators")
+        m = self.m
+        return [self.W.elem([-x for x in rem[d + t * m:d + (t + 1) * m]])
+                for t in range(self.g)]
 
     def semilinear_consistent(self, gens, images):
-        """Syzygies of the gens map to zero under the twisted images."""
-        W = self.W
-        xgen = W.gen()
-        cols = []
-        vals = []
-        for f, im in zip(gens, images):
-            for j in range(self.m):
-                cols.append(self.vec([c * xgen ** j for c in f]))
-                tw = W.sigma(xgen ** j)
-                vals.append([c * tw for c in im])
+        """Every syzygy of the gens maps into the relations: each graph
+        row with a zero source block has its image block in their span."""
+        d = self.dim
         rel = self.relation_rows()
-        A = [[c[row] for c in cols] + [r[row] for r in rel]
-             for row in range(self.dim)]
-        K, _ = kernel_solve(A, None, self.p, W.n)
-        for k in K:
-            acc = [W.zero() for _ in range(self.g)]
-            for c, val in zip(k[:len(cols)], vals):
-                if c:
-                    acc = [a + v.scale(c) for a, v in zip(acc, val)]
-            if not self.is_zero_in_module(acc):
-                return False
-        return True
+        return all(in_span(rel, r[d:], self.p, self.W.n)
+                   for r in self._graph(gens, images) if not any(r[:d]))
 
     def is_zero_in_module(self, v):
         rel = self.relation_rows()

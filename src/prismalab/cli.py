@@ -20,7 +20,6 @@ import json
 import random
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import click
@@ -205,6 +204,11 @@ def _parse_value(key, raw, line):
         raise ParseError(f"value of {key!r} must be an integer", line)
 
 
+# a block header is a bare bracketed name; a row may start with a
+# bracketed coefficient such as [1,0]*u^9
+_BLOCK_RE = re.compile(r"^\[\s*([A-Za-z_]+)\s*\]$")
+
+
 def parse_document(text):
     blocks = {b: [] for b in BLOCKS}          # header pairs
     rows = {b: [] for b in BLOCKS}            # raw row lines
@@ -213,8 +217,9 @@ def parse_document(text):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("["):
-            name = line.strip("[]").strip()
+        header = _BLOCK_RE.match(line)
+        if header:
+            name = header.group(1)
             if name not in BLOCKS:
                 raise ParseError(f"unknown block [{name}]", lineno)
             current = name
@@ -472,9 +477,7 @@ def _random_split_case(seed):
 
 
 def _suite_split(seed):
-    seeds = [seed * 1000 + k for k in range(50)]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        return list(pool.map(_random_split_case, seeds))
+    return [_random_split_case(seed * 1000 + k) for k in range(50)]
 
 
 # ---------------------------------------------------------------------------

@@ -69,12 +69,6 @@ class SeriesElem:
     def truncate(self, N):
         return SeriesElem(self.ring, self.coeffs[:N], N, exact=False)
 
-    def with_precision(self, N):
-        """Declare precision N (allowed only for exact elements)."""
-        if not self.exact:
-            raise InputError("cannot re-declare precision of inexact element")
-        return SeriesElem(self.ring, self.coeffs, N, exact=True)
-
     def _join(self, other):
         if self.ring != other.ring:
             raise InputError("mixed coefficient rings")
@@ -431,12 +425,7 @@ class DpRing:
             raise InputError("incompatible series ring")
         prec = min(s.ring.n, self.n_int)
         coords = []
-        for i, c in enumerate(s.coeffs):
-            if i >= self.D:
-                if not s.exact:
-                    break
-                # exact high terms embed as zero only when e(i)! kills them
-                break
+        for i, c in enumerate(s.coeffs[:self.D]):
             fac = math.factorial(self.ei(i)) % self.q
             coords.append(self.ring.elem([a * fac for a in c.coeffs]))
         return self.elem(coords, prec)
@@ -617,10 +606,6 @@ class DpRing:
             d = i // self.ei(i) if i % self.e == 0 else i
             coords[i - 1] = c.scale(d % self.q)
         return DpElem(self, tuple(coords), x.prec)
-
-    def i_plus_reduce(self, x):
-        """Image in S / I_+ = W (the constant coordinate)."""
-        return x.coords[0]
 
     def __repr__(self):
         return (f"DpRing(p={self.p}, e={self.e}, n={self.n_user}, "

@@ -6,7 +6,9 @@ from prismalab.breuil_fl import (
     BreuilModule, FLModule, fl_criterion, fl_to_breuil, is_breuil_module,
     is_fl_module, kisin_to_breuil, residual_module, unramified_realization,
 )
-from prismalab.errors import BadRamification, HasUTorsion, InputError
+from prismalab.errors import (
+    BadRamification, HasUTorsion, Inconsistent, InputError,
+)
 from prismalab.linalg_residue import kernel_solve, spans_equal
 from prismalab.phi_modules import EtalePhiModule, KisinModule, PhiModule
 from prismalab.series_rings import (
@@ -65,6 +67,7 @@ def test_inconsistent_images_detected():
     img = [[S.c1()], [S.one()]]  # should be u^3 * c1, not 1
     B = BreuilModule(S, 1, 1, fil, img)
     assert not B.phi_h_consistent()
+    assert not _breuil_syzygy_consistent(B)
     ok, why = is_breuil_module(B)
     assert not ok
 
@@ -227,6 +230,142 @@ def test_fl_projector_witnesses():
     # a wrong projector (onto the second coordinate) is rejected
     M.projectors = {0: [[zero, zero], [zero, one]]}
     assert is_fl_module(M) == (False, "axiom1-projector")
+
+
+# ---------------------------------------------------------------------------
+# well-definedness on the graph span against the syzygy reference
+# ---------------------------------------------------------------------------
+
+
+def _breuil_syzygy_consistent(B):
+    """Reference check: push every syzygy of the expanded Fil generators
+    through their phi_h images and require the result to vanish mod p."""
+    S = B.S
+    xgen = S.ring.gen()
+    cols = []
+    for g, img in zip(B.fil_gens, B.phi_gens):
+        for t in range(S.D):
+            bt = S.basis_elem(t)
+            pb = S.phi(bt)
+            for a in range(S.m):
+                mult = bt.scale_w(xgen ** a)
+                tw = pb.scale_w(S.ring.sigma(xgen ** a))
+                cols.append((B.vec([mult * c for c in g]),
+                             [tw * c for c in img]))
+    A = [[c[0][row] for c in cols] for row in range(B.dim)]
+    K, _ = kernel_solve(A, None, B.p, 1)
+    for k in K:
+        acc = [S.zero() for _ in range(B.r)]
+        for c, (_, val) in zip(k, cols):
+            if c:
+                acc = [a + x * c for a, x in zip(acc, val)]
+        if any(not x.reduce_prec(1).is_zero() for x in acc):
+            return False
+    return True
+
+
+def _fl_syzygy_consistent(M, gens, images):
+    """Reference check: every syzygy of the gens (modulo the relations)
+    maps to zero in the module under the twisted images."""
+    W = M.W
+    xgen = W.gen()
+    cols, vals = [], []
+    for f, im in zip(gens, images):
+        for j in range(M.m):
+            cols.append(M.vec([c * xgen ** j for c in f]))
+            tw = W.sigma(xgen ** j)
+            vals.append([c * tw for c in im])
+    rel = M.relation_rows()
+    A = [[c[row] for c in cols] + [r[row] for r in rel]
+         for row in range(M.dim)]
+    K, _ = kernel_solve(A, None, M.p, W.n)
+    for k in K:
+        acc = [W.zero() for _ in range(M.g)]
+        for c, val in zip(k[:len(cols)], vals):
+            if c:
+                acc = [a + v.scale(c) for a, v in zip(acc, val)]
+        if not M.is_zero_in_module(acc):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_graph_check_matches_syzygy_reference(p):
+    rng = random.Random(200 + p)
+    W = WittRing(p, 1, 1)
+    verdicts = set()
+    done = 0
+    while done < (16 if p == 3 else 8):
+        g = rng.randrange(1, 3)
+        h = rng.randrange(1, min(p - 1, 3) + 1)
+        M = _random_fl(rng, W, g, h, break_axiom=rng.choice([None, 2, 3]))
+        if M is None:
+            continue
+        for i in range(M.h + 1):
+            gens, images = M.fil_gens(i), M.phi_images(i)
+            assert (M.semilinear_consistent(gens, images)
+                    == _fl_syzygy_consistent(M, gens, images))
+        B = fl_to_breuil(M)
+        ok = B.phi_h_consistent()
+        assert ok == _breuil_syzygy_consistent(B), (p, g, h)
+        verdicts.add(ok)
+        done += 1
+    assert verdicts == {True, False}
+
+
+def test_fl_graph_check_with_relations():
+    # W_2 = Z/9 acting on Z/9 + Z/3: a verdict can hinge on the relation
+    # 3 e2 = 0 or on the Howell saturation 3 * (3 e1) = 0
+    W = WittRing(3, 2, 1)
+    e = lambda *cs: [W.elem([c]) for c in cs]
+    M = FLModule(W, [2, 1], 0, {}, {0: [e(1, 0), e(0, 1)]})
+    cases = [
+        ([e(1, 0), e(0, 1)], [e(1, 0), e(3, 0)], True),
+        ([e(1, 0), e(0, 1)], [e(1, 0), e(1, 0)], False),
+        ([e(1, 0), e(0, 1)], [e(0, 1), e(0, 2)], True),
+        ([e(3, 0)], [e(1, 0)], False),
+        ([e(3, 0)], [e(3, 1)], True),
+        ([e(3, 0), e(1, 0)], [e(3, 0), e(1, 0)], True),
+        ([e(3, 0), e(1, 0)], [e(1, 0), e(1, 0)], False),
+    ]
+    for gens, images, expect in cases:
+        assert M.semilinear_consistent(gens, images) is expect
+        assert _fl_syzygy_consistent(M, gens, images) is expect
+    # phi(3 e1) = 3 e1 is only defined on 3 W e1 + W e2
+    with pytest.raises(Inconsistent):
+        M.semilinear_apply([e(3, 0), e(0, 1)], [e(3, 0), e(0, 1)], e(1, 0))
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 1)])
+def test_fl_graph_check_random_relations(p, m):
+    # random gens and images over W_2(F_{p^m}) with summands W/p: the
+    # verdict matches the syzygy reference, and on consistent maps
+    # semilinear_apply is sum sigma(a_k) phi(f_k) modulo the relations
+    rng = random.Random(300 + p)
+    W = WittRing(p, 2, m)
+    rand = lambda: W.elem([p ** rng.randrange(3) * rng.randrange(W.q)
+                           for _ in range(m)])
+    verdicts = set()
+    for _ in range(40):
+        g = rng.randrange(1, 3)
+        M = FLModule(W, [rng.choice([1, 2]) for _ in range(g)], 0, {},
+                     {0: [[W.zero()] * g for _ in range(g)]})
+        k = rng.randrange(1, 4)
+        gens = [[rand() for _ in range(g)] for _ in range(k)]
+        images = [[rand() for _ in range(g)] for _ in range(k)]
+        ok = M.semilinear_consistent(gens, images)
+        assert ok == _fl_syzygy_consistent(M, gens, images)
+        verdicts.add(ok)
+        if not ok:
+            continue
+        a = [rand() for _ in range(k)]
+        target = [sum((ak * f[t] for ak, f in zip(a, gens)), W.zero())
+                  for t in range(g)]
+        want = [sum((W.sigma(ak) * im[t] for ak, im in zip(a, images)),
+                    W.zero()) for t in range(g)]
+        got = M.semilinear_apply(gens, images, target)
+        assert M.is_zero_in_module([x - y for x, y in zip(got, want)])
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,19 @@ def test_document_round_trip_seeded():
         assert parse_document(doc.serialize()) == doc
 
 
+def test_document_round_trip_bracketed_leading_coefficient():
+    # at m = 2 a row may start with a bracketed coefficient; only a bare
+    # bracketed name is a block header
+    doc = parse_document(
+        "[ring]\np=3 n=1 m=2\n[module]\ng=2 killed=1,9\n"
+        "[1,0]*u^9, 0\n0, [1,2]*u^9\n[phi]\n[0,1], 0\nu, [2,1]*u\n")
+    text = doc.serialize()
+    assert "\n[1,0]*u^9, 0\n" in text
+    assert parse_document(text) == doc
+    with pytest.raises(ParseError, match=r"unknown block \[foo\]"):
+        parse_document("[ring]\np=3\n[ foo ]\n")
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError, match="line 1"):
         parse_document("stray content")
