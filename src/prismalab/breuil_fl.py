@@ -318,23 +318,22 @@ class FLModule:
         H, _ = howell_form(rows, self.p, W.n)
         return H
 
-    def semilinear_apply(self, gens, images, target):
-        """sigma-semilinear value at target; raises Inconsistent when
-        target is not in the W-span of gens.
+    def semilinear_apply(self, gens, images, targets):
+        """sigma-semilinear values at each of targets; raises Inconsistent
+        when a target is not in the W-span of gens.
 
         The map sends sum a_k f_k to sum sigma(a_k) phi(f_k): [target | 0]
         is reduced against the graph rows with a nonzero source block, and
         the value is minus what is left of the image block.
         """
-        d = self.dim
+        d, m = self.dim, self.m
         rows = [r for r in self._graph(gens, images) if any(r[:d])]
-        rem = reduce_vector(rows, self.vec(target) + [0] * d, self.p,
-                            self.W.n)
-        if any(rem[:d]):
+        rems = [reduce_vector(rows, self.vec(v) + [0] * d, self.p, self.W.n)
+                for v in targets]
+        if any(any(rem[:d]) for rem in rems):
             raise Inconsistent("target is not in the span of the generators")
-        m = self.m
-        return [self.W.elem([-x for x in rem[d + t * m:d + (t + 1) * m]])
-                for t in range(self.g)]
+        return [[self.W.elem([-x for x in rem[d + t * m:d + (t + 1) * m]])
+                 for t in range(self.g)] for rem in rems]
 
     def semilinear_consistent(self, gens, images):
         """Every syzygy of the gens maps into the relations: each graph
@@ -402,8 +401,11 @@ def is_fl_module(M):
             return False, "phi-not-well-defined"
     # axiom 2: phi_i restricted to Fil^{i+1} equals p phi_{i+1}
     for i in range(M.h):
-        for v, im in zip(M.fil_gens(i + 1), M.phi_images(i + 1)):
-            via_i = M.semilinear_apply(M.fil_gens(i), M.phi_images(i), v)
+        if not M.fil_gens(i + 1):
+            continue
+        vals = M.semilinear_apply(M.fil_gens(i), M.phi_images(i),
+                                  M.fil_gens(i + 1))
+        for via_i, im in zip(vals, M.phi_images(i + 1)):
             diff = [a - b.scale(M.p) for a, b in zip(via_i, im)]
             if not M.is_zero_in_module(diff):
                 return False, "axiom2"

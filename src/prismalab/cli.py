@@ -235,6 +235,9 @@ def parse_document(text):
         else:
             rows[current].append((lineno, line))
     ring = dict(blocks["ring"])
+    for key in ("p", "n", "m"):
+        if not isinstance(ring.get(key, 1), int):
+            raise InputError(f"[ring] {key} must be a single integer")
     q = ring.get("p", 0) ** ring.get("n", 1)
     m = ring.get("m", 1)
     if rows["ring"] or rows["check"]:

@@ -17,7 +17,10 @@ from .phi_modules import (
     PhiModule, annihilator_alpha, boundary_structure_check,
     check_ann_inclusion, u_torsion,
 )
-from .series_rings import DpRing, cyclotomic_q, eisenstein_make
+from .series_rings import (
+    DpRing, binomial_power_minus_one, cyclotomic_q, eisenstein_make,
+    int_poly_mul,
+)
 from .witt_base import WittRing
 
 
@@ -31,36 +34,19 @@ class CycloInstance:
         self.e = p ** (n - 1) * (p - 1)
         self.q_n = cyclotomic_q(p, n)
         # kernel generator of the level below: (u+1)^{p^{n-1}} - 1
-        self.g0 = _binomial_poly(p ** (n - 1))
+        self.g0 = binomial_power_minus_one(p ** (n - 1))
         # the kernel lives in degree e/(p-1); B leaves an empty band of
         # width e above it so completeness is machine-checkable
         self.B = B if B is not None else max(
             4 * self.e // (p - 1), self.e + 2 * (self.e // (p - 1)))
         self.D = D if D is not None else 2 * p ** n * self.e
         # d * g0 = q_n exactly over the integers
-        prod = _poly_mul(list(self.d.int_coeffs), self.g0)
+        prod = int_poly_mul(list(self.d.int_coeffs), self.g0)
         if prod != self.q_n:
             raise InputError("cyclotomic factorization failed")
 
     def __repr__(self):
         return f"CycloInstance(p={self.p}, n={self.n})"
-
-
-def _binomial_poly(k):
-    """(u+1)^k - 1 as an integer coefficient list."""
-    coeffs = [1]
-    for _ in range(k):
-        coeffs = [a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    coeffs[0] -= 1
-    return coeffs
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def ker_phi_minus_d(inst, m):

@@ -9,8 +9,6 @@ section x-bar -> lim phi^t(x_t).
 
 from __future__ import annotations
 
-import math
-
 from .breuil_fl import FLModule, fl_to_breuil, is_fl_module
 from .errors import InputError, NotFL, NotKilledByP
 from .linalg_residue import (
@@ -19,6 +17,14 @@ from .linalg_residue import (
 from .phi_modules import PhiModule, presentation_from_generators
 from .series_rings import int_poly_pow
 from .witt_base import WittRing
+
+
+def _ceil_log(b, p):
+    """The least k >= 0 with p^k >= b, in integers."""
+    k = 0
+    while p ** k < b:
+        k += 1
+    return k
 
 
 class SplitResult:
@@ -102,7 +108,7 @@ def mult_section(M, rng=None):
              if not (rel_span and in_span(rel_span, row, p, nexp))
              and any(row)]
     b = M.killed_by[1] if (M.killed_by and M.killed_by[1]) else mdl.N
-    T = max(1, math.ceil(math.log(b, p))) + 1
+    T = max(1, _ceil_log(b, p)) + 1
     FT = [row[:] for row in F]
     for _ in range(T - 1):
         FT = [[sum(FT[i][k] * F[k][j] for k in range(len(F))) % q
@@ -245,7 +251,7 @@ def split_breuil(B, alternative=None):
         if len(nxt) == len(cur):
             break
         cur = nxt
-    ell = max(1, math.ceil(math.log(S.D, p))) + 1
+    ell = max(1, _ceil_log(S.D, p)) + 1
 
     def power_bar(wv, k):
         for _ in range(k):

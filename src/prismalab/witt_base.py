@@ -2,11 +2,14 @@
 
 The ring is modelled as (Z/p^n)[x]/(f) for a monic degree-m lift f of an
 irreducible polynomial over F_p.  The Frobenius lift sigma is computed once
-per ring by Newton iteration on f starting from x^p and then applied by
-substitution.
+per ring by Newton iteration on f starting from x^p; its matrix on the basis
+1, x, ..., x^{m-1} is built on first use and applied as m dot products.
 """
 
 from __future__ import annotations
+
+import math
+import operator
 
 from .errors import NonSeparable, NotAUnit, InputError
 
@@ -97,12 +100,7 @@ def is_irreducible_mod_p(f, p):
 
 
 def _is_prime(d):
-    if d < 2:
-        return False
-    for q in range(2, int(d ** 0.5) + 1):
-        if d % q == 0:
-            return False
-    return True
+    return d >= 2 and all(d % q for q in range(2, math.isqrt(d) + 1))
 
 
 def default_irreducible(p, m):
@@ -130,11 +128,13 @@ def default_irreducible(p, m):
 class WittRing:
     """(Z/p^n)[x]/(f) with cached Frobenius lift."""
 
-    __slots__ = ("p", "n", "m", "f", "q", "_sigma_gen", "_gen_pows")
+    __slots__ = ("p", "n", "m", "f", "q", "_sigma_gen", "_sigma_mat")
 
     def __init__(self, p, n, m=1, f=None):
         if n < 1 or m < 1:
             raise InputError("need n >= 1 and m >= 1")
+        if not _is_prime(p):
+            raise InputError(f"p must be prime, got {p}")
         self.p = p
         self.n = n
         self.m = m
@@ -151,7 +151,7 @@ class WittRing:
             raise NonSeparable("f has repeated roots mod p")
         self.f = tuple(f)
         self._sigma_gen = None
-        self._gen_pows = None
+        self._sigma_mat = None
 
     # -- element constructors ------------------------------------------
 
@@ -198,15 +198,16 @@ class WittRing:
     # -- internal polynomial arithmetic mod (q, f) -----------------------
 
     def _reduce(self, coeffs):
-        coeffs = [c % self.q for c in coeffs]
-        dm = self.m
-        while len(coeffs) > dm:
-            c = coeffs.pop()
+        """coeffs (length >= m, overwritten) mod (f, q), with one % q per
+        coefficient."""
+        m, f = self.m, self.f
+        # x^k = x^{k-m} x^m = -sum f_i x^{k-m+i}, top degree first
+        for k in range(len(coeffs) - 1, m - 1, -1):
+            c = coeffs[k]
             if c:
-                base = len(coeffs) - dm
-                for i in range(dm):
-                    coeffs[base + i] = (coeffs[base + i] - c * self.f[i]) % self.q
-        return coeffs
+                for i in range(m):
+                    coeffs[k - m + i] -= c * f[i]
+        return [c % self.q for c in coeffs[:m]]
 
     # -- sigma -----------------------------------------------------------
 
@@ -238,19 +239,19 @@ class WittRing:
         return acc
 
     def sigma(self, a):
-        """The Frobenius lift, applied by substitution x -> sigma(x)."""
+        """The Frobenius lift, a -> M a for the cached m x m matrix M over
+        Z/p^n whose column j is sigma(x^j) = sigma(x)^j."""
         if self.m == 1:
             return a
-        if self._gen_pows is None:
+        if self._sigma_mat is None:
             s = self.sigma_gen()
             pows = [self.one()]
             for _ in range(self.m - 1):
                 pows.append(pows[-1] * s)
-            self._gen_pows = pows
-        acc = self.zero()
-        for c, pw in zip(a.coeffs, self._gen_pows):
-            acc = acc + pw.scale(c)
-        return acc
+            self._sigma_mat = tuple(zip(*(pw.coeffs for pw in pows)))
+        return WittElem(self, tuple([
+            sum(map(operator.mul, row, a.coeffs)) % self.q
+            for row in self._sigma_mat]))
 
     def __eq__(self, other):
         return (isinstance(other, WittRing)
@@ -289,14 +290,14 @@ class WittElem:
         if isinstance(other, int):
             return self.scale(other)
         r = self.ring
+        if r.m == 1:
+            return WittElem(r, ((self.coeffs[0] * other.coeffs[0]) % r.q,))
         out = [0] * (2 * r.m - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + a * b) % r.q
-        red = r._reduce(out)
-        red += [0] * (r.m - len(red))
-        return WittElem(r, tuple(red))
+                    out[i + j] += a * b
+        return WittElem(r, tuple(r._reduce(out)))
 
     __rmul__ = __mul__
 

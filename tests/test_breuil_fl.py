@@ -333,7 +333,8 @@ def test_fl_graph_check_with_relations():
         assert _fl_syzygy_consistent(M, gens, images) is expect
     # phi(3 e1) = 3 e1 is only defined on 3 W e1 + W e2
     with pytest.raises(Inconsistent):
-        M.semilinear_apply([e(3, 0), e(0, 1)], [e(3, 0), e(0, 1)], e(1, 0))
+        M.semilinear_apply([e(3, 0), e(0, 1)], [e(3, 0), e(0, 1)],
+                           [e(1, 0)])
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (3, 1)])
@@ -358,13 +359,18 @@ def test_fl_graph_check_random_relations(p, m):
         verdicts.add(ok)
         if not ok:
             continue
-        a = [rand() for _ in range(k)]
-        target = [sum((ak * f[t] for ak, f in zip(a, gens)), W.zero())
-                  for t in range(g)]
-        want = [sum((W.sigma(ak) * im[t] for ak, im in zip(a, images)),
-                    W.zero()) for t in range(g)]
-        got = M.semilinear_apply(gens, images, target)
-        assert M.is_zero_in_module([x - y for x, y in zip(got, want)])
+        targets, wants = [], []
+        for _ in range(2):
+            a = [rand() for _ in range(k)]
+            targets.append([sum((ak * f[t] for ak, f in zip(a, gens)),
+                                W.zero()) for t in range(g)])
+            wants.append([sum((W.sigma(ak) * im[t]
+                               for ak, im in zip(a, images)), W.zero())
+                          for t in range(g)])
+        got = M.semilinear_apply(gens, images, targets)
+        assert len(got) == 2
+        for value, want in zip(got, wants):
+            assert M.is_zero_in_module([x - y for x, y in zip(value, want)])
     assert verdicts == {True, False}
 
 

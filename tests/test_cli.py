@@ -170,6 +170,18 @@ def test_check_unknown_and_parse_error_exit2(tmp_path):
     assert "line 1" in res.output
 
 
+@pytest.mark.parametrize("ring", [
+    "p=4 n=1", "p=6 n=1", "p=2,3 n=1", "p=3,5 n=1", "p=3 n=1,2",
+])
+def test_check_bad_ring_values_exit2(tmp_path, ring):
+    # a composite p was answered with exit 0, a list-valued one crashed
+    text = (f"[ring]\n{ring}\n[module]\ng=1 killed=1,2\nu^2\n[phi]\n1\n"
+            "[check]\nname=length\n")
+    res = run(["check", _write(tmp_path, text), "--json"])
+    assert res.exit_code == 2
+    assert json.loads(res.output)["error"] == "InputError"
+
+
 def test_check_dp_literal_outside_context_exit2(tmp_path):
     text = "[ring]\np=2 n=1\n[module]\ng=1\n1*u^2/dp(2)\n[phi]\n1\n"
     res = run(["check", _write(tmp_path, text), "--check", "length"])

@@ -1,11 +1,12 @@
 import pytest
 
 from prismalab.cyclo_suite import (
-    CycloInstance, _binomial_poly, h2_instance_module, h2_torsion_report,
+    CycloInstance, h2_instance_module, h2_torsion_report,
     ideal_j_mingens, ker_phi_minus_d, sharpness_report,
 )
 from prismalab.errors import BoundaryContamination, InputError
 from prismalab.linalg_residue import howell_form, spans_equal
+from prismalab.series_rings import binomial_power_minus_one
 
 
 def test_instance_factorization_and_degrees():
@@ -18,10 +19,15 @@ def test_instance_factorization_and_degrees():
 
 
 def test_binomial_identity_mod_pn():
+    # Pascal's rule gives (u+1)^k - 1
+    row = [1]
+    for k in range(10):
+        assert binomial_power_minus_one(k) == [0] + row[1:]
+        row = [a + b for a, b in zip(row + [0], [0] + row)]
     # (u+1)^{p^n} = (u^p+1)^{p^{n-1}} mod p^n
     for p, n in [(2, 2), (3, 2), (2, 3)]:
-        lhs = _binomial_poly(p ** n)
-        inner = _binomial_poly(p ** (n - 1))
+        lhs = binomial_power_minus_one(p ** n)
+        inner = binomial_power_minus_one(p ** (n - 1))
         rhs = [0] * (p ** n + 1)
         for i, c in enumerate(inner):
             rhs[p * i] += c

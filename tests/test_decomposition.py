@@ -4,7 +4,7 @@ import pytest
 
 from prismalab.breuil_fl import FLModule, kisin_to_breuil
 from prismalab.decomposition import (
-    SplitResult, check_split_compat, mult_section, split_breuil,
+    SplitResult, _ceil_log, check_split_compat, mult_section, split_breuil,
     split_fl, split_phi_module,
 )
 from prismalab.errors import NotFL, NotKilledByP
@@ -29,6 +29,15 @@ def u_kill_module(W, phi_ints, b):
         rel.append(col)
     phi = [[series(W, e) for e in row] for row in phi_ints]
     return PhiModule(W, g, rel, phi, killed_by=(W.n, b))
+
+
+def test_ceil_log_is_exact_in_integers():
+    # the float math.ceil(math.log(125, 5)) reads 4
+    assert _ceil_log(125, 5) == 3
+    for p in (2, 3, 5, 7, 13):
+        for b in range(1, 700):
+            k = _ceil_log(b, p)
+            assert p ** k >= b and (k == 0 or p ** (k - 1) < b), (b, p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,69 @@
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from prismalab.errors import NotAUnit, InputError
 from prismalab.witt_base import (
-    WittRing, default_irreducible, is_irreducible_mod_p, witt_arith,
-    witt_sigma,
+    WittElem, WittRing, default_irreducible, is_irreducible_mod_p,
+    witt_arith, witt_sigma,
 )
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: the product reduced mod q at every step, and sigma
+# applied by substitution x -> sigma(x) with one boxed element per term
+# ---------------------------------------------------------------------------
+
+
+def mul_reduce_each_step(a, b):
+    R = a.ring
+    q, m = R.q, R.m
+    out = [0] * (2 * m - 1)
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in enumerate(b.coeffs):
+                out[i + j] = (out[i + j] + x * y) % q
+    while len(out) > m:
+        c = out.pop()
+        if c:
+            base = len(out) - m
+            for i in range(m):
+                out[base + i] = (out[base + i] - c * R.f[i]) % q
+    return WittElem(R, tuple(out))
+
+
+def sigma_by_substitution(a):
+    R = a.ring
+    if R.m == 1:
+        return a
+    pows = [R.one()]
+    for _ in range(R.m - 1):
+        pows.append(mul_reduce_each_step(pows[-1], R.sigma_gen()))
+    acc = R.zero()
+    for c, pw in zip(a.coeffs, pows):
+        acc = acc + pw.scale(c)
+    return acc
+
+
+# every ring with p^{nm} <= 256 and m >= 2, two user-supplied lifts f, and
+# two rings with m = 1, where the product takes its own branch
+ORACLE_RINGS = [(p, n, m, None)
+                for p in (2, 3, 5, 7, 11, 13)
+                for n in range(1, 5) for m in range(2, 9)
+                if p ** (n * m) <= 256] + [
+    (2, 2, 2, [5, 3, 1]), (3, 1, 2, [2, 2, 1]),
+    (2, 4, 1, None), (5, 2, 1, None)]
+
+
+@pytest.mark.parametrize("p,n,m,f", ORACLE_RINGS)
+def test_kernels_match_references_exhaustive(p, n, m, f):
+    R = WittRing(p, n, m, f)
+    els = R.elements()
+    for a in els:
+        assert R.sigma(a) == sigma_by_substitution(a)
+        for b in els:
+            assert a * b == mul_reduce_each_step(a, b)
 
 
 def test_irreducibility_detector():
@@ -119,7 +176,51 @@ def test_reducible_f_rejected():
         WittRing(2, 1, 2, [1, 0, 1])
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, 6, 9])
+def test_non_prime_p_rejected(p):
+    with pytest.raises(InputError):
+        WittRing(p, 1, 1)
+
+
 def test_lower_precision():
     R = WittRing(2, 3, 2)
     R2 = R.lower_precision(2)
     assert R2.n == 1 and R2.p == 2 and R2.m == 2
+
+
+PROPERTY_RINGS = [WittRing(2, 3, 2), WittRing(3, 2, 3), WittRing(5, 2, 2),
+                  WittRing(2, 2, 4), WittRing(7, 3, 1),
+                  WittRing(2, 2, 2, [5, 3, 1])]
+
+
+@st.composite
+def ring_elems(draw, k):
+    R = draw(st.sampled_from(PROPERTY_RINGS))
+    coeff = st.integers(0, R.q - 1)
+    return [R.elem([draw(coeff) for _ in range(R.m)]) for _ in range(k)]
+
+
+@given(ring_elems(2))
+def test_sigma_is_ring_hom_property(ab):
+    a, b = ab
+    R = a.ring
+    assert R.sigma(R.one()) == R.one()
+    assert R.sigma(a + b) == R.sigma(a) + R.sigma(b)
+    assert R.sigma(a * b) == R.sigma(a) * R.sigma(b)
+
+
+@given(ring_elems(1))
+def test_sigma_has_order_m_property(a1):
+    a, = a1
+    s = a
+    for _ in range(a.ring.m):
+        s = a.ring.sigma(s)
+    assert s == a
+
+
+@given(ring_elems(1))
+def test_unit_inverse_property(a1):
+    a, = a1
+    assume(a.is_unit())
+    assert a * a.inv() == a.ring.one()
+    assert a.inv() * a == a.ring.one()
