@@ -11,7 +11,8 @@ bracketed list ``[a0,a1]``; divided-power terms are written
 
 Exit codes: 0 = all checks passed, 1 = a mathematical assertion failed
 (the report carries a witness), 2 = malformed input or insufficient
-precision.
+precision, 3 = an internal error (a defect of prismalab, reported as
+``InternalError`` without a traceback).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .cyclo_suite import (
 )
 from .decomposition import split_phi_module
 from .errors import (
-    InputError, MathFailure, ParseError, PrismalabError, UnknownCheck,
+    InputError, MathFailure, ParseError, UnknownCheck,
 )
 from .phi_modules import (
     KisinModule, PhiModule, boundary_structure_check, height_check,
@@ -504,6 +505,21 @@ def _exit_code(payload):
     return 0 if all(i.get("status", "pass") == "pass" for i in items) else 1
 
 
+def _refuse(exc, as_json):
+    """Report an exception that ended a command, and exit with its code:
+    1 for a MathFailure, 2 for an InputError, 3 for anything else, which
+    is a defect of prismalab and is reported without a traceback."""
+    if isinstance(exc, MathFailure):
+        status, error, detail, code = "fail", type(exc).__name__, str(exc), 1
+    elif isinstance(exc, InputError):
+        status, error, detail, code = "error", type(exc).__name__, str(exc), 2
+    else:
+        status, error, code = "error", "InternalError", 3
+        detail = f"{type(exc).__name__}: {exc}"
+    _emit({"status": status, "error": error, "detail": detail}, as_json)
+    sys.exit(code)
+
+
 @click.group()
 def main():
     """Exact verification suite for semilinear module arithmetic."""
@@ -519,14 +535,8 @@ def cmd_check(path, name, as_json):
         with open(path, encoding="utf-8") as fh:
             doc = parse_document(fh.read())
         report = run_check(doc, name)
-    except MathFailure as exc:
-        _emit({"status": "fail", "error": type(exc).__name__,
-               "detail": str(exc)}, as_json)
-        sys.exit(1)
-    except InputError as exc:
-        _emit({"status": "error", "error": type(exc).__name__,
-               "detail": str(exc)}, as_json)
-        sys.exit(2)
+    except Exception as exc:  # the CLI boundary: every failure is a report
+        _refuse(exc, as_json)
     _emit(report, as_json)
     sys.exit(_exit_code(report))
 
@@ -541,9 +551,7 @@ def cmd_example(family, p, n, as_json):
     try:
         CycloInstance(p, n)  # fail fast on bad parameters
     except InputError as exc:
-        _emit({"status": "error", "error": type(exc).__name__,
-               "detail": str(exc)}, as_json)
-        sys.exit(2)
+        _refuse(exc, as_json)
     doc = Document(ring=(("n", n), ("p", p)),
                    check=(("n", n), ("name", "sharpness"), ("p", p)))
     if as_json:
@@ -564,14 +572,8 @@ def cmd_suite(which, seed, as_json):
             items.extend(_suite_cyclo())
         if which in ("split", "all"):
             items.extend(_suite_split(seed))
-    except MathFailure as exc:
-        _emit({"status": "fail", "error": type(exc).__name__,
-               "detail": str(exc)}, as_json)
-        sys.exit(1)
-    except InputError as exc:
-        _emit({"status": "error", "error": type(exc).__name__,
-               "detail": str(exc)}, as_json)
-        sys.exit(2)
+    except Exception as exc:  # the CLI boundary: every failure is a report
+        _refuse(exc, as_json)
     _emit(items, as_json)
     sys.exit(_exit_code(items))
 

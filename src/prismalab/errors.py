@@ -2,7 +2,7 @@
 
 Every error raised by the library is a subclass of PrismalabError so the
 CLI can map failures onto its exit-code contract (0 pass, 1 mathematical
-failure, 2 input/precision error).
+failure, 2 input/precision error; any other exception is a defect, exit 3).
 """
 
 

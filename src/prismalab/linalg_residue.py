@@ -4,6 +4,11 @@ Howell normal form is the workhorse: it supports row-span membership and
 kernel computations over the chain ring Z/p^n.  Smith elementary divisors
 are provided for shape extraction only.
 
+One elimination engine on augmented rows ``[left | right]`` serves both:
+``howell_form`` appends the identity only when the transform is asked for,
+and ``kernel_solve`` reads the kernel off the rows of ``[A^T | I]`` whose
+left block vanishes, and a particular solution off its pivots.
+
 Matrices are lists of rows; rows are lists of ints reduced mod p^n.
 """
 
@@ -23,12 +28,9 @@ def _val(x, p, n):
     return v
 
 
-def _row_scale(row, c, q):
-    return [(a * c) % q for a in row]
-
-
-def _row_sub(r, s, c, q):
-    return [(a - c * b) % q for a, b in zip(r, s)]
+def _sub_tail(r, tail, c, col, q):
+    """r -= c * s in place, where tail = s[col:] and r, s vanish before col."""
+    r[col:] = [(a - c * b) % q for a, b in zip(r[col:], tail)]
 
 
 class ResidueMatrix:
@@ -55,6 +57,54 @@ class ResidueMatrix:
         return f"ResidueMatrix(p={self.p}, n={self.n}, {self.entries})"
 
 
+def _echelon(rows, ncols, p, n):
+    """Echelonize rows (fresh lists mod p^n) in place on their first ncols
+    entries.  Per column, the pivot is the first working row of least
+    valuation v, scaled to p^v; for v > 0, p^(n-v) times it rejoins the
+    work (the Howell property).  A working row is zero before the current
+    column, so row operations touch only the entries from there on.
+
+    Returns (pivots, dead): (row, col, v) per pivot in column order, and
+    the rows whose first ncols entries became zero.
+    """
+    q = p ** n
+    pivots, dead, work = [], [], []
+    for r in rows:
+        (work if any(r[:ncols]) else dead).append(r)
+    for col in range(ncols):
+        best, bv = None, n
+        for i, r in enumerate(work):
+            if r[col]:
+                v = _val(r[col], p, n)
+                if v < bv:
+                    best, bv = i, v
+                    if not v:
+                        break
+        if best is None:
+            continue
+        prow = work.pop(best)
+        pv = p ** bv
+        iu = pow(prow[col] // pv, -1, q)
+        if iu != 1:
+            prow[col:] = [(a * iu) % q for a in prow[col:]]
+        tail = prow[col:]
+        pivots.append((prow, col, bv))
+        rest = []
+        for r in work:
+            if r[col]:
+                _sub_tail(r, tail, r[col] // pv, col, q)
+                if not any(r[col + 1:ncols]):
+                    dead.append(r)
+                    continue
+            rest.append(r)
+        if bv:
+            s = p ** (n - bv)
+            r = [0] * col + [(a * s) % q for a in tail]
+            (rest if any(r[col + 1:ncols]) else dead).append(r)
+        work = rest
+    return pivots, dead
+
+
 def howell_form(A, p=None, n=None, transform=False):
     """Howell normal form of the row span.
 
@@ -71,58 +121,26 @@ def howell_form(A, p=None, n=None, transform=False):
             raise InputError("p and n required for raw matrices")
     q = p ** n
     ncols = len(rows[0]) if rows else 0
-    nrows = len(rows)
-    work = []
-    for i, r in enumerate(rows):
-        t = [0] * nrows
-        t[i] = 1
-        work.append(([x % q for x in r], t))
-
-    pivots = []  # (row, transform, pivotcol, valuation)
-    for col in range(ncols):
-        cands = [w for w in work if w[0][col] != 0]
-        if not cands:
-            continue
-        piv = min(cands, key=lambda w: _val(w[0][col], p, n))
-        work.remove(piv)
-        prow, ptr = piv
-        v = _val(prow[col], p, n)
-        unit = prow[col] // (p ** v)
-        iu = pow(unit, -1, q)
-        prow = _row_scale(prow, iu, q)
-        ptr = _row_scale(ptr, iu, q)
-        pv = p ** v
-        for idx, (r, t) in enumerate(work):
-            if r[col]:
-                c = r[col] // pv
-                work[idx] = (_row_sub(r, prow, c, q), _row_sub(t, ptr, c, q))
-        pivots.append((prow, ptr, col, v))
-        if v > 0:
-            c = p ** (n - v)
-            work.append((_row_scale(prow, c, q), _row_scale(ptr, c, q)))
-        work = [w for w in work if any(w[0])]
+    work = [[x % q for x in r] for r in rows]
+    if transform:
+        for i, r in enumerate(work):
+            r.extend([0] * len(rows))
+            r[ncols + i] = 1
+    pivots, _ = _echelon(work, ncols, p, n)
 
     # reduce entries above each pivot for canonicity
-    for j in range(len(pivots)):
-        prow, ptr, col, v = pivots[j]
+    for j, (prow, col, v) in enumerate(pivots):
         pv = p ** v
-        for i in range(j):
-            r, t, c0, v0 = pivots[i]
+        tail = prow[col:]
+        for r, _, _ in pivots[:j]:
             if r[col] >= pv:
-                c = r[col] // pv
-                pivots[i] = (_row_sub(r, prow, c, q),
-                             _row_sub(t, ptr, c, q), c0, v0)
+                _sub_tail(r, tail, r[col] // pv, col, q)
 
-    H = [pv[0] for pv in pivots]
-    T = [pv[1] for pv in pivots]
+    H = [r[:ncols] for r, _, _ in pivots]
+    T = [r[ncols:] for r, _, _ in pivots] if transform else None
     if wrap:
         H = ResidueMatrix(p, n, H) if H else ResidueMatrix(p, n, [[0] * ncols] if ncols else [])
-    return (H, T if transform else None)
-
-
-def _howell_rows(rows, p, n):
-    H, _ = howell_form(rows, p, n)
-    return H
+    return H, T
 
 
 def pivot_info(H, p, n):
@@ -145,12 +163,10 @@ def reduce_vector(H, vec, p, n, coeffs=False):
     used = [0] * len(H)
     for i, r in enumerate(H):
         col = next(j for j, x in enumerate(r) if x)
-        pv = r[col]
-        if vec[col]:
-            c = vec[col] // pv
-            if c:
-                vec = _row_sub(vec, r, c, q)
-                used[i] = c
+        c = vec[col] // r[col]
+        if c:
+            _sub_tail(vec, r[col:], c, col, q)
+            used[i] = c
     return (vec, used) if coeffs else vec
 
 
@@ -184,109 +200,44 @@ def kernel_solve(A, b=None, p=None, n=None):
     q = p ** n
     rows = len(entries)
     cols = len(entries[0]) if entries else 0
+    if b is not None and len(b) != rows:
+        raise InputError("right-hand side length must equal the row count")
     if cols == 0:
         if b is not None and any(x % q for x in b):
             raise Inconsistent("empty system with nonzero right-hand side")
         return [], ([] if b is not None else None)
-    # left kernel of M = A^T: {x : x M = 0}
-    M = [[entries[i][j] for i in range(rows)] for j in range(cols)]
+    # a row [l | t] of the echelonized [A^T | I] has t A^T = l
     work = []
-    for i, r in enumerate(M):
-        t = [0] * cols
-        t[i] = 1
-        work.append(([x % q for x in r], t))
-    pivots = []
-    kernel = []
-    for col in range(rows):
-        cands = [w for w in work if w[0][col] != 0]
-        if not cands:
-            continue
-        piv = min(cands, key=lambda w: _val(w[0][col], p, n))
-        work.remove(piv)
-        prow, ptr = piv
-        v = _val(prow[col], p, n)
-        unit = prow[col] // (p ** v)
-        iu = pow(unit, -1, q)
-        prow, ptr = _row_scale(prow, iu, q), _row_scale(ptr, iu, q)
-        pv = p ** v
-        for idx, (r, t) in enumerate(work):
-            if r[col]:
-                c = r[col] // pv
-                work[idx] = (_row_sub(r, prow, c, q), _row_sub(t, ptr, c, q))
-        pivots.append((prow, ptr, col, v))
-        if v > 0:
-            c = p ** (n - v)
-            work.append((_row_scale(prow, c, q), _row_scale(ptr, c, q)))
-        new_work = []
-        for r, t in work:
-            if any(r):
-                new_work.append((r, t))
-            elif any(t):
-                kernel.append(t)
-        work = new_work
-    for r, t in work:
-        if not any(r) and any(t):
-            kernel.append(t)
-    kernel = _howell_rows(kernel, p, n) if kernel else []
+    for j, col in enumerate(zip(*entries)):
+        r = [x % q for x in col] + [0] * cols
+        r[rows + j] = 1
+        work.append(r)
+    pivots, dead = _echelon(work, rows, p, n)
+    kernel = [r[rows:] for r in dead if any(r[rows:])]
+    kernel = howell_form(kernel, p, n)[0] if kernel else []
 
     sol = None
     if b is not None:
-        bvec = [x % q for x in b]
-        rem = bvec
-        used = [0] * len(pivots)
-        for i, (prow, ptr, col, v) in enumerate(pivots):
-            pv = prow[col]
-            if rem[col]:
-                c = rem[col] // pv
-                rem = _row_sub(rem, prow, c, q)
-                used[i] = c
-        if any(rem):
+        # [b | 0] minus the pivots it needs is [0 | -x] with A x = b
+        rem = reduce_vector([r for r, _, _ in pivots], list(b) + [0] * cols,
+                            p, n)
+        if any(rem[:rows]):
             raise Inconsistent("no solution")
-        sol = [0] * cols
-        for c, (_, ptr, _, _) in zip(used, pivots):
-            if c:
-                sol = [(s + c * t) % q for s, t in zip(sol, ptr)]
+        sol = [-x % q for x in rem[rows:]]
     return kernel, sol
 
 
 def smith_elementary_divisors(A, p=None, n=None):
-    """Valuations v with elementary divisors p^v (v < n), sorted ascending."""
+    """Valuations v with elementary divisors p^v (v < n), sorted ascending.
+
+    The row span S is the sum of the Z/p^(n-v), so p^k S has length
+    sum(max(0, n - v - k)) and #{v <= j} = len(p^(n-1-j) S) - len(p^(n-j) S).
+    """
     if isinstance(A, ResidueMatrix):
-        entries, p, n = [list(r) for r in A.entries], A.p, A.n
-    else:
-        entries = [list(r) for r in A]
+        A, p, n = A.entries, A.p, A.n
     q = p ** n
-    M = [[x % q for x in row] for row in entries]
-    divisors = []
-    r0 = 0
-    while True:
-        best = None
-        for i in range(r0, len(M)):
-            for j in range(r0, len(M[0]) if M else 0):
-                if M[i][j]:
-                    v = _val(M[i][j], p, n)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-        if best is None:
-            break
-        v, bi, bj = best
-        M[r0], M[bi] = M[bi], M[r0]
-        for row in M:
-            row[r0], row[bj] = row[bj], row[r0]
-        iu = pow(M[r0][r0] // (p ** v), -1, q)
-        M[r0] = _row_scale(M[r0], iu, q)
-        pv = p ** v
-        for i in range(r0 + 1, len(M)):
-            if M[i][r0]:
-                c = M[i][r0] // pv
-                M[i] = _row_sub(M[i], M[r0], c, q)
-        for j in range(r0 + 1, len(M[0])):
-            if M[r0][j]:
-                c = M[r0][j] // pv
-                for i in range(len(M)):
-                    M[i][j] = (M[i][j] - c * M[i][r0]) % q
-        divisors.append(v)
-        r0 += 1
-        if r0 >= len(M) or r0 >= len(M[0]):
-            break
-    return sorted(divisors)
+    lengths = [span_length(howell_form([[(x * p ** k) % q for x in r]
+                                        for r in A], p, n)[0], p, n)
+               for k in range(n + 1)]
+    at_most = [0] + [lengths[n - 1 - j] - lengths[n - j] for j in range(n)]
+    return [j for j in range(n) for _ in range(at_most[j + 1] - at_most[j])]

@@ -138,8 +138,8 @@ class PhiModule:
         for i in range(self.g):
             acc = SeriesElem.from_ints(W, [])
             for s in range(self.g):
-                acc = acc + (phi_apply(col[s]) * self.phi[i][s]).truncate(
-                    self.N)
+                acc = acc + (phi_apply(col[s], self.N)
+                             * self.phi[i][s]).truncate(self.N)
             out.append(acc)
         return out
 
@@ -564,7 +564,7 @@ def height_check(K):
     # the phi-twisted relations
     rows = []
     for col in M.relations:
-        tw = [phi_apply(e).truncate(N) for e in col]
+        tw = [phi_apply(e, N) for e in col]
         rows.extend(mdl.column_rows(tw))
     Hphi, _ = howell_form(rows, W.p, W.n) if rows else ([], None)
     C2 = matmul(K.psi, M.phi)
@@ -582,7 +582,7 @@ def height_check(K):
 def phi_pullback(M, N=None):
     """The Frobenius pullback: same generators, phi-twisted relations."""
     N = M.N if N is None else N
-    rels = [[phi_apply(e).truncate(N) for e in col] for col in M.relations]
+    rels = [[phi_apply(e, N) for e in col] for col in M.relations]
     kb = M.killed_by
     if kb is not None and kb[1] is not None:
         kb = (kb[0], M.ring.p * kb[1] if M.ring.p * kb[1] < N else None)

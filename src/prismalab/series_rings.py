@@ -17,7 +17,7 @@ from .errors import (
     NotInFiltration, PrecisionLoss,
 )
 from .linalg_residue import howell_form, in_span, kernel_solve
-from .witt_base import WittElem, WittRing
+from .witt_base import WittElem, WittRing, _is_prime
 
 # ---------------------------------------------------------------------------
 # truncated series over W_n(F_{p^m})
@@ -143,15 +143,23 @@ class SeriesElem:
         return ("0" if not terms else " + ".join(terms)) + tail
 
 
-def phi_apply(x: SeriesElem) -> SeriesElem:
-    """Frobenius on series: sigma on coefficients, u -> u^p."""
+def phi_apply(x: SeriesElem, bound=None) -> SeriesElem:
+    """Frobenius on series: sigma on coefficients, u -> u^p.
+
+    With a bound, equals phi_apply(x).truncate(bound) but builds only the
+    coefficients below the bound, so its cost does not grow with p.
+    """
     r = x.ring
     p = r.p
-    N = None if x.N is None else p * x.N
-    out = [r.zero() for _ in range(p * len(x.coeffs))]
-    for i, c in enumerate(x.coeffs):
-        out[p * i] = r.sigma(c)
-    return SeriesElem(r, out, N, x.exact)
+    width = p * len(x.coeffs)
+    if bound is None:
+        N, exact = (None if x.N is None else p * x.N), x.exact
+    else:
+        N, exact, width = bound, False, min(bound, width)
+    out = [r.zero() for _ in range(width)]
+    for i in range(0, width, p):
+        out[i] = r.sigma(x.coeffs[i // p])
+    return SeriesElem(r, out, N, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +222,8 @@ class EisensteinPoly:
     __slots__ = ("p", "int_coeffs", "e", "a0")
 
     def __init__(self, p, int_coeffs):
+        if not _is_prime(p):
+            raise NotEisenstein(f"p must be prime, got {p}")
         cs = list(int_coeffs)
         while cs and cs[-1] == 0:
             cs.pop()

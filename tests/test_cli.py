@@ -182,6 +182,37 @@ def test_check_bad_ring_values_exit2(tmp_path, ring):
     assert json.loads(res.output)["error"] == "InputError"
 
 
+@pytest.mark.parametrize("p", [1000003, 10 ** 12 + 39])
+def test_check_length_at_large_p(tmp_path, p):
+    # validating phi on the relation u^3 built phi(u^3) = u^(3p) in full,
+    # so this 1x1 document took seconds to minutes as p grew
+    text = (f"[ring]\np={p} n=1\n[module]\ng=1 killed=1,3\nu^3\n[phi]\n1\n"
+            "[check]\nname=length\n")
+    res = run(["check", _write(tmp_path, text), "--json"])
+    assert res.exit_code == 0
+    assert json.loads(res.output) == {"check": "length", "length": 3,
+                                      "status": "pass"}
+
+
+def _raise_internal(*args, **kwargs):
+    raise RuntimeError("planted defect")
+
+
+@pytest.mark.parametrize("argv", [["check", "{doc}", "--json"],
+                                  ["suite", "cyclo", "--json"]])
+def test_internal_error_exit3(tmp_path, monkeypatch, argv):
+    monkeypatch.setattr("prismalab.cli.run_check", _raise_internal)
+    monkeypatch.setattr("prismalab.cli._suite_cyclo", _raise_internal)
+    doc = _write(tmp_path, SPLIT_DOC)
+    res = run([doc if a == "{doc}" else a for a in argv])
+    assert res.exit_code == 3
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert json.loads(res.output) == {
+        "status": "error", "error": "InternalError",
+        "detail": "RuntimeError: planted defect"}
+
+
 def test_check_dp_literal_outside_context_exit2(tmp_path):
     text = "[ring]\np=2 n=1\n[module]\ng=1\n1*u^2/dp(2)\n[phi]\n1\n"
     res = run(["check", _write(tmp_path, text), "--check", "length"])

@@ -2,12 +2,185 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from prismalab.errors import Inconsistent
+from prismalab.errors import Inconsistent, InputError
 from prismalab.linalg_residue import (
     ResidueMatrix, howell_form, in_span, kernel_solve, reduce_vector,
     smith_elementary_divisors, span_length, spans_equal,
 )
+
+
+# ---------------------------------------------------------------------------
+# references: the separate pivot loops of howell_form, kernel_solve and
+# smith_elementary_divisors that the shared elimination engine replaced,
+# kept verbatim (full-width row operations, an identity transform always
+# carried)
+# ---------------------------------------------------------------------------
+
+
+def _val(x, p, n):
+    if x == 0:
+        return n
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def _row_scale(row, c, q):
+    return [(a * c) % q for a in row]
+
+
+def _row_sub(r, s, c, q):
+    return [(a - c * b) % q for a, b in zip(r, s)]
+
+
+def ref_howell_form(rows, p, n):
+    q = p ** n
+    ncols = len(rows[0]) if rows else 0
+    nrows = len(rows)
+    work = []
+    for i, r in enumerate(rows):
+        t = [0] * nrows
+        t[i] = 1
+        work.append(([x % q for x in r], t))
+    pivots = []
+    for col in range(ncols):
+        cands = [w for w in work if w[0][col] != 0]
+        if not cands:
+            continue
+        piv = min(cands, key=lambda w: _val(w[0][col], p, n))
+        work.remove(piv)
+        prow, ptr = piv
+        v = _val(prow[col], p, n)
+        iu = pow(prow[col] // (p ** v), -1, q)
+        prow = _row_scale(prow, iu, q)
+        ptr = _row_scale(ptr, iu, q)
+        pv = p ** v
+        for idx, (r, t) in enumerate(work):
+            if r[col]:
+                c = r[col] // pv
+                work[idx] = (_row_sub(r, prow, c, q), _row_sub(t, ptr, c, q))
+        pivots.append((prow, ptr, col, v))
+        if v > 0:
+            c = p ** (n - v)
+            work.append((_row_scale(prow, c, q), _row_scale(ptr, c, q)))
+        work = [w for w in work if any(w[0])]
+    for j in range(len(pivots)):
+        prow, ptr, col, v = pivots[j]
+        pv = p ** v
+        for i in range(j):
+            r, t, c0, v0 = pivots[i]
+            if r[col] >= pv:
+                c = r[col] // pv
+                pivots[i] = (_row_sub(r, prow, c, q),
+                             _row_sub(t, ptr, c, q), c0, v0)
+    return [pv[0] for pv in pivots], [pv[1] for pv in pivots]
+
+
+def ref_kernel_solve(entries, b, p, n):
+    q = p ** n
+    rows = len(entries)
+    cols = len(entries[0]) if entries else 0
+    if cols == 0:
+        if b is not None and any(x % q for x in b):
+            raise Inconsistent("empty system with nonzero right-hand side")
+        return [], ([] if b is not None else None)
+    M = [[entries[i][j] for i in range(rows)] for j in range(cols)]
+    work = []
+    for i, r in enumerate(M):
+        t = [0] * cols
+        t[i] = 1
+        work.append(([x % q for x in r], t))
+    pivots = []
+    kernel = []
+    for col in range(rows):
+        cands = [w for w in work if w[0][col] != 0]
+        if not cands:
+            continue
+        piv = min(cands, key=lambda w: _val(w[0][col], p, n))
+        work.remove(piv)
+        prow, ptr = piv
+        v = _val(prow[col], p, n)
+        iu = pow(prow[col] // (p ** v), -1, q)
+        prow, ptr = _row_scale(prow, iu, q), _row_scale(ptr, iu, q)
+        pv = p ** v
+        for idx, (r, t) in enumerate(work):
+            if r[col]:
+                c = r[col] // pv
+                work[idx] = (_row_sub(r, prow, c, q), _row_sub(t, ptr, c, q))
+        pivots.append((prow, ptr, col, v))
+        if v > 0:
+            c = p ** (n - v)
+            work.append((_row_scale(prow, c, q), _row_scale(ptr, c, q)))
+        new_work = []
+        for r, t in work:
+            if any(r):
+                new_work.append((r, t))
+            elif any(t):
+                kernel.append(t)
+        work = new_work
+    for r, t in work:
+        if not any(r) and any(t):
+            kernel.append(t)
+    kernel = ref_howell_form(kernel, p, n)[0] if kernel else []
+    sol = None
+    if b is not None:
+        rem = [x % q for x in b]
+        used = [0] * len(pivots)
+        for i, (prow, ptr, col, v) in enumerate(pivots):
+            if rem[col]:
+                c = rem[col] // prow[col]
+                rem = _row_sub(rem, prow, c, q)
+                used[i] = c
+        if any(rem):
+            raise Inconsistent("no solution")
+        sol = [0] * cols
+        for c, (_, ptr, _, _) in zip(used, pivots):
+            if c:
+                sol = [(s + c * t) % q for s, t in zip(sol, ptr)]
+    return kernel, sol
+
+
+def ref_smith_divisors(entries, p, n):
+    """The full-pivoting Smith loop smith_elementary_divisors replaced."""
+    q = p ** n
+    M = [[x % q for x in row] for row in entries]
+    divisors = []
+    r0 = 0
+    while True:
+        best = None
+        for i in range(r0, len(M)):
+            for j in range(r0, len(M[0]) if M else 0):
+                if M[i][j]:
+                    v = _val(M[i][j], p, n)
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+        if best is None:
+            break
+        v, bi, bj = best
+        M[r0], M[bi] = M[bi], M[r0]
+        for row in M:
+            row[r0], row[bj] = row[bj], row[r0]
+        iu = pow(M[r0][r0] // (p ** v), -1, q)
+        M[r0] = _row_scale(M[r0], iu, q)
+        pv = p ** v
+        for i in range(r0 + 1, len(M)):
+            if M[i][r0]:
+                c = M[i][r0] // pv
+                M[i] = _row_sub(M[i], M[r0], c, q)
+        for j in range(r0 + 1, len(M[0])):
+            if M[r0][j]:
+                c = M[r0][j] // pv
+                for i in range(len(M)):
+                    M[i][j] = (M[i][j] - c * M[i][r0]) % q
+        divisors.append(v)
+        r0 += 1
+        if r0 >= len(M) or r0 >= len(M[0]):
+            break
+    return sorted(divisors)
 
 
 def brute_span(rows, q):
@@ -149,3 +322,150 @@ def test_smith_divisors():
     for r in M:
         r[0], r[2] = r[2], r[0]
     assert smith_elementary_divisors(M, p, n) == [0, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# the shared engine against the reference loops
+# ---------------------------------------------------------------------------
+
+
+def _random_matrix(rng, rows, cols, p, n):
+    """Entries biased towards 0 and towards multiples of p, so pivots of
+    every valuation, empty columns and vanishing rows all occur."""
+    q = p ** n
+
+    def entry():
+        k = rng.randrange(4)
+        if k == 0:
+            return 0
+        if k == 1:
+            return (p ** rng.randrange(n) * rng.randrange(1, q)) % q
+        return rng.randrange(q)
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+SHAPES = [(0, 0), (3, 0), (1, 1), (2, 2), (4, 4), (7, 3), (6, 2),
+          (3, 7), (2, 6), (5, 5)]
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (5, 1)])
+def test_engine_matches_reference_loops(p, n):
+    rng = random.Random(p * 100 + n)
+    q = p ** n
+    for rows, cols in SHAPES:
+        for trial in range(12):
+            A = _random_matrix(rng, rows, cols, p, n) if rows else []
+            if trial == 0 and rows:
+                A = [[0] * cols for _ in range(rows)]
+            H_ref, T_ref = ref_howell_form(A, p, n)
+            assert howell_form(A, p, n, transform=True) == (H_ref, T_ref)
+            assert howell_form(A, p, n) == (H_ref, None)
+            K_ref, _ = ref_kernel_solve(A, None, p, n)
+            assert kernel_solve(A, None, p, n) == (K_ref, None)
+            smith = ref_smith_divisors(A, p, n)
+            assert smith_elementary_divisors(A, p, n) == smith
+            if A:
+                assert smith_elementary_divisors(ResidueMatrix(p, n, A)) \
+                    == smith
+            x = [rng.randrange(q) for _ in range(cols)]
+            attained = [sum(a * b for a, b in zip(r, x)) % q for r in A]
+            for b in (attained, [rng.randrange(q) for _ in range(rows)]):
+                try:
+                    ref = ref_kernel_solve(A, b, p, n)
+                except Inconsistent:
+                    with pytest.raises(Inconsistent):
+                        kernel_solve(A, b, p, n)
+                else:
+                    assert kernel_solve(A, b, p, n) == ref
+
+
+def test_kernel_solve_rejects_mismatched_right_hand_side():
+    with pytest.raises(InputError):
+        kernel_solve([[1, 0], [0, 1]], [1], 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# properties against brute force at q <= 27
+# ---------------------------------------------------------------------------
+
+SMALL_RINGS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+               (5, 1), (5, 2), (7, 1)]
+
+
+@st.composite
+def small_systems(draw, max_rows=3, max_cols=3):
+    """(p, n, A) with q = p^n <= 27 and A nonempty, entries biased towards
+    0 and powers of p."""
+    p, n = draw(st.sampled_from(SMALL_RINGS))
+    q = p ** n
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    entry = st.one_of(st.just(0), st.sampled_from([p ** k for k in range(n)]),
+                      st.integers(0, q - 1))
+    A = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    return p, n, A
+
+
+def _apply(A, x, q):
+    return tuple(sum(a * y for a, y in zip(r, x)) % q for r in A)
+
+
+@given(small_systems())
+def test_howell_span_equals_brute_span_property(system):
+    p, n, A = system
+    q = p ** n
+    H, _ = howell_form(A, p, n)
+    span = brute_span(A, q)
+    assert (brute_span(H, q) if H else {(0,) * len(A[0])}) == span
+    assert len(span) == p ** span_length(H, p, n)
+
+
+@given(small_systems(max_rows=4, max_cols=4), st.randoms(use_true_random=False))
+def test_howell_form_invariant_under_unimodular_mixing_property(system, rnd):
+    p, n, A = system
+    q = p ** n
+    B = [list(r) for r in A]
+    for _ in range(2 * len(B)):
+        i, j = rnd.randrange(len(B)), rnd.randrange(len(B))
+        if i != j:
+            c = rnd.randrange(q)
+            B[i] = [(x + c * y) % q for x, y in zip(B[i], B[j])]
+        else:
+            u = rnd.choice([k for k in range(1, q) if k % p])
+            B[i] = [(u * x) % q for x in B[i]]
+    rnd.shuffle(B)
+    assert howell_form(B, p, n) == howell_form(A, p, n)
+
+
+@given(small_systems())
+def test_kernel_equals_brute_kernel_property(system):
+    p, n, A = system
+    q = p ** n
+    cols = len(A[0])
+    K, _ = kernel_solve(A, None, p, n)
+    kernel = {x for x in itertools.product(range(q), repeat=cols)
+              if not any(_apply(A, x, q))}
+    assert (brute_span(K, q) if K else {(0,) * cols}) == kernel
+
+
+@given(small_systems(), st.data())
+def test_solve_matches_brute_image_property(system, data):
+    p, n, A = system
+    q = p ** n
+    cols = len(A[0])
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(st.integers(0, q - 1), min_size=cols,
+                               max_size=cols))
+        b = list(_apply(A, x, q))
+    else:
+        b = data.draw(st.lists(st.integers(0, q - 1), min_size=len(A),
+                               max_size=len(A)))
+    image = {_apply(A, x, q)
+             for x in itertools.product(range(q), repeat=cols)}
+    if tuple(b) in image:
+        _, sol = kernel_solve(A, b, p, n)
+        assert _apply(A, sol, q) == tuple(b)
+    else:
+        with pytest.raises(Inconsistent):
+            kernel_solve(A, b, p, n)

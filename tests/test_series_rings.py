@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -42,6 +43,19 @@ def test_phi_multiplies_precision():
     assert phi_apply(x).N == 8
 
 
+def test_phi_with_bound_equals_truncation():
+    rng = random.Random(7)
+    for W in (W22, WittRing(3, 2, 2)):
+        for N, exact in [(None, True), (5, False), (3, True)]:
+            for _ in range(8):
+                deg = rng.randrange(6 if N is None else N)
+                x = SeriesElem(W, [W.elem([rng.randrange(W.q)
+                                           for _ in range(W.m)])
+                                   for _ in range(deg + 1)], N, exact)
+                for bound in range(W.p * (deg + 1) + 3):
+                    assert phi_apply(x, bound) == phi_apply(x).truncate(bound)
+
+
 def test_cyclotomic_frozen_small():
     d2 = eisenstein_make(2, "cyclotomic", 1)
     assert list(d2.int_coeffs) == [2, 1] and d2.e == 1 and d2.a0 == 1
@@ -71,6 +85,12 @@ def test_explicit_eisenstein_validation():
         eisenstein_make(2, "explicit", [4, 1])  # constant term p^2
     with pytest.raises(NotEisenstein):
         eisenstein_make(3, "explicit", [3, 1, 1, 1])  # middle coeff not div p
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 6, 9])
+def test_eisenstein_rejects_non_prime_p(p):
+    with pytest.raises(NotEisenstein):
+        EisensteinPoly(p, [p, 0, 1])
 
 
 def test_exact_flag_and_precision_loss():
