@@ -43,9 +43,9 @@ class BreuilModule:
     # -- coordinates (mod p) ------------------------------------------------
 
     def vec(self, v):
-        out = []
+        p, out = self.p, []
         for c in v:
-            out.extend(a % self.p for a in self.S.to_vec(c))
+            out.extend([a % p for a in c.vec])
         return out
 
     def basis_vector(self, i):
@@ -59,13 +59,13 @@ class BreuilModule:
     def s_multiples(self, v):
         """Coordinate rows spanning the S-multiples of the vector v."""
         S = self.S
-        xgen = S.ring.gen()
+        pows = S.residue_powers()
         rows = []
         for t in range(S.D):
             bt = S.basis_elem(t)
             w = [bt * c for c in v]
-            for a in range(S.m):
-                rows.append(self.vec([c.scale_w(xgen ** a) for c in w]))
+            for xa in pows:
+                rows.append(self.vec([c.scale_w(xa) for c in w]))
         return rows
 
     def _fil_data(self):
@@ -78,17 +78,18 @@ class BreuilModule:
         """
         if self._fil_H is None:
             S = self.S
-            xgen = S.ring.gen()
-            rows = []
-            for g, img in zip(self.fil_gens, self.phi_gens):
-                for t in range(S.D):
-                    bt = S.basis_elem(t)
-                    pb = S.phi(bt)
-                    for a in range(S.m):
-                        mult = bt.scale_w(xgen ** a)
-                        tw = pb.scale_w(S.ring.sigma(xgen ** a))
-                        rows.append(self.vec([mult * c for c in g])
-                                    + self.vec([tw * c for c in img]))
+            pows = [(xa, S.ring.sigma(xa)) for xa in S.residue_powers()]
+            # the multipliers x^a b_t with their twists phi(x^a b_t)
+            mults = []
+            for t in range(S.D):
+                bt = S.basis_elem(t)
+                pb = S.phi(bt)
+                mults.extend((bt.scale_w(xa), pb.scale_w(sxa))
+                             for xa, sxa in pows)
+            rows = [self.vec([mult * c for c in g])
+                    + self.vec([tw * c for c in img])
+                    for g, img in zip(self.fil_gens, self.phi_gens)
+                    for mult, tw in mults]
             self._fil_H, _ = howell_form(rows, self.p, 1)
         return self._fil_H
 
@@ -214,8 +215,7 @@ def is_breuil_module(B):
             # model cannot certify it
             for a, b in zip(lhs, rhs):
                 d = a - b
-                if any(x % p for c in d.coords[:S.D - 1]
-                       for x in c.coeffs):
+                if any(x % p for x in d.vec[:(S.D - 1) * S.m]):
                     return False, "nabla-square"
     return True, None
 

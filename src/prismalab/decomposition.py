@@ -228,8 +228,7 @@ def split_breuil(B, alternative=None):
         return [a.reduce_prec(1) for a in acc]
 
     W1 = WittRing(p, 1, S.m, list(S.ring.f) if S.m > 1 else None)
-    down = lambda w: W1.elem([a % p for a in w.coeffs])
-    const = lambda v: [down(c.coords[0]) for c in v]
+    const = lambda v: [W1.elem([a % p for a in c.vec[:S.m]]) for c in v]
 
     def apply_bar(wv):
         # semilinear reduction of the Frobenius to S/I_+ = W_1^r

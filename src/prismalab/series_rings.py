@@ -4,12 +4,16 @@ SeriesElem models W_n[[u]] at finite u-precision N; elements flagged exact
 behave as honest polynomials.  EisensteinPoly carries exact integer
 coefficient lifts so that divided powers can be computed without p-adic
 precision loss.  DpRing is the divided-power ring at u-degree bound D and
-internal p-precision n_int, with coordinates on the basis u^i/e(i)!.
+internal p-precision n_int, with coordinates on the basis u^i/e(i)!.  A
+DpElem stores its coordinates as one flat tuple of D*m ints mod p^{n_int}
+(the to_vec layout) and multiplies with a structure-constant table built
+once per ring; WittElem coordinates appear only as a view (DpElem.coords).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 
 from .errors import (
@@ -381,11 +385,16 @@ class DpRing:
         if self.D <= self.p * self.e:
             raise InputError("degree bound D must exceed p*e")
         self._struct = {}
+        self._table = None
         self._gamma = {}
         self._fil = {}
         self._c1 = None
         self._c1_inv = None
         self.dim = self.D * m
+        # phi(b_i) = (e(pi)!/e(i)!) b_{pi} for pi < D
+        self._phi_fac = [math.factorial(self.ei(self.p * i))
+                         // math.factorial(self.ei(i)) % self.q
+                         for i in range((self.D - 1) // self.p + 1)]
 
     # -- combinatorics ----------------------------------------------------
 
@@ -405,13 +414,28 @@ class DpRing:
             self._struct[key] = c
         return c
 
+    def _mul_table(self):
+        """Rows T[i] = [struct_const(i, j) for j < D - i], built once."""
+        if self._table is None:
+            self._table = [[self.struct_const(i, j) for j in range(self.D - i)]
+                           for i in range(self.D)]
+        return self._table
+
     # -- elements ---------------------------------------------------------
 
     def elem(self, coords, prec=None):
-        cs = [c if isinstance(c, WittElem) else self.ring.elem([c])
-              for c in coords]
-        cs += [self.ring.zero()] * (self.D - len(cs))
-        return DpElem(self, tuple(cs[:self.D]), prec or self.n_int)
+        """Element with the given coordinates (ints or WittElems over
+        self.ring) on b_0, b_1, ...; missing ones are zero."""
+        q, pad = self.q, [0] * (self.m - 1)
+        vec = []
+        for c in coords[:self.D]:
+            if isinstance(c, WittElem):
+                vec.extend(c.coeffs)
+            else:
+                vec.append(c % q)
+                vec.extend(pad)
+        vec.extend([0] * (self.dim - len(vec)))
+        return DpElem(self, tuple(vec), prec or self.n_int)
 
     def zero(self):
         return self.elem([])
@@ -434,11 +458,11 @@ class DpRing:
         if s.ring.p != self.p or s.ring.m != self.m:
             raise InputError("incompatible series ring")
         prec = min(s.ring.n, self.n_int)
-        coords = []
+        vec = []
         for i, c in enumerate(s.coeffs[:self.D]):
             fac = math.factorial(self.ei(i)) % self.q
-            coords.append(self.ring.elem([a * fac for a in c.coeffs]))
-        return self.elem(coords, prec)
+            vec.extend(a * fac for a in c.coeffs)
+        return self.from_vec(vec, prec)
 
     def gamma(self, j):
         """Coordinates of the divided power gamma_j(E) = E^j / j!."""
@@ -482,34 +506,35 @@ class DpRing:
     # -- vector expansion over Z/p^{n_int} ---------------------------------
 
     def to_vec(self, x):
-        out = []
-        for c in x.coords:
-            out.extend(c.coeffs)
-        return out
+        return list(x.vec)
 
     def from_vec(self, vec, prec=None):
-        m = self.m
-        coords = [self.ring.elem(list(vec[i * m:(i + 1) * m]))
-                  for i in range(self.D)]
-        return DpElem(self, tuple(coords), prec or self.n_int)
+        q = self.q
+        out = [a % q for a in vec[:self.dim]]
+        out.extend([0] * (self.dim - len(out)))
+        return DpElem(self, tuple(out), prec or self.n_int)
+
+    def residue_powers(self):
+        """x^0, ..., x^{m-1} in the coefficient ring."""
+        xgen = self.ring.gen()
+        return [xgen ** s for s in range(self.m)]
 
     def mult_matrix(self, y):
         """Matrix of multiplication by y on the Z/p^{n_int}-basis
         {x^s b_t}; columns indexed like to_vec."""
         cols = []
-        xgen = self.ring.gen()
+        pows = self.residue_powers()
         for t in range(self.D):
             base = self.basis_elem(t)
-            for s in range(self.m):
-                prod = y * base.scale_w(xgen ** s)
-                cols.append(self.to_vec(prod))
+            for w in pows:
+                cols.append((y * base.scale_w(w)).vec)
         # transpose to row-major matrix acting on column vectors
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        return [list(row) for row in zip(*cols)]
 
     def basis_elem(self, t):
-        coords = [0] * self.D
-        coords[t] = 1
-        return self.elem(coords)
+        vec = [0] * self.dim
+        vec[t * self.m] = 1
+        return DpElem(self, tuple(vec), self.n_int)
 
     # -- filtration ---------------------------------------------------------
 
@@ -550,13 +575,13 @@ class DpRing:
         silently truncated.
         """
         rows = []
-        xgen = self.ring.gen()
+        pows = self.residue_powers()
         for t in range(self.D - gdeg):
             base = self.basis_elem(t) * g
-            if all(c.is_zero() for c in base.coords):
+            if not any(base.vec):
                 continue
-            for s in range(self.m):
-                rows.append(self.to_vec(base.scale_w(xgen ** s)))
+            for w in pows:
+                rows.append(self.to_vec(base.scale_w(w)))
         return rows
 
     def fil_contains(self, x, r):
@@ -595,27 +620,28 @@ class DpRing:
 
     def phi(self, x):
         """phi(b_i) = (e(pi)!/e(i)!) b_{pi}, sigma on coordinates."""
-        coords = [self.ring.zero() for _ in range(self.D)]
-        for i, c in enumerate(x.coords):
-            if c.is_zero():
+        m, q, v = self.m, self.q, x.vec
+        mat = self.ring._sigma_matrix()
+        out = [0] * self.dim
+        for i, fac in enumerate(self._phi_fac):
+            k = self.p * i * m
+            if m == 1:
+                out[k] = v[i] * fac % q
                 continue
-            pi = self.p * i
-            if pi >= self.D:
-                continue
-            fac = (math.factorial(self.ei(pi))
-                   // math.factorial(self.ei(i))) % self.q
-            coords[pi] = self.ring.sigma(c).scale(fac)
-        return DpElem(self, tuple(coords), x.prec)
+            c = v[i * m:(i + 1) * m]
+            for s, row in enumerate(mat):
+                out[k + s] = sum(map(operator.mul, row, c)) * fac % q
+        return DpElem(self, tuple(out), x.prec)
 
     def nabla(self, x):
         """d/du on the divided-power basis."""
-        coords = [self.ring.zero() for _ in range(self.D)]
-        for i, c in enumerate(x.coords):
-            if i == 0 or c.is_zero():
-                continue
+        m, q, v = self.m, self.q, x.vec
+        out = [0] * self.dim
+        for i in range(1, self.D):
             d = i // self.ei(i) if i % self.e == 0 else i
-            coords[i - 1] = c.scale(d % self.q)
-        return DpElem(self, tuple(coords), x.prec)
+            for k in range(i * m, (i + 1) * m):
+                out[k - m] = v[k] * d % q
+        return DpElem(self, tuple(out), x.prec)
 
     def __repr__(self):
         return (f"DpRing(p={self.p}, e={self.e}, n={self.n_user}, "
@@ -623,47 +649,101 @@ class DpRing:
 
 
 class DpElem:
-    __slots__ = ("ring", "coords", "prec")
+    """Element of a DpRing at p-adic precision prec.
 
-    def __init__(self, ring, coords, prec):
+    vec is one tuple of D*m ints mod q = p^{n_int} in the to_vec layout:
+    the x^s-coefficient of the coordinate on b_i sits at index i*m + s.
+    Arithmetic works on vec; coords is a read-only view of the
+    coordinates as WittElems over ring.ring.
+    """
+
+    __slots__ = ("ring", "vec", "prec")
+
+    def __init__(self, ring, vec, prec):
         self.ring = ring
-        self.coords = coords
+        self.vec = vec
         self.prec = prec
 
+    @property
+    def coords(self):
+        W, m, v = self.ring.ring, self.ring.m, self.vec
+        return tuple(WittElem(W, v[k:k + m]) for k in range(0, len(v), m))
+
     def __add__(self, other):
-        return DpElem(self.ring,
-                      tuple(a + b for a, b in zip(self.coords, other.coords)),
-                      min(self.prec, other.prec))
+        q = self.ring.q
+        vec = [(a + b) % q for a, b in zip(self.vec, other.vec)]
+        return DpElem(self.ring, tuple(vec), min(self.prec, other.prec))
 
     def __sub__(self, other):
-        return DpElem(self.ring,
-                      tuple(a - b for a, b in zip(self.coords, other.coords)),
-                      min(self.prec, other.prec))
+        q = self.ring.q
+        vec = [(a - b) % q for a, b in zip(self.vec, other.vec)]
+        return DpElem(self.ring, tuple(vec), min(self.prec, other.prec))
 
     def __neg__(self):
-        return DpElem(self.ring, tuple(-a for a in self.coords), self.prec)
+        q = self.ring.q
+        return DpElem(self.ring, tuple([-a % q for a in self.vec]), self.prec)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return DpElem(self.ring,
-                          tuple(c.scale(other) for c in self.coords), self.prec)
-        R = self.ring
-        out = [R.ring.zero() for _ in range(R.D)]
-        for i, a in enumerate(self.coords):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coords):
-                if i + j >= R.D:
-                    break
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + (a * b).scale(R.struct_const(i, j))
-        return DpElem(R, tuple(out), min(self.prec, other.prec))
+            q = self.ring.q
+            return DpElem(self.ring, tuple([a * other % q for a in self.vec]),
+                          self.prec)
+        return DpElem(self.ring, self._times(other.vec),
+                      min(self.prec, other.prec))
 
     __rmul__ = __mul__
 
     def scale_w(self, w: WittElem):
-        return DpElem(self.ring, tuple(c * w for c in self.coords), self.prec)
+        # w = w b_0, and b_i b_0 = b_i
+        if self.ring.m == 1:
+            c, q = w.coeffs[0], self.ring.q
+            return DpElem(self.ring, tuple([a * c % q for a in self.vec]),
+                          self.prec)
+        return DpElem(self.ring, self._times(w.coeffs), self.prec)
+
+    def _times(self, y):
+        """vec of the product with the element whose vec is y (missing
+        trailing coordinates are zero): the graded schoolbook product
+        b_i b_j = T[i][j] b_{i+j}, dropping degrees from D on."""
+        R = self.ring
+        D, m, q, T = R.D, R.m, R.q, R._mul_table()
+        x = self.vec
+        if m == 1:
+            ys = [(j, b) for j, b in enumerate(y) if b]
+            out = [0] * D
+            for i, a in enumerate(x):
+                if a:
+                    row, lim = T[i], D - i
+                    for j, b in ys:
+                        if j >= lim:
+                            break
+                        out[i + j] += a * b * row[j]
+            return tuple([c % q for c in out])
+        # unreduced length-(2m-1) products, reduced once per coordinate
+        ys = [(j, y[j * m:(j + 1) * m]) for j in range(len(y) // m)]
+        ys = [(j, b) for j, b in ys if any(b)]
+        acc = [None] * D
+        for i in range(D):
+            a = x[i * m:(i + 1) * m]
+            if not any(a):
+                continue
+            row, lim = T[i], D - i
+            for j, b in ys:
+                if j >= lim:
+                    break
+                out = acc[i + j]
+                if out is None:
+                    out = acc[i + j] = [0] * (2 * m - 1)
+                c = row[j]
+                for s, a_s in enumerate(a):
+                    if a_s:
+                        a_s *= c
+                        for t, b_t in enumerate(b):
+                            out[s + t] += a_s * b_t
+        vec = []
+        for out in acc:
+            vec.extend([0] * m if out is None else R.ring._reduce(out))
+        return tuple(vec)
 
     def __pow__(self, k):
         acc = self.ring.one()
@@ -677,10 +757,10 @@ class DpElem:
 
     def is_zero(self):
         pk = self.ring.p ** self.prec
-        return all(all(a % pk == 0 for a in c.coeffs) for c in self.coords)
+        return not any(a % pk for a in self.vec)
 
     def reduce_prec(self, prec):
-        return DpElem(self.ring, self.coords, min(self.prec, prec))
+        return DpElem(self.ring, self.vec, min(self.prec, prec))
 
     def divide_p(self, i):
         if i == 0:
@@ -692,20 +772,17 @@ class DpElem:
         pi = p ** i
         pk = p ** self.prec
         out = []
-        for c in self.coords:
-            cs = []
-            for a in c.coeffs:
-                a %= pk
-                if a % pi:
-                    raise NotDivisible("coordinate not divisible by p^i")
-                cs.append(a // pi)
-            out.append(self.ring.ring.elem(cs))
+        for a in self.vec:
+            a %= pk
+            if a % pi:
+                raise NotDivisible("coordinate not divisible by p^i")
+            out.append(a // pi)
         return DpElem(self.ring, tuple(out), self.prec - i)
 
     def inv(self):
         """Inverse of a unit (constant coordinate a unit of W)."""
         R = self.ring
-        a = self.coords[0]
+        a = WittElem(R.ring, self.vec[:R.m])
         if not a.is_unit():
             raise InputError("not a unit in the divided-power ring")
         ai = a.inv()
@@ -715,7 +792,7 @@ class DpElem:
         term = R.one()
         for _ in range(R.D * R.n_int + 1):
             term = -(term * w)
-            if all(c.is_zero() for c in term.coords):
+            if not any(term.vec):
                 break
             acc = acc + term
         return acc.scale_w(ai)

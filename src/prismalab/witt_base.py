@@ -8,7 +8,6 @@ per ring by Newton iteration on f starting from x^p; its matrix on the basis
 
 from __future__ import annotations
 
-import math
 import operator
 
 from .errors import NonSeparable, NotAUnit, InputError
@@ -99,8 +98,36 @@ def is_irreducible_mod_p(f, p):
     return True
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(d):
-    return d >= 2 and all(d % q for q in range(2, math.isqrt(d) + 1))
+    """Deterministic primality; raises InputError when d >= _MR_LIMIT has
+    no factor among the bases, since the test cannot certify it there."""
+    if d < 2:
+        return False
+    for a in _MR_BASES:
+        if d % a == 0:
+            return d == a
+    if d >= _MR_LIMIT:
+        raise InputError(f"primality of p cannot be certified, got {d}")
+    s, t = 0, d - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for a in _MR_BASES:
+        x = pow(a, t, d)
+        if x == 1 or x == d - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % d
+            if x == d - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def default_irreducible(p, m):
@@ -238,20 +265,24 @@ class WittRing:
             acc = acc * x + self.elem([c])
         return acc
 
-    def sigma(self, a):
-        """The Frobenius lift, a -> M a for the cached m x m matrix M over
-        Z/p^n whose column j is sigma(x^j) = sigma(x)^j."""
-        if self.m == 1:
-            return a
+    def _sigma_matrix(self):
+        """The m x m matrix M over Z/p^n whose column j is
+        sigma(x^j) = sigma(x)^j, as a tuple of rows (built once)."""
         if self._sigma_mat is None:
             s = self.sigma_gen()
             pows = [self.one()]
             for _ in range(self.m - 1):
                 pows.append(pows[-1] * s)
             self._sigma_mat = tuple(zip(*(pw.coeffs for pw in pows)))
+        return self._sigma_mat
+
+    def sigma(self, a):
+        """The Frobenius lift, a -> M a with M from _sigma_matrix."""
+        if self.m == 1:
+            return a
         return WittElem(self, tuple([
             sum(map(operator.mul, row, a.coeffs)) % self.q
-            for row in self._sigma_mat]))
+            for row in self._sigma_mat or self._sigma_matrix()]))
 
     def __eq__(self, other):
         return (isinstance(other, WittRing)

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -192,6 +193,17 @@ def test_check_length_at_large_p(tmp_path, p):
     assert res.exit_code == 0
     assert json.loads(res.output) == {"check": "length", "length": 3,
                                       "status": "pass"}
+
+
+def test_check_length_readme_document_at_p_near_1e18(tmp_path):
+    # primality of p was decided by trial division up to sqrt(p)
+    text = SPLIT_DOC.replace("p=2 n=1 m=1", "p=1000000000000000003 n=1")
+    path = _write(tmp_path, text)
+    t0 = time.perf_counter()
+    res = run(["check", path, "--check", "length", "--json"])
+    assert time.perf_counter() - t0 < 1.0
+    assert res.exit_code == 0
+    assert json.loads(res.output)["status"] == "pass"
 
 
 def _raise_internal(*args, **kwargs):

@@ -2,16 +2,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from prismalab.errors import (
-    InsufficientPrecision, NotDivisible, NotEisenstein, NotInFiltration,
-    PrecisionLoss,
+    InputError, InsufficientPrecision, NotDivisible, NotEisenstein,
+    NotInFiltration, PrecisionLoss,
 )
 from prismalab.series_rings import (
     DpRing, EisensteinPoly, SeriesElem, cyclotomic_q, divide_exact,
     eisenstein_make, int_poly_divmod, int_poly_pow, phi_apply, s_phi_div,
 )
-from prismalab.witt_base import WittRing
+from prismalab.witt_base import WittElem, WittRing
 
 
 W22 = WittRing(2, 2, 1)
@@ -245,3 +246,215 @@ def test_phi_fil_lands_in_p_power():
 def test_int_poly_divmod():
     q, r = int_poly_divmod([2, 3, 1], [2, 1])  # (u+1)(u+2)
     assert q == [1, 1] and r == []
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: the boxed DpElem (one WittElem per coordinate) with its
+# product, scale_w, divide_p and inv, and DpRing.phi/nabla on it, as they
+# were before the coordinates became one flat tuple
+# ---------------------------------------------------------------------------
+
+
+class BoxedDp:
+    __slots__ = ("ring", "coords", "prec")
+
+    def __init__(self, ring, coords, prec):
+        self.ring = ring
+        self.coords = coords
+        self.prec = prec
+
+    @classmethod
+    def of(cls, x):
+        return cls(x.ring, x.coords, x.prec)
+
+    def __add__(self, other):
+        return BoxedDp(self.ring,
+                       tuple(a + b for a, b in zip(self.coords, other.coords)),
+                       min(self.prec, other.prec))
+
+    def __sub__(self, other):
+        return BoxedDp(self.ring,
+                       tuple(a - b for a, b in zip(self.coords, other.coords)),
+                       min(self.prec, other.prec))
+
+    def __neg__(self):
+        return BoxedDp(self.ring, tuple(-a for a in self.coords), self.prec)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return BoxedDp(self.ring,
+                           tuple(c.scale(other) for c in self.coords),
+                           self.prec)
+        R = self.ring
+        out = [R.ring.zero() for _ in range(R.D)]
+        for i, a in enumerate(self.coords):
+            if a.is_zero():
+                continue
+            for j, b in enumerate(other.coords):
+                if i + j >= R.D:
+                    break
+                if b.is_zero():
+                    continue
+                out[i + j] = out[i + j] + (a * b).scale(R.struct_const(i, j))
+        return BoxedDp(R, tuple(out), min(self.prec, other.prec))
+
+    def scale_w(self, w):
+        return BoxedDp(self.ring, tuple(c * w for c in self.coords),
+                       self.prec)
+
+    def is_zero(self):
+        pk = self.ring.p ** self.prec
+        return all(all(a % pk == 0 for a in c.coeffs) for c in self.coords)
+
+    def divide_p(self, i):
+        if i == 0:
+            return self
+        if self.prec - i < 1:
+            raise InsufficientPrecision(
+                f"cannot drop {i} digits from precision {self.prec}")
+        p = self.ring.p
+        pi = p ** i
+        pk = p ** self.prec
+        out = []
+        for c in self.coords:
+            cs = []
+            for a in c.coeffs:
+                a %= pk
+                if a % pi:
+                    raise NotDivisible("coordinate not divisible by p^i")
+                cs.append(a // pi)
+            out.append(self.ring.ring.elem(cs))
+        return BoxedDp(self.ring, tuple(out), self.prec - i)
+
+    def inv(self):
+        R = self.ring
+        one = BoxedDp.of(R.one())
+        a = self.coords[0]
+        if not a.is_unit():
+            raise InputError("not a unit in the divided-power ring")
+        ai = a.inv()
+        w = (self - one.scale_w(a)).scale_w(ai)
+        acc = one
+        term = one
+        for _ in range(R.D * R.n_int + 1):
+            term = -(term * w)
+            if all(c.is_zero() for c in term.coords):
+                break
+            acc = acc + term
+        return acc.scale_w(ai)
+
+
+def boxed_phi(R, x):
+    coords = [R.ring.zero() for _ in range(R.D)]
+    for i, c in enumerate(x.coords):
+        if c.is_zero():
+            continue
+        pi = R.p * i
+        if pi >= R.D:
+            continue
+        fac = (math.factorial(R.ei(pi))
+               // math.factorial(R.ei(i))) % R.q
+        coords[pi] = R.ring.sigma(c).scale(fac)
+    return BoxedDp(R, tuple(coords), x.prec)
+
+
+def boxed_nabla(R, x):
+    coords = [R.ring.zero() for _ in range(R.D)]
+    for i, c in enumerate(x.coords):
+        if i == 0 or c.is_zero():
+            continue
+        d = i // R.ei(i) if i % R.e == 0 else i
+        coords[i - 1] = c.scale(d % R.q)
+    return BoxedDp(R, tuple(coords), x.prec)
+
+
+def _dp_ring(p, e, m, n_int):
+    E = eisenstein_make(p, "explicit", [p] + [0] * (e - 1) + [1])
+    return DpRing(E, n=n_int, m=m)
+
+
+# (p, e, m, n_int); the default degree bound D = 2pe
+DP_RINGS = [_dp_ring(*key) for key in
+            [(2, 1, 1, 1), (3, 1, 1, 2), (3, 2, 1, 1), (2, 1, 2, 2),
+             (5, 1, 1, 1)]]
+
+
+@st.composite
+def dp_elems(draw, k):
+    """k elements of one ring; coordinates are often zero, so the sparse
+    paths of the product are exercised too."""
+    S = draw(st.sampled_from(DP_RINGS))
+    coord = st.one_of(st.just(0), st.integers(0, S.q - 1))
+    return [S.from_vec(draw(st.lists(coord, min_size=S.dim,
+                                     max_size=S.dim)),
+                       draw(st.integers(1, S.n_int)))
+            for _ in range(k)]
+
+
+def _same(x, ref):
+    """x (flat) equals the boxed reference coordinate for coordinate."""
+    assert x.ring is ref.ring and x.prec == ref.prec
+    assert x.coords == tuple(ref.coords)
+    assert x.vec == tuple(a for c in ref.coords for a in c.coeffs)
+
+
+def _outcome(f):
+    try:
+        return f()
+    except InputError as err:
+        return type(err)
+
+
+@given(dp_elems(2), st.integers(-30, 30), st.data())
+def test_flat_ops_match_boxed_reference(ab, k, data):
+    a, b = ab
+    S = a.ring
+    ra, rb = BoxedDp.of(a), BoxedDp.of(b)
+    _same(a + b, ra + rb)
+    _same(a - b, ra - rb)
+    _same(-a, -ra)
+    _same(a * b, ra * rb)
+    _same(a * k, ra * k)
+    w = S.ring.elem(data.draw(st.lists(st.integers(0, S.q - 1),
+                                       min_size=S.m, max_size=S.m)))
+    _same(a.scale_w(w), ra.scale_w(w))
+    assert a.is_zero() == ra.is_zero()
+    _same(S.phi(a), boxed_phi(S, ra))
+    _same(S.nabla(a), boxed_nabla(S, ra))
+    for i in range(S.n_int + 1):
+        for x in (a, a * S.p ** i):
+            got = _outcome(lambda: x.divide_p(i))
+            ref = _outcome(lambda: BoxedDp.of(x).divide_p(i))
+            if isinstance(ref, type):
+                assert got is ref
+            else:
+                _same(got, ref)
+    got, ref = _outcome(a.inv), _outcome(ra.inv)
+    if isinstance(ref, type):
+        assert got is ref
+    else:
+        _same(got, ref)
+    assert S.to_vec(a) == list(a.vec)
+    _same(S.from_vec(S.to_vec(a), a.prec), ra)
+
+
+@given(dp_elems(3))
+def test_dp_ring_identities(abc):
+    a, b, c = abc
+    S = a.ring
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert S.phi(a * b) == S.phi(a) * S.phi(b)
+    if a.coords[0].is_unit():
+        assert (a * a.inv()).vec == S.one().vec
+
+
+def test_coords_are_witt_views_over_the_coefficient_ring():
+    for S in DP_RINGS:
+        x = S.from_vec(list(range(1, S.dim + 1)))
+        cs = x.coords
+        assert len(cs) == S.D
+        assert all(isinstance(c, WittElem) and c.ring is S.ring for c in cs)
+        assert [a for c in cs for a in c.coeffs] == S.to_vec(x)
+        assert S.elem(cs).vec == x.vec

@@ -1,11 +1,13 @@
+import math
 import random
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from prismalab import witt_base
 from prismalab.errors import NotAUnit, InputError
 from prismalab.witt_base import (
-    WittElem, WittRing, default_irreducible, is_irreducible_mod_p,
+    WittElem, WittRing, _is_prime, default_irreducible, is_irreducible_mod_p,
     witt_arith, witt_sigma,
 )
 
@@ -224,3 +226,47 @@ def test_unit_inverse_property(a1):
     assume(a.is_unit())
     assert a * a.inv() == a.ring.one()
     assert a.inv() * a == a.ring.one()
+
+
+# ---------------------------------------------------------------------------
+# primality
+# ---------------------------------------------------------------------------
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    small = [d for d in range(2, 317)
+             if all(d % k for k in range(2, math.isqrt(d) + 1))]
+    for d in range(10 ** 5):
+        trial = d >= 2 and all(d % k for k in small if k * k <= d)
+        assert _is_prime(d) == trial, d
+
+
+@pytest.mark.parametrize("d", [
+    3215031751,                  # strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,         # ... to the first 9 prime bases
+    318665857834031151167461,    # ... to the first 12 prime bases
+])
+def test_is_prime_rejects_strong_pseudoprimes(d):
+    assert not _is_prime(d)
+    with pytest.raises(InputError):
+        WittRing(d, 1)
+
+
+def test_thirteenth_base_catches_the_last_pseudoprime(monkeypatch):
+    d = 318665857834031151167461
+    monkeypatch.setattr(witt_base, "_MR_BASES", witt_base._MR_BASES[:12])
+    assert witt_base._is_prime(d)
+
+
+def test_is_prime_refuses_beyond_the_certified_bound():
+    assert _is_prime(10 ** 18 + 3) and _is_prime(2 ** 61 - 1)
+    d = witt_base._MR_LIMIT
+    while any(d % a == 0 for a in witt_base._MR_BASES):
+        d += 1
+    for big in (d, 2 ** 89 - 1):     # 2^89 - 1 is prime
+        with pytest.raises(InputError, match="cannot be certified"):
+            _is_prime(big)
+        with pytest.raises(InputError):
+            WittRing(big, 1)
+    # a factor among the bases still certifies a composite
+    assert not _is_prime(3 * d)
