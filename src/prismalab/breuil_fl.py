@@ -292,9 +292,10 @@ class FLModule:
         """Howell span of the W-module generated by gens (mod relations)."""
         rows = list(extra_rows) + list(self.relation_rows())
         xgen = self.W.gen()
+        pows = [xgen ** j for j in range(self.m)]
         for v in gens:
-            for j in range(self.m):
-                rows.append(self.vec([c * xgen ** j for c in v]))
+            for w in pows:
+                rows.append(self.vec([c * w for c in v]))
         H, _ = howell_form(rows, self.p, self.W.n) if rows else ([], None)
         return H
 
@@ -308,12 +309,13 @@ class FLModule:
         """
         W = self.W
         xgen = W.gen()
+        pows = [xgen ** j for j in range(self.m)]
+        twists = [(w, W.sigma(w)) for w in pows]
         zero = [0] * self.dim
         rows = [list(r) + zero for r in self.relation_rows()]
         for f, im in zip(gens, images):
-            for j in range(self.m):
-                tw = W.sigma(xgen ** j)
-                rows.append(self.vec([c * xgen ** j for c in f])
+            for w, tw in twists:
+                rows.append(self.vec([c * w for c in f])
                             + self.vec([c * tw for c in im]))
         H, _ = howell_form(rows, self.p, W.n)
         return H

@@ -91,7 +91,11 @@ def parse_series(text, q, m, line=None):
             raise ParseError(f"bad series term {raw.strip()!r}", line)
         if mo.group("br") is not None:
             inner = mo.group("br")[1:-1].strip()
-            vals = [int(v) for v in inner.split(",")] if inner else []
+            try:
+                vals = [int(v) for v in inner.split(",")] if inner else []
+            except ValueError:
+                raise ParseError(f"bad coefficient {mo.group('br')!r}",
+                                 line) from None
             if len(vals) > m:
                 raise ParseError("coefficient wider than the ring", line)
             vals += [0] * (m - len(vals))

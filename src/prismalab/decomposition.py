@@ -12,7 +12,7 @@ from __future__ import annotations
 from .breuil_fl import FLModule, fl_to_breuil, is_fl_module
 from .errors import InputError, NotFL, NotKilledByP
 from .linalg_residue import (
-    howell_form, in_span, kernel_solve, span_length, spans_equal,
+    factor, howell_form, in_span, span_length, spans_equal,
 )
 from .phi_modules import PhiModule, presentation_from_generators
 from .series_rings import int_poly_pow
@@ -61,16 +61,17 @@ def _mod_u_data(M, mdl):
             out.extend(a % q for a in c.coeffs)
         return out
 
+    pows = [xgen ** a for a in range(m)]
+    twists = [W.sigma(w) for w in pows]
     rel0 = []
     for col in M.relations:
         c0 = [mdl._convert(e).coeff(0) for e in col]
-        for a in range(m):
-            rel0.append(flat([c * xgen ** a for c in c0]))
+        for w in pows:
+            rel0.append(flat([c * w for c in c0]))
     cols = []
     for j in range(g):
         base = [mdl._convert(M.phi[i][j]).coeff(0) for i in range(g)]
-        for a in range(m):
-            tw = W.sigma(xgen ** a)
+        for tw in twists:
             cols.append(flat([c * tw for c in base]))
     F = [[cols[c][r] for c in range(g * m)] for r in range(g * m)]
     return rel0, F
@@ -113,12 +114,12 @@ def mult_section(M, rng=None):
     for _ in range(T - 1):
         FT = [[sum(FT[i][k] * F[k][j] for k in range(len(F))) % q
                for j in range(len(F))] for i in range(len(F))]
+    # solve phi-bar^T(y) = x-bar with y inside the multiplicative part
+    cols = [_mat_apply(FT, row, q) for row in basis] + list(rel_span)
+    fac = factor([[c[r] for c in cols] for r in range(len(F))], p, nexp)
     images = []
     for xbar in basis:
-        # solve phi-bar^T(y) = x-bar with y inside the multiplicative part
-        cols = [_mat_apply(FT, row, q) for row in basis] + list(rel_span)
-        A = [[c[r] for c in cols] for r in range(len(F))]
-        _, sol = kernel_solve(A, xbar, p, nexp)
+        sol = fac.solve(xbar)
         y = [0] * len(F)
         for c, row in zip(sol[:len(basis)], basis):
             if c:

@@ -6,8 +6,12 @@ are provided for shape extraction only.
 
 One elimination engine on augmented rows ``[left | right]`` serves both:
 ``howell_form`` appends the identity only when the transform is asked for,
-and ``kernel_solve`` reads the kernel off the rows of ``[A^T | I]`` whose
-left block vanishes, and a particular solution off its pivots.
+and ``factor`` echelonizes ``[A^T | I]`` once.  The resulting ``Factored``
+system answers any number of right-hand sides: ``solve(b)`` reduces
+``[b | 0]`` against the stored pivots (a nonzero left remainder means b
+is not attained), and ``kernel()`` is built on its first call from the
+right blocks of the rows whose left block vanished.  ``kernel_solve`` is
+one factor with at most one solve.
 
 Matrices are lists of rows; rows are lists of ints reduced mod p^n.
 """
@@ -55,6 +59,15 @@ class ResidueMatrix:
 
     def __repr__(self):
         return f"ResidueMatrix(p={self.p}, n={self.n}, {self.entries})"
+
+
+def _unwrap(A, p, n):
+    """(rows, p, n) of a ResidueMatrix, or of plain rows given p and n."""
+    if isinstance(A, ResidueMatrix):
+        return A.entries, A.p, A.n
+    if p is None or n is None:
+        raise InputError("p and n required for raw matrices")
+    return A, p, n
 
 
 def _echelon(rows, ncols, p, n):
@@ -112,13 +125,8 @@ def howell_form(A, p=None, n=None, transform=False):
     Returns (H, T) with T a list of coefficient rows (over the input rows)
     such that each H row equals T row times A; T is None unless requested.
     """
-    if isinstance(A, ResidueMatrix):
-        rows, p, n = A.entries, A.p, A.n
-        wrap = True
-    else:
-        rows, wrap = A, False
-        if p is None or n is None:
-            raise InputError("p and n required for raw matrices")
+    wrap = isinstance(A, ResidueMatrix)
+    rows, p, n = _unwrap(A, p, n)
     q = p ** n
     ncols = len(rows[0]) if rows else 0
     work = [[x % q for x in r] for r in rows]
@@ -184,6 +192,63 @@ def spans_equal(H1, H2, p, n):
             and all(in_span(H1, r, p, n) for r in H2))
 
 
+class Factored:
+    """One elimination of ``[A^T | I]``, kept to serve many solves.
+
+    A row ``[l | t]`` of the echelonized ``[A^T | I]`` has ``t A^T = l``:
+    ``solve`` reduces ``[b | 0]`` against the pivot rows, and ``kernel``
+    reads the right blocks of the rows whose left block vanished.
+    """
+
+    __slots__ = ("p", "n", "rows", "cols", "_pivots", "_dead", "_kernel")
+
+    def __init__(self, p, n, rows, cols, pivots, dead):
+        self.p, self.n, self.rows, self.cols = p, n, rows, cols
+        self._pivots, self._dead, self._kernel = pivots, dead, None
+
+    def solve(self, b):
+        """A particular x with A x = b; raises Inconsistent when b is not
+        attainable."""
+        if len(b) != self.rows:
+            raise InputError("right-hand side length must equal the row count")
+        q = self.p ** self.n
+        # [b | 0] minus the pivots it needs is [0 | -x] with A x = b
+        vec = [x % q for x in b] + [0] * self.cols
+        for prow, col, _ in self._pivots:
+            c = vec[col] // prow[col]
+            if c:
+                _sub_tail(vec, prow[col:], c, col, q)
+        if any(vec[:self.rows]):
+            raise Inconsistent("no solution" if self.cols else
+                               "empty system with nonzero right-hand side")
+        return [-x % q for x in vec[self.rows:]]
+
+    def kernel(self):
+        """Howell basis of ker A, computed on the first call."""
+        if self._kernel is None:
+            K = [r[self.rows:] for r in self._dead if any(r[self.rows:])]
+            self._kernel = howell_form(K, self.p, self.n)[0] if K else []
+            self._dead = None
+        return self._kernel
+
+
+def factor(A, p=None, n=None):
+    """Eliminate A (a ResidueMatrix or rows over Z/p^n) once, as a Factored
+    system whose kernel and solutions for any right-hand side read off the
+    same echelon form."""
+    entries, p, n = _unwrap(A, p, n)
+    q = p ** n
+    rows = len(entries)
+    cols = len(entries[0]) if entries else 0
+    work = []
+    for j, col in enumerate(zip(*entries)):
+        r = [x % q for x in col] + [0] * cols
+        r[rows + j] = 1
+        work.append(r)
+    pivots, dead = _echelon(work, rows, p, n)
+    return Factored(p, n, rows, cols, pivots, dead)
+
+
 def kernel_solve(A, b=None, p=None, n=None):
     """Solve A x = 0 (and optionally A x = b) over Z/p^n.
 
@@ -191,40 +256,9 @@ def kernel_solve(A, b=None, p=None, n=None):
     None when b is None.  Raises Inconsistent when b is not attainable.
     x is a column vector of length cols(A).
     """
-    if isinstance(A, ResidueMatrix):
-        entries, p, n = A.entries, A.p, A.n
-    else:
-        entries = A
-        if p is None or n is None:
-            raise InputError("p and n required for raw matrices")
-    q = p ** n
-    rows = len(entries)
-    cols = len(entries[0]) if entries else 0
-    if b is not None and len(b) != rows:
-        raise InputError("right-hand side length must equal the row count")
-    if cols == 0:
-        if b is not None and any(x % q for x in b):
-            raise Inconsistent("empty system with nonzero right-hand side")
-        return [], ([] if b is not None else None)
-    # a row [l | t] of the echelonized [A^T | I] has t A^T = l
-    work = []
-    for j, col in enumerate(zip(*entries)):
-        r = [x % q for x in col] + [0] * cols
-        r[rows + j] = 1
-        work.append(r)
-    pivots, dead = _echelon(work, rows, p, n)
-    kernel = [r[rows:] for r in dead if any(r[rows:])]
-    kernel = howell_form(kernel, p, n)[0] if kernel else []
-
-    sol = None
-    if b is not None:
-        # [b | 0] minus the pivots it needs is [0 | -x] with A x = b
-        rem = reduce_vector([r for r, _, _ in pivots], list(b) + [0] * cols,
-                            p, n)
-        if any(rem[:rows]):
-            raise Inconsistent("no solution")
-        sol = [-x % q for x in rem[rows:]]
-    return kernel, sol
+    F = factor(A, p, n)
+    sol = F.solve(b) if b is not None else None
+    return F.kernel(), sol
 
 
 def smith_elementary_divisors(A, p=None, n=None):
@@ -233,8 +267,7 @@ def smith_elementary_divisors(A, p=None, n=None):
     The row span S is the sum of the Z/p^(n-v), so p^k S has length
     sum(max(0, n - v - k)) and #{v <= j} = len(p^(n-1-j) S) - len(p^(n-j) S).
     """
-    if isinstance(A, ResidueMatrix):
-        A, p, n = A.entries, A.p, A.n
+    A, p, n = _unwrap(A, p, n)
     q = p ** n
     lengths = [span_length(howell_form([[(x * p ** k) % q for x in r]
                                         for r in A], p, n)[0], p, n)

@@ -14,7 +14,7 @@ from .errors import (
     PrecisionTooLow,
 )
 from .linalg_residue import (
-    howell_form, in_span, kernel_solve, reduce_vector, span_length,
+    factor, howell_form, in_span, kernel_solve, span_length,
 )
 from .series_rings import SeriesElem, phi_apply
 from .witt_base import WittRing
@@ -55,14 +55,6 @@ class PhiModule:
             self._validate()
 
     # -- construction helpers --------------------------------------------
-
-    @classmethod
-    def from_int_presentation(cls, ring, g, rel_cols, phi_rows, **kw):
-        """Columns/matrix given as integer coefficient lists."""
-        mk = lambda c: SeriesElem.from_ints(ring, c)
-        rels = [[mk(e) for e in col] for col in rel_cols]
-        phi = [[mk(e) for e in row] for row in phi_rows]
-        return cls(ring, g, rels, phi, **kw)
 
     @classmethod
     def zero(cls, ring):
@@ -272,16 +264,6 @@ class FiniteModel:
     def length(self):
         return self.dim * self.nexp - span_length(self.H, self.p, self.nexp)
 
-    def solve_in_span(self, cols, target):
-        """Coefficients c with sum(c_i cols_i) = target modulo the relations.
-
-        cols are coordinate vectors; raises Inconsistent when impossible.
-        """
-        A = [[col[r] for col in cols] + [h[r] for h in self.H]
-             for r in range(self.dim)]
-        _, sol = kernel_solve(A, target, self.p, self.nexp)
-        return sol[:len(cols)]
-
     def submodule_kernel_of_u_power(self, b):
         """Vectors of ker(u^b) on the module, computed at headroom N + b.
 
@@ -334,16 +316,15 @@ def presentation_from_generators(M, mdl, gens, killed_by=None):
     # relations: combinations of the generator multiples that die in M
     A = [[col[row] for col in cols] + [h[row] for h in mdl.H]
          for row in range(mdl.dim)]
-    K, _ = kernel_solve(A, None, mdl.p, mdl.nexp)
+    F = factor(A, mdl.p, mdl.nexp)
     rel_cols = []
-    for k in K:
+    for k in F.kernel():
         c = k[:len(cols)]
         if any(c):
             rel_cols.append(_coeffs_to_column(mdl, c, r))
     phi_rows = [[None] * r for _ in range(r)]
     for i, v in enumerate(gens):
-        fv = mdl.phi_vec(v)
-        _, sol = kernel_solve(A, fv, mdl.p, mdl.nexp)
+        sol = F.solve(mdl.phi_vec(v))
         col = _coeffs_to_column(mdl, sol[:len(cols)], r)
         for ii in range(r):
             phi_rows[ii][i] = col[ii]

@@ -17,10 +17,10 @@ import operator
 import os
 
 from .errors import (
-    InputError, InsufficientPrecision, NotDivisible, NotEisenstein,
-    NotInFiltration, PrecisionLoss,
+    Inconsistent, InputError, InsufficientPrecision, NotDivisible,
+    NotEisenstein, NotInFiltration, PrecisionLoss,
 )
-from .linalg_residue import howell_form, in_span, kernel_solve
+from .linalg_residue import factor, howell_form
 from .witt_base import WittElem, WittRing, _is_prime
 
 # ---------------------------------------------------------------------------
@@ -388,6 +388,7 @@ class DpRing:
         self._table = None
         self._gamma = {}
         self._fil = {}
+        self._fil_factors = {}
         self._c1 = None
         self._c1_inv = None
         self.dim = self.D * m
@@ -584,33 +585,33 @@ class DpRing:
                 rows.append(self.to_vec(base.scale_w(w)))
         return rows
 
+    def _fil_factor(self, r, prec):
+        """[fil_span(r) | p^prec I], factored once per (r, prec)."""
+        F = self._fil_factors.get((r, prec))
+        if F is None:
+            H = self.fil_span(r)
+            pk = self.p ** prec
+            A = [[h[i] for h in H] + [pk if j == i else 0
+                                      for j in range(self.dim)]
+                 for i in range(self.dim)]
+            F = self._fil_factors[r, prec] = factor(A, self.p, self.n_int)
+        return F
+
     def fil_contains(self, x, r):
         """Membership of x in Fil^r at the precision of x."""
-        H = self.fil_span(r)
-        rows = list(H)
-        if x.prec < self.n_int:
-            pk = self.p ** x.prec
-            for i in range(self.dim):
-                v = [0] * self.dim
-                v[i] = pk
-                rows.append(v)
-            rows, _ = howell_form(rows, self.p, self.n_int)
-        return in_span(rows, self.to_vec(x), self.p, self.n_int)
+        try:
+            self._fil_factor(r, x.prec).solve(self.to_vec(x))
+        except Inconsistent:
+            return False
+        return True
 
     def fil_lift(self, x, r):
-        """An element of Fil^r (exact at n_int) congruent to x mod p^{x.prec}."""
-        H = list(self.fil_span(r))
-        ncols = len(H)
-        pk = self.p ** x.prec
-        aug = [list(row) for row in H]
-        for i in range(self.dim):
-            v = [0] * self.dim
-            v[i] = pk
-            aug.append(v)
-        A = [[aug[j][i] for j in range(len(aug))] for i in range(self.dim)]
-        _, sol = kernel_solve(A, self.to_vec(x), self.p, self.n_int)
+        """An element of Fil^r (exact at n_int) congruent to x mod p^{x.prec};
+        raises Inconsistent when x is not in Fil^r at that precision."""
+        H = self.fil_span(r)
+        sol = self._fil_factor(r, x.prec).solve(self.to_vec(x))
         vec = [0] * self.dim
-        for c, row in zip(sol[:ncols], H):
+        for c, row in zip(sol[:len(H)], H):
             if c:
                 for i, a in enumerate(row):
                     vec[i] = (vec[i] + c * a) % self.q
@@ -823,7 +824,8 @@ def s_phi_div(x: DpElem, i: int) -> DpElem:
         raise InsufficientPrecision(
             f"internal precision {R.n_int} cannot support level {i} "
             f"at user precision {R.n_user}")
-    if not R.fil_contains(x, i):
-        raise NotInFiltration(f"element is not in Fil^{i}")
-    lift = R.fil_lift(x, i)
+    try:
+        lift = R.fil_lift(x, i)
+    except Inconsistent:
+        raise NotInFiltration(f"element is not in Fil^{i}") from None
     return R.phi(lift).divide_p(i).reduce_prec(out_prec)

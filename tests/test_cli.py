@@ -1,9 +1,11 @@
 import json
 import random
+import string
 import time
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
 from prismalab.cli import (
     Document, main, parse_document, parse_series, run_check,
@@ -14,6 +16,22 @@ from prismalab.errors import ParseError, UnknownCheck
 SPLIT_DOC = """\
 [ring]
 p=2 n=1 m=1
+[module]
+g=2 killed=1,9
+u^9, 0
+0, u^9
+[phi]
+1, 0
+u, u
+[check]
+name=split
+"""
+
+
+# the minimal document of the README
+README_DOC = """\
+[ring]
+p=2 n=1
 [module]
 g=2 killed=1,9
 u^9, 0
@@ -62,6 +80,18 @@ def test_series_literal_errors():
         parse_series("2*u^3/dp(2)", 4, 1)
     with pytest.raises(ParseError):
         parse_series("[1,2,3]*u", 4, 2)
+
+
+@pytest.mark.parametrize("coeff", ["[1x]", "[2check]", "[1,]"])
+def test_bad_bracketed_coefficient_is_a_parse_error(tmp_path, coeff):
+    # int() on the bracket's entries escaped as an InternalError (exit 3)
+    with pytest.raises(ParseError, match="line 3"):
+        parse_series(f"{coeff}*u", 4, 2, line=3)
+    text = README_DOC.replace("[phi]\n1, 0", f"[phi]\n{coeff}, 0")
+    res = run(["check", _write(tmp_path, text), "--json"])
+    assert res.exit_code == 2
+    rep = json.loads(res.output)
+    assert rep["error"] == "ParseError" and "line 8" in rep["detail"]
 
 
 def test_document_round_trip_both_ways():
@@ -295,3 +325,34 @@ def test_suite_all_json():
     assert res.exit_code == 0
     items = json.loads(res.output)
     assert len(items) == 54
+
+
+# ---------------------------------------------------------------------------
+# mutation fuzzing of the README document
+# ---------------------------------------------------------------------------
+
+FUZZ_CHARS = "".join(sorted(set(README_DOC) | set(
+    string.ascii_lowercase + string.digits + "[](),+-*^/=_ #")))
+
+
+@st.composite
+def mutated_documents(draw):
+    """The README document after 1-3 random character edits."""
+    text = README_DOC
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        i = draw(st.integers(0, len(text) - (kind != "insert")))
+        c = "" if kind == "delete" else draw(st.sampled_from(FUZZ_CHARS))
+        text = text[:i] + c + text[i + (kind != "insert"):]
+    return text
+
+
+@given(mutated_documents())
+def test_mutated_readme_document_never_exits_3(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+    path.write_text(text)
+    res = run(["check", str(path), "--json"])
+    assert res.exit_code in (0, 1, 2), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert "status" in json.loads(res.output)

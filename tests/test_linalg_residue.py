@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prismalab.errors import Inconsistent, InputError
+from prismalab import linalg_residue
 from prismalab.linalg_residue import (
-    ResidueMatrix, howell_form, in_span, kernel_solve, reduce_vector,
-    smith_elementary_divisors, span_length, spans_equal,
+    ResidueMatrix, _echelon, factor, howell_form, in_span, kernel_solve,
+    reduce_vector, smith_elementary_divisors, span_length, spans_equal,
 )
 
 
@@ -382,6 +383,115 @@ def test_engine_matches_reference_loops(p, n):
 def test_kernel_solve_rejects_mismatched_right_hand_side():
     with pytest.raises(InputError):
         kernel_solve([[1, 0], [0, 1]], [1], 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# factor once, solve many: against kernel_solve as it was before factor,
+# kept verbatim (one elimination per call, the kernel always built)
+# ---------------------------------------------------------------------------
+
+
+def kernel_solve_per_call(A, b=None, p=None, n=None):
+    if isinstance(A, ResidueMatrix):
+        entries, p, n = A.entries, A.p, A.n
+    else:
+        entries = A
+        if p is None or n is None:
+            raise InputError("p and n required for raw matrices")
+    q = p ** n
+    rows = len(entries)
+    cols = len(entries[0]) if entries else 0
+    if b is not None and len(b) != rows:
+        raise InputError("right-hand side length must equal the row count")
+    if cols == 0:
+        if b is not None and any(x % q for x in b):
+            raise Inconsistent("empty system with nonzero right-hand side")
+        return [], ([] if b is not None else None)
+    # a row [l | t] of the echelonized [A^T | I] has t A^T = l
+    work = []
+    for j, col in enumerate(zip(*entries)):
+        r = [x % q for x in col] + [0] * cols
+        r[rows + j] = 1
+        work.append(r)
+    pivots, dead = _echelon(work, rows, p, n)
+    kernel = [r[rows:] for r in dead if any(r[rows:])]
+    kernel = howell_form(kernel, p, n)[0] if kernel else []
+
+    sol = None
+    if b is not None:
+        # [b | 0] minus the pivots it needs is [0 | -x] with A x = b
+        rem = reduce_vector([r for r, _, _ in pivots], list(b) + [0] * cols,
+                            p, n)
+        if any(rem[:rows]):
+            raise Inconsistent("no solution")
+        sol = [-x % q for x in rem[rows:]]
+    return kernel, sol
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (3, 2), (5, 1)])
+def test_factor_serves_every_right_hand_side_like_per_call_solves(p, n):
+    # tall, wide, square, zero-row (0, 0), zero-column (3, 0), and the
+    # all-zero matrix at trial 0; several right-hand sides per factor
+    rng = random.Random(p * 1000 + n)
+    q = p ** n
+    for rows, cols in SHAPES:
+        for trial in range(8):
+            A = _random_matrix(rng, rows, cols, p, n) if rows else []
+            if trial == 0 and rows:
+                A = [[0] * cols for _ in range(rows)]
+            F = factor(A, p, n)
+            rhs = [[0] * rows]
+            for _ in range(3):
+                x = [rng.randrange(q) for _ in range(cols)]
+                rhs.append([sum(a * b for a, b in zip(r, x)) % q for r in A])
+                rhs.append([rng.randrange(q) for _ in range(rows)])
+            attained = 0
+            for b in rhs:
+                try:
+                    K_ref, sol_ref = kernel_solve_per_call(A, b, p, n)
+                except Inconsistent as exc:
+                    with pytest.raises(Inconsistent, match=str(exc)):
+                        F.solve(b)
+                    with pytest.raises(Inconsistent, match=str(exc)):
+                        kernel_solve(A, b, p, n)
+                else:
+                    attained += 1
+                    assert F.solve(b) == sol_ref
+                    assert F.kernel() == K_ref
+                    assert kernel_solve(A, b, p, n) == (K_ref, sol_ref)
+            assert attained >= 4
+            assert F.kernel() == kernel_solve_per_call(A, None, p, n)[0]
+            if A:
+                G = factor(ResidueMatrix(p, n, A))
+                assert G.kernel() == F.kernel()
+                assert all(G.solve(b) == F.solve(b) for b in rhs[:2])
+
+
+def test_factor_builds_the_kernel_once(monkeypatch):
+    calls = []
+    real = linalg_residue.howell_form
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(linalg_residue, "howell_form", counting)
+    A = [[1, 2, 3], [2, 4, 6]]
+    F = factor(A, 3, 2)
+    assert F.solve([1, 2]) == kernel_solve_per_call(A, [1, 2], 3, 2)[1]
+    assert calls == []
+    K = F.kernel()
+    assert K == kernel_solve_per_call(A, None, 3, 2)[0] and calls == [1]
+    F.solve([2, 4])
+    assert F.kernel() is K and calls == [1]
+
+
+def test_factor_rejects_mismatched_right_hand_side():
+    F = factor([[1, 0], [0, 1]], 2, 1)
+    with pytest.raises(InputError):
+        F.solve([1])
+    with pytest.raises(InputError):
+        factor([[1]])
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from prismalab.errors import (
-    InputError, InsufficientPrecision, NotDivisible, NotEisenstein,
-    NotInFiltration, PrecisionLoss,
+    Inconsistent, InputError, InsufficientPrecision, NotDivisible,
+    NotEisenstein, NotInFiltration, PrecisionLoss,
 )
+from prismalab.linalg_residue import howell_form, in_span, kernel_solve
 from prismalab.series_rings import (
     DpRing, EisensteinPoly, SeriesElem, cyclotomic_q, divide_exact,
     eisenstein_make, int_poly_divmod, int_poly_pow, phi_apply, s_phi_div,
@@ -458,3 +459,105 @@ def test_coords_are_witt_views_over_the_coefficient_ring():
         assert all(isinstance(c, WittElem) and c.ring is S.ring for c in cs)
         assert [a for c in cs for a in c.coeffs] == S.to_vec(x)
         assert S.elem(cs).vec == x.vec
+
+
+# ---------------------------------------------------------------------------
+# Fil^r membership and lifts through the per-ring factor cache, against
+# DpRing.fil_contains/fil_lift as they were before it, kept verbatim (one
+# Howell form or elimination per call)
+# ---------------------------------------------------------------------------
+
+
+def ref_fil_contains(self, x, r):
+    """Membership of x in Fil^r at the precision of x."""
+    H = self.fil_span(r)
+    rows = list(H)
+    if x.prec < self.n_int:
+        pk = self.p ** x.prec
+        for i in range(self.dim):
+            v = [0] * self.dim
+            v[i] = pk
+            rows.append(v)
+        rows, _ = howell_form(rows, self.p, self.n_int)
+    return in_span(rows, self.to_vec(x), self.p, self.n_int)
+
+
+def ref_fil_lift(self, x, r):
+    """An element of Fil^r (exact at n_int) congruent to x mod p^{x.prec}."""
+    H = list(self.fil_span(r))
+    ncols = len(H)
+    pk = self.p ** x.prec
+    aug = [list(row) for row in H]
+    for i in range(self.dim):
+        v = [0] * self.dim
+        v[i] = pk
+        aug.append(v)
+    A = [[aug[j][i] for j in range(len(aug))] for i in range(self.dim)]
+    _, sol = kernel_solve(A, self.to_vec(x), self.p, self.n_int)
+    vec = [0] * self.dim
+    for c, row in zip(sol[:ncols], H):
+        if c:
+            for i, a in enumerate(row):
+                vec[i] = (vec[i] + c * a) % self.q
+    return self.from_vec(vec)
+
+
+def _fil_rings():
+    E = eisenstein_make(3, "cyclotomic", 1)
+    return [_dp_ring(2, 1, 1, 2), _dp_ring(3, 1, 1, 2), _dp_ring(2, 1, 2, 2),
+            _dp_ring(5, 1, 1, 1), DpRing(E, n=1, h=2, D=12)]
+
+
+def test_cached_fil_membership_and_lift_match_per_call_reference():
+    rng = random.Random(7)
+    for S in _fil_rings():
+        q = S.q
+        for r in range(S.p + 1):
+            H = S.fil_span(r)
+            for prec in range(1, S.n_int + 1):
+                pk = S.p ** prec
+                members = 0
+                for trial in range(6):
+                    if trial % 2:
+                        # a combination of Fil^r rows plus p^prec noise
+                        vec = [rng.randrange(q) * pk % q
+                               for _ in range(S.dim)]
+                        for row in H:
+                            c = rng.randrange(q)
+                            vec = [(a + c * b) % q for a, b in zip(vec, row)]
+                    else:
+                        vec = [rng.choice((0, rng.randrange(q)))
+                               for _ in range(S.dim)]
+                    x = S.from_vec(vec, prec)
+                    for _ in range(2):  # the second call hits the cache
+                        inside = ref_fil_contains(S, x, r)
+                        assert S.fil_contains(x, r) == inside
+                        if inside:
+                            members += 1
+                            lift = S.fil_lift(x, r)
+                            ref = ref_fil_lift(S, x, r)
+                            assert lift.vec == ref.vec
+                            assert lift.prec == ref.prec
+                        else:
+                            with pytest.raises(Inconsistent):
+                                ref_fil_lift(S, x, r)
+                            with pytest.raises(Inconsistent):
+                                S.fil_lift(x, r)
+                assert members >= 6
+        assert all(key[1] <= S.n_int for key in S._fil_factors)
+
+
+def test_s_phi_div_refuses_non_members_at_every_precision():
+    E = eisenstein_make(3, "cyclotomic", 1)
+    S = DpRing(E, n=1, h=2, D=12)
+    for prec in range(1, S.n_int + 1):
+        for i in (1, 2):
+            with pytest.raises(NotInFiltration):
+                s_phi_div(S.one().reduce_prec(prec), i)
+    # E is in Fil^1; E + p^(n_int - 1) is not, and the lift at a lower
+    # precision agrees with the exact one there
+    E1 = S.from_int_poly(list(E.int_coeffs))
+    with pytest.raises(NotInFiltration):
+        s_phi_div(E1 + S.one() * S.p ** (S.n_int - 1), 1)
+    low = s_phi_div(E1.reduce_prec(2), 1)
+    assert (s_phi_div(E1, 1) - low).is_zero() and low.prec == 2
