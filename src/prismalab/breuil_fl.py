@@ -13,7 +13,8 @@ import math
 
 from .errors import BadRamification, HasUTorsion, Inconsistent, InputError
 from .linalg_residue import (
-    howell_form, in_span, kernel_solve, reduce_vector, span_length,
+    direct_sum_rows, howell_form, in_span, kernel_solve, reduce_vector,
+    span_length,
 )
 from .phi_modules import EtalePhiModule, etale_fixed_points
 from .series_rings import DpRing, eisenstein_make, int_poly_pow, s_phi_div
@@ -142,19 +143,13 @@ class BreuilModule:
             raise InputError("summands must share the ring and level")
         S = self.S
         z = S.zero()
-        r = self.r + other.r
-        fil = ([list(v) + [z] * other.r for v in self.fil_gens]
-               + [[z] * self.r + list(v) for v in other.fil_gens])
-        img = ([list(v) + [z] * other.r for v in self.phi_gens]
-               + [[z] * self.r + list(v) for v in other.phi_gens])
+        r1, r2 = self.r, other.r
+        fil = direct_sum_rows(self.fil_gens, other.fil_gens, r1, r2, z)
+        img = direct_sum_rows(self.phi_gens, other.phi_gens, r1, r2, z)
         nab = None
         if self.nabla is not None and other.nabla is not None:
-            nab = [[(self.nabla[i][j] if i < self.r and j < self.r else z)
-                    for j in range(r)] for i in range(r)]
-            for i in range(other.r):
-                for j in range(other.r):
-                    nab[self.r + i][self.r + j] = other.nabla[i][j]
-        return BreuilModule(S, r, self.h, fil, img, nabla=nab)
+            nab = direct_sum_rows(self.nabla, other.nabla, r1, r2, z)
+        return BreuilModule(S, r1 + r2, self.h, fil, img, nabla=nab)
 
     def __repr__(self):
         return f"BreuilModule(r={self.r}, h={self.h}, over {self.S!r})"
@@ -362,18 +357,11 @@ class FLModule:
         if not same or self.h != other.h:
             raise InputError("summands must share W and the level")
         W = self.W
-        z = W.zero()
-        fil = {}
-        phi = {}
-        pad = lambda v, left: ([z] * other.g + list(v) if left
-                               else list(v) + [z] * other.g)
-        for i in range(1, self.h + 1):
-            fil[i] = ([pad(v, False) for v in self.fil_gens(i)]
-                      + [pad(v, True) for v in other.fil_gens(i)])
-            phi[i] = ([pad(v, False) for v in self.phi_images(i)]
-                      + [pad(v, True) for v in other.phi_images(i)])
-        phi[0] = ([pad(v, False) for v in self.phi_images(0)]
-                  + [pad(v, True) for v in other.phi_images(0)])
+        pad = lambda A, B: direct_sum_rows(A, B, self.g, other.g, W.zero())
+        fil = {i: pad(self.fil_gens(i), other.fil_gens(i))
+               for i in range(1, self.h + 1)}
+        phi = {i: pad(self.phi_images(i), other.phi_images(i))
+               for i in range(self.h + 1)}
         return FLModule(W, self.divisors + other.divisors, self.h, fil, phi)
 
 

@@ -29,7 +29,7 @@ from .cyclo_suite import (
     CycloInstance, h2_torsion_report, ideal_j_mingens, ker_phi_minus_d,
     sharpness_report,
 )
-from .decomposition import split_phi_module
+from .decomposition import fitting_conditions, split_phi_module
 from .errors import (
     InputError, MathFailure, ParseError, UnknownCheck,
 )
@@ -144,11 +144,11 @@ def _series_elem(W, terms, N=None):
     if any(is_dp for _, _, is_dp in terms):
         raise InputError(
             "divided-power literal outside a divided-power context")
-    width = max((deg for deg, _, _ in terms), default=-1) + 1
-    coeffs = [W.zero()] * width
+    m = W.m
+    vec = [0] * (max((deg for deg, _, _ in terms), default=-1) + 1) * m
     for deg, c, _ in terms:
-        coeffs[deg] = W.elem([c] if isinstance(c, int) else list(c))
-    return SeriesElem(W, coeffs, N=N)
+        vec[deg * m:(deg + 1) * m] = (c,) if m == 1 else c
+    return SeriesElem.from_vec(W, vec, N=N)
 
 
 # ---------------------------------------------------------------------------
@@ -355,26 +355,33 @@ def _check_mingens(doc, params):
     return True, {"p": p, "n": n, "D": inst.D, "mu": mu}
 
 
-def _vacuous(M):
-    return M.g == 0
+def _module_check(check):
+    """A check of the document's module: check(M, doc, params), where an
+    empty module passes vacuously."""
+    def run(doc, params):
+        M = build_module(doc)
+        if M.g == 0:
+            return True, {"note": "vacuous: empty module"}
+        return check(M, doc, params)
+    return run
 
 
-def _check_split(doc, params):
-    M = build_module(doc)
-    if _vacuous(M):
-        return True, {"note": "vacuous: empty module"}
+@_module_check
+def _check_split(M, doc, params):
     rng = random.Random(params["seed"]) if "seed" in params else None
     res = split_phi_module(M, rng=rng)
     lm, ln = res.M_mult.length(), res.M_nilp.length()
-    ok = lm + ln == M.length()
-    return ok, {"length": M.length(), "mult_length": lm, "nilp_length": ln,
-                "exact": ok}
+    bij, nil = fitting_conditions(res)
+    ok = lm + ln == M.length() and bij and nil
+    report = {"length": M.length(), "mult_length": lm, "nilp_length": ln,
+              "exact": ok}
+    if not ok:
+        report.update(mult_bijective=bij, nilp_nilpotent=nil)
+    return ok, report
 
 
-def _check_zp_shape(doc, params):
-    M = build_module(doc)
-    if _vacuous(M):
-        return True, {"note": "vacuous: empty module"}
+@_module_check
+def _check_zp_shape(M, doc, params):
     shape = zp_shape(M)
     report = {"ok": shape.ok}
     if shape.ok:
@@ -384,26 +391,20 @@ def _check_zp_shape(doc, params):
     return shape.ok, report
 
 
-def _check_u_torsion(doc, params):
-    M = build_module(doc)
-    if _vacuous(M):
-        return True, {"note": "vacuous: empty module"}
+@_module_check
+def _check_u_torsion(M, doc, params):
     T = u_torsion(M)
     return True, {"length": M.length(), "torsion_length": T.length()}
 
 
-def _check_boundary(doc, params):
-    M = build_module(doc)
-    if _vacuous(M):
-        return True, {"note": "vacuous: empty module"}
+@_module_check
+def _check_boundary(M, doc, params):
     rep = boundary_structure_check(M, e=params.get("e"), i=params.get("i"))
     return rep["passed"], rep
 
 
-def _check_height(doc, params):
-    M = build_module(doc)
-    if _vacuous(M):
-        return True, {"note": "vacuous: empty module"}
+@_module_check
+def _check_height(M, doc, params):
     eis = eisenstein_make(M.ring.p, "explicit", list(_want(params, "eis")))
     psi = [[_series_elem(M.ring, t, N=M.N) for t in row] for row in doc.psi]
     if len(psi) != M.g:
@@ -474,11 +475,8 @@ def _random_split_case(seed):
         rel.append(col)
     M = PhiModule(W, g, rel, phi, killed_by=(1, b))
     res = split_phi_module(M)
-    ok = res.M_mult.length() + res.M_nilp.length() == M.length()
-    if ok:
-        ok = split_phi_module(res.M_mult).M_nilp.length() == 0
-    if ok:
-        ok = split_phi_module(res.M_nilp).M_mult.length() == 0
+    ok = (res.M_mult.length() + res.M_nilp.length() == M.length()
+          and all(fitting_conditions(res)))
     return {"check": f"split case {seed}",
             "status": "pass" if ok else "fail",
             "p": p, "g": g, "length": M.length()}

@@ -16,7 +16,7 @@ from .linalg_residue import (
 )
 from .phi_modules import PhiModule, presentation_from_generators
 from .series_rings import int_poly_pow
-from .witt_base import WittRing
+from .witt_base import WittRing, _blockwise
 
 
 def _ceil_log(b, p):
@@ -50,31 +50,24 @@ def _mat_apply(A, v, q):
 
 
 def _mod_u_data(M, mdl):
-    """Relations and the linearized Frobenius of M/uM on g*m coordinates."""
+    """Relations and the linearized Frobenius of M/uM on g*m coordinates:
+    the u^0 coefficients of each relation column times x^a, and of each
+    phi column times sigma(x^a) = sigma(x)^a, for a < m."""
     W = mdl.W
-    g, m, q = M.g, W.m, mdl.q
-    xgen = W.gen()
+    g, m, q, w = M.g, W.m, mdl.q, mdl.N * W.m
 
-    def flat(wvec):
-        out = []
-        for c in wvec:
-            out.extend(a % q for a in c.coeffs)
+    def multiples(col, rows):
+        v = mdl.vec(col)
+        out = [[a for s in range(g) for a in v[s * w:s * w + m]]]
+        for _ in range(1, m):
+            out.append(_blockwise(rows, out[-1], q))
         return out
 
-    pows = [xgen ** a for a in range(m)]
-    twists = [W.sigma(w) for w in pows]
-    rel0 = []
-    for col in M.relations:
-        c0 = [mdl._convert(e).coeff(0) for e in col]
-        for w in pows:
-            rel0.append(flat([c * w for c in c0]))
-    cols = []
-    for j in range(g):
-        base = [mdl._convert(M.phi[i][j]).coeff(0) for i in range(g)]
-        for tw in twists:
-            cols.append(flat([c * tw for c in base]))
-    F = [[cols[c][r] for c in range(g * m)] for r in range(g * m)]
-    return rel0, F
+    rel0 = [r for col in M.relations for r in multiples(col, mdl._x_rows)]
+    sx = W._mul_matrix(W.sigma_gen())
+    cols = [c for j in range(g)
+            for c in multiples([M.phi[i][j] for i in range(g)], sx)]
+    return rel0, [list(r) for r in zip(*cols)]
 
 
 def _stable_image(F, rel0, p, nexp):
@@ -89,6 +82,25 @@ def _stable_image(F, rel0, p, nexp):
         if spans_equal(cur, nxt, p, nexp):
             return cur
         cur = nxt
+
+
+def _fitting_lengths(M):
+    """(length of M/uM, length of the stable image of phi-bar in it)."""
+    if M.g == 0:
+        return 0, 0
+    mdl = M.model()
+    p, nexp = mdl.p, mdl.nexp
+    rel0, F = _mod_u_data(M, mdl)
+    rel = span_length(howell_form(rel0, p, nexp)[0], p, nexp) if rel0 else 0
+    stable = span_length(_stable_image(F, rel0, p, nexp), p, nexp)
+    return len(F) * nexp - rel, stable - rel
+
+
+def fitting_conditions(res):
+    """(phi-bar is bijective on M_mult/u, phi-bar is nilpotent on
+    M_nilp/u) for a SplitResult of split_phi_module."""
+    whole, stable = _fitting_lengths(res.M_mult)
+    return whole == stable, _fitting_lengths(res.M_nilp)[1] == 0
 
 
 def mult_section(M, rng=None):

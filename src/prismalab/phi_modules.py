@@ -4,7 +4,10 @@ A module is given by generators and relation columns over W_n[[u]] together
 with a matrix for the semilinear map phi.  Once a kill certificate (p^a, u^b)
 or a declared torsion bound is available, every query reduces to Z/p^n
 linear algebra on the basis u^t * x^j * gen_s below a u-degree bound; the
-certificate guarantees the truncation is faithful.
+certificate guarantees the truncation is faithful.  A model vector is one
+block of N*m ints per generator, the flat SeriesElem.vec of its series cut
+at u^N, so x^j u^t gen_s sits at (s*N + t)*m + j: u^k shifts each block by
+k*m entries and x acts on each m-slice as an m x m matrix.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ from .errors import (
     PrecisionTooLow,
 )
 from .linalg_residue import (
-    factor, howell_form, in_span, kernel_solve, span_length,
+    direct_sum_rows, factor, howell_form, in_span, kernel_solve,
+    span_length,
 )
 from .series_rings import SeriesElem, phi_apply
-from .witt_base import WittRing
+from .witt_base import WittRing, _blockwise
 
 
 class PhiModule:
@@ -66,13 +70,9 @@ class PhiModule:
         W = self.ring
         z = SeriesElem.from_ints(W, [])
         g = self.g + other.g
-        rels = ([list(c) + [z] * other.g for c in self.relations]
-                + [[z] * self.g + list(c) for c in other.relations])
-        phi = [[(self.phi[i][j] if i < self.g and j < self.g else z)
-                for j in range(g)] for i in range(g)]
-        for i in range(other.g):
-            for j in range(other.g):
-                phi[self.g + i][self.g + j] = other.phi[i][j]
+        rels = direct_sum_rows(self.relations, other.relations, self.g,
+                               other.g, z)
+        phi = direct_sum_rows(self.phi, other.phi, self.g, other.g, z)
         kb = None
         if self.killed_by is not None and other.killed_by is not None:
             a = max(self.killed_by[0], other.killed_by[0])
@@ -156,42 +156,32 @@ class FiniteModel:
         self.m = W.m
         self.q = W.q
         self.dim = M.g * N * W.m
+        self._x_rows = W._mul_matrix(W.gen())
         self._phi_img = None
-        rows = []
-        for col in M.relations:
-            rows.extend(self.column_rows([self._convert(e) for e in col]))
-        self.H, _ = howell_form(rows, self.p, nexp)
-
-    def _convert(self, e):
-        if e.ring == self.W:
-            return e
-        return SeriesElem(self.W, [self.W.elem(list(c.coeffs))
-                                   for c in e.coeffs])
+        # the u^t x^j multiples of different relations often coincide or
+        # vanish; the Howell form depends only on their span
+        rows = dict.fromkeys(tuple(r) for col in M.relations
+                             for r in self.column_rows(col))
+        rows.pop((0,) * self.dim, None)
+        self.H, _ = howell_form(list(rows), self.p, nexp)
 
     def idx(self, s, t, j):
         return (s * self.N + t) * self.m + j
 
     def vec(self, col):
-        v = [0] * self.dim
-        for s, e in enumerate(col):
-            e = self._convert(e)
-            for t in range(min(len(e.coeffs), self.N)):
-                for j, cj in enumerate(e.coeffs[t].coeffs):
-                    v[self.idx(s, t, j)] = cj % self.q
-        return v
+        w, q, v = self.N * self.m, self.q, []
+        for e in col:
+            x = e.vec[:w] if e.ring.q == q else [a % q for a in e.vec[:w]]
+            v += x
+            v += [0] * (w - len(x))
+        return v + [0] * (self.dim - len(v))
 
     def to_column(self, v, g=None, N=None):
         """Inverse of vec: coordinates back to series columns."""
         g = self.M.g if g is None else g
-        N = self.N if N is None else N
-        col = []
-        for s in range(g):
-            cs = []
-            for t in range(N):
-                base = (s * N + t) * self.m
-                cs.append(self.W.elem(list(v[base:base + self.m])))
-            col.append(SeriesElem(self.W, cs))
-        return col
+        w, q = (self.N if N is None else N) * self.m, self.q
+        return [SeriesElem.from_vec(self.W, [a % q for a in v[k:k + w]])
+                for k in range(0, g * w, w)]
 
     def gen_vec(self, i):
         v = [0] * self.dim
@@ -201,62 +191,48 @@ class FiniteModel:
     def u_shift(self, v, k):
         if k == 0:
             return list(v)
-        out = [0] * self.dim
-        for s in range(self.M.g):
-            for t in range(self.N - k):
-                src = (s * self.N + t) * self.m
-                dst = (s * self.N + t + k) * self.m
-                out[dst:dst + self.m] = v[src:src + self.m]
+        if k >= self.N:
+            return [0] * self.dim
+        w, pad = self.N * self.m, [0] * (k * self.m)
+        out = []
+        for base in range(0, self.dim, w):
+            out += pad
+            out += v[base:base + w - len(pad)]
         return out
 
     def x_mul(self, v):
-        out = [0] * self.dim
-        gen = self.W.gen()
-        for s in range(self.M.g):
-            for t in range(self.N):
-                base = (s * self.N + t) * self.m
-                w = self.W.elem(list(v[base:base + self.m])) * gen
-                out[base:base + self.m] = w.coeffs
-        return out
+        return list(v) if self.m == 1 else _blockwise(self._x_rows, v, self.q)
 
     def column_rows(self, col):
         """Spanning vectors for all S-multiples of the element col."""
         rows = []
-        gen = self.W.gen()
+        v = self.vec(col)
         for j in range(self.m):
-            cj = [self._convert(e).scale(gen ** j) for e in col]
-            v0 = self.vec(cj)
-            for t in range(self.N):
-                rows.append(self.u_shift(v0, t))
+            if j:
+                v = self.x_mul(v)
+            rows.extend(self.u_shift(v, t) for t in range(self.N))
         return rows
 
     def phi_vec(self, v):
+        N, m = self.N, self.m
         if self._phi_img is None:
-            gen = self.W.gen()
-            img = []
-            for s in range(self.M.g):
-                per_j = []
-                for j in range(self.m):
-                    sxj = self.W.sigma(gen ** j)
-                    col = [(self._convert(self.M.phi[i][s]).scale(sxj))
-                           for i in range(self.M.g)]
-                    per_j.append(self.vec(col))
-                img.append(per_j)
-            self._phi_img = img
+            g, W = self.M.g, self.W
+            sx = W._mul_matrix(W.sigma_gen())
+            self._phi_img = []
+            for s in range(g):
+                img = [self.vec([self.M.phi[i][s] for i in range(g)])]
+                for _ in range(1, m):
+                    img.append(_blockwise(sx, img[-1], self.q))
+                self._phi_img.append(img)
         out = [0] * self.dim
-        p = self.p
         for s in range(self.M.g):
-            for t in range(self.N):
-                if p * t >= self.N:
-                    break
-                for j in range(self.m):
-                    c = v[self.idx(s, t, j)]
+            for t in range(-(-N // self.p)):
+                for j in range(m):
+                    c = v[(s * N + t) * m + j]
                     if c:
-                        sh = self.u_shift(self._phi_img[s][j], p * t)
-                        for i, x in enumerate(sh):
-                            if x:
-                                out[i] = (out[i] + c * x) % self.q
-        return out
+                        sh = self.u_shift(self._phi_img[s][j], self.p * t)
+                        out = [a + c * x for a, x in zip(out, sh)]
+        return [a % self.q for a in out]
 
     def member(self, v):
         return in_span(self.H, v, self.p, self.nexp) if self.dim else True
@@ -273,26 +249,15 @@ class FiniteModel:
         if self.dim == 0:
             return list(self.H)
         big = FiniteModel(self.M, self.N + b, self.nexp)
-        cols = [big.u_shift(big.gen_unit(r), b) for r in range(big.dim)]
-        A = [[cols[c][r] for c in range(big.dim)] + [h[r] for h in big.H]
-             for r in range(big.dim)]
+        bw, w, sh = big.N * self.m, self.N * self.m, b * self.m
+        # u^b sends unit c to unit c + sh, or to 0 past the end of its block
+        A = [[int(c == r - sh and r % bw >= sh) for c in range(big.dim)]
+             + [h[r] for h in big.H] for r in range(big.dim)]
         K, _ = kernel_solve(A, None, self.p, self.nexp)
-        proj = []
-        for k in K:
-            v = [0] * self.dim
-            for s in range(self.M.g):
-                for t in range(self.N):
-                    for j in range(self.m):
-                        v[self.idx(s, t, j)] = k[(s * big.N + t)
-                                                 * self.m + j]
-            proj.append(v)
+        proj = [[a for base in range(0, big.dim, bw) for a in k[base:base + w]]
+                for k in K]
         H2, _ = howell_form(proj + list(self.H), self.p, self.nexp)
         return H2
-
-    def gen_unit(self, r):
-        v = [0] * self.dim
-        v[r] = 1
-        return v
 
 
 # ---------------------------------------------------------------------------
@@ -306,45 +271,25 @@ def presentation_from_generators(M, mdl, gens, killed_by=None):
         return PhiModule.zero(mdl.W)
     r = len(gens)
     cols = []
-    gen = mdl.W.gen()
     for v in gens:
-        for t in range(mdl.N):
-            w = mdl.u_shift(v, t)
-            for j in range(mdl.m):
-                cols.append(w)
-                w = mdl.x_mul(w)
+        xs = [v]
+        for _ in range(1, mdl.m):
+            xs.append(mdl.x_mul(xs[-1]))
+        cols.extend(mdl.u_shift(w, t) for t in range(mdl.N) for w in xs)
     # relations: combinations of the generator multiples that die in M
-    A = [[col[row] for col in cols] + [h[row] for h in mdl.H]
-         for row in range(mdl.dim)]
-    F = factor(A, mdl.p, mdl.nexp)
+    F = factor(list(zip(*cols, *mdl.H)), mdl.p, mdl.nexp)
     rel_cols = []
     for k in F.kernel():
         c = k[:len(cols)]
         if any(c):
-            rel_cols.append(_coeffs_to_column(mdl, c, r))
+            rel_cols.append(mdl.to_column(c, g=r))
     phi_rows = [[None] * r for _ in range(r)]
     for i, v in enumerate(gens):
-        sol = F.solve(mdl.phi_vec(v))
-        col = _coeffs_to_column(mdl, sol[:len(cols)], r)
+        col = mdl.to_column(F.solve(mdl.phi_vec(v))[:len(cols)], g=r)
         for ii in range(r):
             phi_rows[ii][i] = col[ii]
     return PhiModule(mdl.W, r, rel_cols, phi_rows, killed_by=killed_by,
                      N=mdl.N, validate=False)
-
-
-def _coeffs_to_column(mdl, c, r):
-    """Coefficient layout of presentation_from_generators back to series."""
-    W = mdl.W
-    col = []
-    pos = 0
-    for _ in range(r):
-        coeffs = [[0] * mdl.m for _ in range(mdl.N)]
-        for t in range(mdl.N):
-            for j in range(mdl.m):
-                coeffs[t][j] = c[pos]
-                pos += 1
-        col.append(SeriesElem(W, [W.elem(row) for row in coeffs]))
-    return col
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +365,9 @@ def boundary_structure_check(M, e=None, i=None):
     small = lambda v: [v[mdl.idx(s, 0, j)] % p
                        for s in range(M.g) for j in range(m)]
     rel_small = [small(h) for h in mdl.H]
-    phi_cols = [small(mdl.phi_vec(mdl.gen_vec(s) if j == 0 else
-                                  _x_power_gen(mdl, s, j)))
+    # x^j gen_s for j < m is the unit vector at idx(s, 0, j)
+    phi_cols = [small(mdl.phi_vec([int(k == mdl.idx(s, 0, j))
+                                   for k in range(mdl.dim)]))
                 for s in range(M.g) for j in range(m)]
     Hs, _ = howell_form(rel_small, p, 1) if rel_small else ([], None)
     full, _ = howell_form(phi_cols + Hs, p, 1) if D else ([], None)
@@ -439,13 +385,6 @@ def boundary_structure_check(M, e=None, i=None):
     bij = surj and inj
     return {"p_u_annihilates": kills, "phi_bijective": bij,
             "passed": kills and bij}
-
-
-def _x_power_gen(mdl, s, j):
-    v = mdl.gen_vec(s)
-    for _ in range(j):
-        v = mdl.x_mul(v)
-    return v
 
 
 class ZpShape:
@@ -593,14 +532,14 @@ def twist_u_torsion_iso(M):
 
     images = []
     for v in src_basis:
+        if m > 1:
+            v = _blockwise(src.W._sigma_matrix(), v, src.q)
         out = [0] * tgt.dim
         for s in range(M.g):
             for t in range(N):
                 base = (s * N + t) * m
-                w = src.W.sigma(src.W.elem(list(v[base:base + m])))
                 dst = (s * N2 + p * t + p - 1) * m
-                for j in range(m):
-                    out[dst + j] = w.coeffs[j] % p
+                out[dst:dst + m] = [a % p for a in v[base:base + m]]
         images.append(out)
     withH, _ = howell_form(images + list(tgt.H), p, 1) if tgt.dim else ([], None)
     rank_img = span_length(withH, p, 1) - span_length(tgt.H, p, 1)
@@ -631,20 +570,13 @@ class EtalePhiModule:
 
 
 def _invertible_over_field(A, F):
-    n = len(A)
-    M = [list(r) for r in A]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if M[i][c].is_unit()), None)
-        if piv is None:
-            return False
-        M[c], M[piv] = M[piv], M[c]
-        inv = M[c][c].inv()
-        M[c] = [x * inv for x in M[c]]
-        for i in range(n):
-            if i != c and not M[i][c].is_zero():
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return True
+    """Full rank of the F_p-linearization of A over F = F_{p^m}: row (i, s)
+    joins row s of the matrices of multiplication by A[i][j]."""
+    mats = [[F._mul_matrix(a) for a in row] for row in A]
+    rows = [[x for mat in row for x in mat[s]]
+            for row in mats for s in range(F.m)]
+    H, _ = howell_form(rows, F.p, 1)
+    return span_length(H, F.p, 1) == len(rows)
 
 
 def etale_fixed_points(V, t_max):

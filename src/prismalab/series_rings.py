@@ -1,9 +1,11 @@
 """Truncated power series over Witt coefficients and the divided-power ring.
 
 SeriesElem models W_n[[u]] at finite u-precision N; elements flagged exact
-behave as honest polynomials.  EisensteinPoly carries exact integer
-coefficient lifts so that divided powers can be computed without p-adic
-precision loss.  DpRing is the divided-power ring at u-degree bound D and
+behave as honest polynomials.  A SeriesElem stores its coefficients as one
+flat tuple of ints mod p^n, the x^j-coefficient of u^t at index t*m + j;
+its WittElem coefficients appear only as a view (SeriesElem.coeffs).
+EisensteinPoly carries exact integer coefficient lifts so that divided
+powers can be computed without p-adic precision loss.  DpRing is the divided-power ring at u-degree bound D and
 internal p-precision n_int, with coordinates on the basis u^i/e(i)!.  A
 DpElem stores its coordinates as one flat tuple of D*m ints mod p^{n_int}
 (the to_vec layout) and multiplies with a structure-constant table built
@@ -21,7 +23,7 @@ from .errors import (
     NotEisenstein, NotInFiltration, PrecisionLoss,
 )
 from .linalg_residue import factor, howell_form
-from .witt_base import WittElem, WittRing, _is_prime
+from .witt_base import WittElem, WittRing, _blockwise, _is_prime
 
 # ---------------------------------------------------------------------------
 # truncated series over W_n(F_{p^m})
@@ -29,49 +31,78 @@ from .witt_base import WittElem, WittRing, _is_prime
 
 
 class SeriesElem:
-    """Element of W_n[[u]] known modulo u^N (N=None means exact polynomial)."""
+    """Element of W_n[[u]] known modulo u^N (N=None means exact polynomial).
 
-    __slots__ = ("ring", "coeffs", "N", "exact")
+    vec holds the coefficients in blocks of m ints mod q, with no trailing
+    zero block; arithmetic works on vec, and coeffs is a read-only view.
+    """
+
+    __slots__ = ("ring", "vec", "N", "exact")
 
     def __init__(self, ring, coeffs, N=None, exact=None):
-        self.ring = ring
-        cs = [c if isinstance(c, WittElem) else ring.elem([c]) for c in coeffs]
+        q, pad, vec = ring.q, [0] * (ring.m - 1), []
+        for c in coeffs:
+            if isinstance(c, WittElem):
+                vec.extend(c.coeffs)
+            else:
+                vec.append(c % q)
+                vec.extend(pad)
+        self._set(ring, vec, N, exact)
+
+    def _set(self, ring, vec, N, exact):
+        m = ring.m
         if exact is None:
             exact = N is None
         if N is None and not exact:
             raise InputError("unbounded elements must be exact")
-        if N is not None and len(cs) > N:
-            if exact and any(not c.is_zero() for c in cs[N:]):
-                raise PrecisionLoss(
-                    f"exact element of degree {len(cs) - 1} exceeds bound {N}")
-            cs = cs[:N]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
+        k = len(vec)
+        if N is not None and k > N * m:
+            if exact and any(vec[N * m:]):
+                raise PrecisionLoss(f"exact element of degree "
+                                    f"{-(-k // m) - 1} exceeds bound {N}")
+            k = N * m
+        while k and not vec[k - 1]:
+            k -= 1
+        self.ring = ring
+        self.vec = tuple(vec[:-(-k // m) * m])
         self.N = N
         self.exact = exact
 
     # -- helpers ---------------------------------------------------------
 
     @classmethod
+    def from_vec(cls, ring, vec, N=None, exact=None):
+        """The series whose flat coefficient vector (ints mod q) is vec."""
+        x = cls.__new__(cls)
+        x._set(ring, vec, N, exact)
+        return x
+
+    @classmethod
     def from_ints(cls, ring, int_coeffs, N=None, exact=None):
-        return cls(ring, [ring.elem([c]) for c in int_coeffs], N, exact)
+        return cls(ring, list(int_coeffs), N, exact)
 
     @classmethod
     def u_pow(cls, ring, k, N=None):
         return cls.from_ints(ring, [0] * k + [1], N)
 
+    @property
+    def coeffs(self):
+        W, m, v = self.ring, self.ring.m, self.vec
+        return tuple(WittElem(W, v[k:k + m]) for k in range(0, len(v), m))
+
     def coeff(self, i):
-        return self.coeffs[i] if i < len(self.coeffs) else self.ring.zero()
+        cs = self.coeffs
+        return cs[i] if i < len(cs) else self.ring.zero()
 
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.vec) // self.ring.m - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.vec
 
     def truncate(self, N):
-        return SeriesElem(self.ring, self.coeffs[:N], N, exact=False)
+        return SeriesElem.from_vec(self.ring, self.vec[:N * self.ring.m], N,
+                                   exact=False)
 
     def _join(self, other):
         if self.ring != other.ring:
@@ -83,50 +114,48 @@ class SeriesElem:
 
     def __add__(self, other):
         N, exact = self._join(other)
-        la, lb = len(self.coeffs), len(other.coeffs)
-        cs = [self.coeff(i) + other.coeff(i) for i in range(max(la, lb))]
-        return SeriesElem(self.ring, cs, N, exact)
+        a, b, q = self.vec, other.vec, self.ring.q
+        if len(a) < len(b):
+            a, b = b, a
+        vec = [(x + y) % q for x, y in zip(a, b)] + list(a[len(b):])
+        return SeriesElem.from_vec(self.ring, vec, N, exact)
 
     def __sub__(self, other):
-        N, exact = self._join(other)
-        la, lb = len(self.coeffs), len(other.coeffs)
-        cs = [self.coeff(i) - other.coeff(i) for i in range(max(la, lb))]
-        return SeriesElem(self.ring, cs, N, exact)
+        return self + -other
 
     def __neg__(self):
-        return SeriesElem(self.ring, [-c for c in self.coeffs], self.N, self.exact)
+        q = self.ring.q
+        return SeriesElem.from_vec(self.ring, [-a % q for a in self.vec],
+                                   self.N, self.exact)
 
     def __mul__(self, other):
         if isinstance(other, (int, WittElem)):
             return self.scale(other)
         N, exact = self._join(other)
         if self.is_zero() or other.is_zero():
-            return SeriesElem(self.ring, [], N, exact)
+            return SeriesElem.from_vec(self.ring, (), N, exact)
         deg = self.degree() + other.degree()
         if exact and N is not None and deg >= N:
             raise PrecisionLoss(
                 f"exact product of degree {deg} exceeds bound {N}")
-        top = deg if N is None else min(deg, N - 1)
-        out = [self.ring.zero() for _ in range(top + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > top:
-                    break
-                out[i + j] = out[i + j] + a * b
-        return SeriesElem(self.ring, out, N, exact)
+        width = deg + 1 if N is None else min(deg + 1, N)
+        return SeriesElem.from_vec(self.ring, _graded_product(
+            self.ring, self.vec, other.vec, width, [[1] * width] * width),
+            N, exact)
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        if isinstance(c, int):
-            c = self.ring.elem([c])
-        return SeriesElem(self.ring, [a * c for a in self.coeffs],
-                          self.N, self.exact)
+        W = self.ring
+        if isinstance(c, int) or W.m == 1:
+            c, q = c if isinstance(c, int) else c.coeffs[0], W.q
+            vec = [a * c % q for a in self.vec]
+        else:
+            vec = _blockwise(W._mul_matrix(c), self.vec, W.q)
+        return SeriesElem.from_vec(W, vec, self.N, self.exact)
 
     def __pow__(self, k):
-        acc = SeriesElem(self.ring, [self.ring.one()], self.N, self.exact)
+        acc = SeriesElem(self.ring, [1], self.N, self.exact)
         base = self
         while k:
             if k & 1:
@@ -138,13 +167,55 @@ class SeriesElem:
     def __eq__(self, other):
         return (isinstance(other, SeriesElem)
                 and self.ring == other.ring and self.N == other.N
-                and self.exact == other.exact and self.coeffs == other.coeffs)
+                and self.exact == other.exact and self.vec == other.vec)
 
     def __repr__(self):
         terms = [f"{list(c.coeffs)}*u^{i}"
                  for i, c in enumerate(self.coeffs) if not c.is_zero()]
         tail = "" if self.N is None else f" + O(u^{self.N})"
         return ("0" if not terms else " + ".join(terms)) + tail
+
+
+def _graded_product(W, x, y, D, T):
+    """Product below degree D of the flat vectors x, y over W (blocks of m),
+    degree i times degree j weighted by T[i][j]; unreduced length-(2m-1)
+    products are reduced mod (f, q) once per degree."""
+    m, q = W.m, W.q
+    if m == 1:
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        out = [0] * D
+        for i, a in zip(range(D), x):
+            if a:
+                row, lim = T[i], D - i
+                for j, b in ys:
+                    if j >= lim:
+                        break
+                    out[i + j] += a * b * row[j]
+        return tuple([c % q for c in out])
+    ys = [(j, y[j * m:(j + 1) * m]) for j in range(len(y) // m)]
+    ys = [(j, b) for j, b in ys if any(b)]
+    acc = [None] * D
+    for i in range(min(D, len(x) // m)):
+        a = x[i * m:(i + 1) * m]
+        if not any(a):
+            continue
+        row, lim = T[i], D - i
+        for j, b in ys:
+            if j >= lim:
+                break
+            out = acc[i + j]
+            if out is None:
+                out = acc[i + j] = [0] * (2 * m - 1)
+            c = row[j]
+            for s, a_s in enumerate(a):
+                if a_s:
+                    a_s *= c
+                    for t, b_t in enumerate(b):
+                        out[s + t] += a_s * b_t
+    vec = []
+    for out in acc:
+        vec.extend([0] * m if out is None else W._reduce(out))
+    return tuple(vec)
 
 
 def phi_apply(x: SeriesElem, bound=None) -> SeriesElem:
@@ -154,16 +225,19 @@ def phi_apply(x: SeriesElem, bound=None) -> SeriesElem:
     coefficients below the bound, so its cost does not grow with p.
     """
     r = x.ring
-    p = r.p
-    width = p * len(x.coeffs)
+    p, m = r.p, r.m
+    width = p * (len(x.vec) // m)
     if bound is None:
         N, exact = (None if x.N is None else p * x.N), x.exact
     else:
         N, exact, width = bound, False, min(bound, width)
-    out = [r.zero() for _ in range(width)]
-    for i in range(0, width, p):
-        out[i] = r.sigma(x.coeffs[i // p])
-    return SeriesElem(r, out, N, exact)
+    v = x.vec[:-(-width // p) * m]
+    if m > 1:
+        v = _blockwise(r._sigma_matrix(), v, r.q)
+    out = [0] * (width * m)
+    for k in range(0, len(v), m):
+        out[p * k:p * k + m] = v[k:k + m]
+    return SeriesElem.from_vec(r, out, N, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -292,27 +366,33 @@ def divide_exact(x, by):
         by = by.series(x.ring)
     if isinstance(x, DpElem):
         raise InputError("polynomial division is not defined on DpElem")
-    if not (by.exact and not by.coeffs[-1].is_zero()):
+    if not (by.exact and by.vec):
         raise InputError("divisor must be an exact polynomial")
-    if not by.coeffs[-1].is_unit():
+    lead = by.coeffs[-1]
+    if not lead.is_unit():
         raise InputError("divisor must have unit leading coefficient")
     if not x.exact:
         raise InsufficientPrecision("exact division requires an exact dividend")
-    lead_inv = by.coeffs[-1].inv()
-    rem = list(x.coeffs)
+    W = x.ring
+    m, q = W.m, W.q
+    inv_rows = W._mul_matrix(lead.inv())
+    by_rows = [W._mul_matrix(c) for c in by.coeffs]
+    rem = [x.vec[k:k + m] for k in range(0, len(x.vec), m)]
     db = by.degree()
-    quot = [x.ring.zero()] * max(1, len(rem) - db)
+    quot = [(0,) * m] * max(1, len(rem) - db)
     while len(rem) - 1 >= db and rem:
-        c = rem[-1] * lead_inv
+        c = _blockwise(inv_rows, rem[-1], q)
         d = len(rem) - 1 - db
         quot[d] = c
-        for i in range(db + 1):
-            rem[d + i] = rem[d + i] - c * by.coeffs[i]
-        while rem and rem[-1].is_zero():
+        for i, rows in enumerate(by_rows):
+            rem[d + i] = [(a - b) % q for a, b in
+                          zip(rem[d + i], _blockwise(rows, c, q))]
+        while rem and not any(rem[-1]):
             rem.pop()
     if rem:
         raise NotDivisible("nonzero remainder")
-    return SeriesElem(x.ring, quot, x.N, exact=True)
+    return SeriesElem.from_vec(W, [a for c in quot for a in c], x.N,
+                               exact=True)
 
 
 def _divide_p_power(x, pk):
@@ -333,12 +413,10 @@ def _divide_p_power(x, pk):
             f"cannot drop {i} digits from precision {ring.n}")
     new_ring = ring.lower_precision(i)
     pi = p ** i
-    out = []
-    for c in x.coeffs:
-        if any(a % pi for a in c.coeffs):
-            raise NotDivisible("coefficient not divisible by p^i")
-        out.append(new_ring.elem([a // pi for a in c.coeffs]))
-    return SeriesElem(new_ring, out, x.N, x.exact)
+    if any(a % pi for a in x.vec):
+        raise NotDivisible("coefficient not divisible by p^i")
+    return SeriesElem.from_vec(new_ring, [a // pi for a in x.vec], x.N,
+                               x.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +537,9 @@ class DpRing:
         if s.ring.p != self.p or s.ring.m != self.m:
             raise InputError("incompatible series ring")
         prec = min(s.ring.n, self.n_int)
-        vec = []
-        for i, c in enumerate(s.coeffs[:self.D]):
-            fac = math.factorial(self.ei(i)) % self.q
-            vec.extend(a * fac for a in c.coeffs)
-        return self.from_vec(vec, prec)
+        m = self.m
+        return self.from_vec([a * math.factorial(self.ei(k // m))
+                              for k, a in enumerate(s.vec[:self.dim])], prec)
 
     def gamma(self, j):
         """Coordinates of the divided power gamma_j(E) = E^j / j!."""
@@ -689,7 +765,9 @@ class DpElem:
             q = self.ring.q
             return DpElem(self.ring, tuple([a * other % q for a in self.vec]),
                           self.prec)
-        return DpElem(self.ring, self._times(other.vec),
+        R = self.ring
+        return DpElem(R, _graded_product(R.ring, self.vec, other.vec, R.D,
+                                         R._mul_table()),
                       min(self.prec, other.prec))
 
     __rmul__ = __mul__
@@ -700,51 +778,9 @@ class DpElem:
             c, q = w.coeffs[0], self.ring.q
             return DpElem(self.ring, tuple([a * c % q for a in self.vec]),
                           self.prec)
-        return DpElem(self.ring, self._times(w.coeffs), self.prec)
-
-    def _times(self, y):
-        """vec of the product with the element whose vec is y (missing
-        trailing coordinates are zero): the graded schoolbook product
-        b_i b_j = T[i][j] b_{i+j}, dropping degrees from D on."""
         R = self.ring
-        D, m, q, T = R.D, R.m, R.q, R._mul_table()
-        x = self.vec
-        if m == 1:
-            ys = [(j, b) for j, b in enumerate(y) if b]
-            out = [0] * D
-            for i, a in enumerate(x):
-                if a:
-                    row, lim = T[i], D - i
-                    for j, b in ys:
-                        if j >= lim:
-                            break
-                        out[i + j] += a * b * row[j]
-            return tuple([c % q for c in out])
-        # unreduced length-(2m-1) products, reduced once per coordinate
-        ys = [(j, y[j * m:(j + 1) * m]) for j in range(len(y) // m)]
-        ys = [(j, b) for j, b in ys if any(b)]
-        acc = [None] * D
-        for i in range(D):
-            a = x[i * m:(i + 1) * m]
-            if not any(a):
-                continue
-            row, lim = T[i], D - i
-            for j, b in ys:
-                if j >= lim:
-                    break
-                out = acc[i + j]
-                if out is None:
-                    out = acc[i + j] = [0] * (2 * m - 1)
-                c = row[j]
-                for s, a_s in enumerate(a):
-                    if a_s:
-                        a_s *= c
-                        for t, b_t in enumerate(b):
-                            out[s + t] += a_s * b_t
-        vec = []
-        for out in acc:
-            vec.extend([0] * m if out is None else R.ring._reduce(out))
-        return tuple(vec)
+        return DpElem(R, _graded_product(R.ring, self.vec, w.coeffs, R.D,
+                                         R._mul_table()), self.prec)
 
     def __pow__(self, k):
         acc = self.ring.one()

@@ -276,6 +276,15 @@ class WittRing:
             self._sigma_mat = tuple(zip(*(pw.coeffs for pw in pows)))
         return self._sigma_mat
 
+    def _mul_matrix(self, c):
+        """The m x m matrix over Z/p^n of multiplication by the WittElem c
+        (column j is c x^j), as a tuple of rows."""
+        cols, w = [], list(c.coeffs)
+        for _ in range(self.m):
+            cols.append(w)
+            w = self._reduce([0] + w)
+        return tuple(zip(*cols))
+
     def sigma(self, a):
         """The Frobenius lift, a -> M a with M from _sigma_matrix."""
         if self.m == 1:
@@ -381,6 +390,17 @@ class WittElem:
 
     def __repr__(self):
         return f"WittElem{self.coeffs}"
+
+
+def _blockwise(rows, v, q):
+    """The m x m matrix given by its rows applied, mod q, to each m-block of
+    the flat vector v (zero blocks are copied)."""
+    m, out = len(rows), []
+    for k in range(0, len(v), m):
+        b = v[k:k + m]
+        out.extend([sum(map(operator.mul, r, b)) % q for r in rows]
+                   if any(b) else b)
+    return out
 
 
 def _fp_invmod(a, f, p):

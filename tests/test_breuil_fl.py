@@ -110,6 +110,23 @@ def tate_fl(W):
     return FLModule(W, [1], 1, {1: [[one]]}, {0: [[zero]], 1: [[one]]})
 
 
+def test_fl_direct_sum_of_unequal_ranks():
+    # each summand's vectors are padded by the other summand's rank
+    W = WittRing(3, 1, 1)
+    one, zero = W.one(), W.zero()
+    A = unit_fl(W)
+    B = FLModule(W, [1, 1], 1, {1: [[one, zero]]},
+                 {0: [[one, zero], [zero, one]], 1: [[zero, one]]})
+    AB, BA = A.direct_sum(B), B.direct_sum(A)
+    assert AB.phi_images(0) == [(one, zero, zero), (zero, one, zero),
+                                (zero, zero, one)]
+    assert AB.fil_gens(1) == [(zero, one, zero)]
+    assert BA.fil_gens(1) == [(one, zero, zero)]
+    assert BA.phi_images(1) == [(zero, one, zero)]
+    assert all(len(v) == 3 for S in (AB, BA) for i in (0, 1)
+               for v in S.phi_images(i))
+
+
 def test_unit_and_tate_fl():
     W = WittRing(3, 1, 1)
     for M in (unit_fl(W), tate_fl(W)):

@@ -8,10 +8,14 @@ from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
 from prismalab.cli import (
-    Document, main, parse_document, parse_series, run_check,
+    Document, build_module, main, parse_document, parse_series, run_check,
     serialize_series,
 )
+from prismalab.decomposition import (
+    SplitResult, fitting_conditions, split_phi_module,
+)
 from prismalab.errors import ParseError, UnknownCheck
+from prismalab.phi_modules import PhiModule, presentation_from_generators
 
 SPLIT_DOC = """\
 [ring]
@@ -133,6 +137,54 @@ def test_document_round_trip_bracketed_leading_coefficient():
         parse_document("[ring]\np=3\n[ foo ]\n")
 
 
+@st.composite
+def documents(draw):
+    """Document text at m = 1 or 2: relation, phi and psi rows of series
+    literals (bracketed coefficients at m = 2, possibly short or
+    negative; repeated degrees; zero cells), optional kill and N headers
+    and a [check] block."""
+    p, n, m = (draw(st.sampled_from(v)) for v in ([2, 3], [1, 2], [1, 2]))
+    g = draw(st.integers(1, 2))
+    digit = st.integers(-p ** n, 2 * p ** n)
+
+    def cell():
+        terms = []
+        for _ in range(draw(st.integers(0, 3))):
+            if m == 2 and draw(st.booleans()):
+                width = draw(st.integers(1, 2))
+                c = "[" + ",".join(str(draw(digit))
+                                   for _ in range(width)) + "]"
+            else:
+                c = str(draw(digit))
+            d = draw(st.integers(0, 5))
+            terms.append(c if d == 0 else f"{c}*u^{d}")
+        return " + ".join(terms) or "0"
+
+    def rows(k):
+        return [", ".join(cell() for _ in range(g)) for _ in range(k)]
+
+    header = [f"g={g}"]
+    if draw(st.booleans()):
+        header.append(f"killed={n},{draw(st.integers(1, 6))}")
+    if draw(st.booleans()):
+        header.append(f"N={draw(st.integers(2, 8))}")
+    lines = ["[ring]", f"p={p} n={n} m={m}", "[module]", " ".join(header)]
+    lines += rows(draw(st.integers(0, 2)))
+    lines += ["[phi]"] + rows(g)
+    if draw(st.booleans()):
+        lines += ["[psi]"] + rows(g)
+    lines += ["[check]", f"name={draw(st.sampled_from(['split', 'height']))}"]
+    return "\n".join(lines) + "\n"
+
+
+@given(documents())
+def test_document_round_trip_property(text):
+    doc = parse_document(text)
+    out = doc.serialize()
+    assert parse_document(out) == doc
+    assert parse_document(out).serialize() == out
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError, match="line 1"):
         parse_document("stray content")
@@ -191,6 +243,48 @@ def test_check_empty_module_vacuous(tmp_path):
     res = run(["check", _write(tmp_path, text)])
     assert res.exit_code == 0
     assert "vacuous" in res.output
+
+
+@pytest.mark.parametrize("name", ["split", "zp_shape", "u_torsion",
+                                  "boundary", "height"])
+def test_module_checks_pass_vacuously_on_an_empty_module(tmp_path, name):
+    text = f"[ring]\np=2 n=1\n[module]\ng=0\n[check]\nname={name}\n"
+    res = run(["check", _write(tmp_path, text), "--json"])
+    assert res.exit_code == 0
+    assert res.output == (
+        "{\n"
+        f'  "check": "{name}",\n'
+        '  "note": "vacuous: empty module",\n'
+        '  "status": "pass"\n'
+        "}\n")
+
+
+def _nilpotent_part_as_mult(M, rng=None):
+    """A planted defect: the submodule on the second generator, where
+    phi-bar is nilpotent, returned as the multiplicative part."""
+    mdl = M.model()
+    v = mdl.gen_vec(1)
+    M_mult = presentation_from_generators(M, mdl, [v], killed_by=M.killed_by)
+    M_nilp = PhiModule(M.ring, M.g, M.relations + [tuple(mdl.to_column(v))],
+                       M.phi, killed_by=M.killed_by, N=M.N)
+    return SplitResult(M_mult, M_nilp, section=[])
+
+
+def test_check_split_certifies_the_fitting_conditions(tmp_path, monkeypatch):
+    M = build_module(parse_document(README_DOC))
+    assert fitting_conditions(split_phi_module(M)) == (True, True)
+    fake = _nilpotent_part_as_mult(M)
+    # the lengths of the planted split add up, so only the Fitting
+    # conditions can tell it from a true one
+    assert fake.M_mult.length() + fake.M_nilp.length() == M.length()
+    assert fitting_conditions(fake) == (False, False)
+    monkeypatch.setattr("prismalab.cli.split_phi_module",
+                        _nilpotent_part_as_mult)
+    res = run(["check", _write(tmp_path, README_DOC), "--json"])
+    rep = json.loads(res.output)
+    assert res.exit_code == 1 and rep["status"] == "fail"
+    assert rep["exact"] is False
+    assert rep["mult_bijective"] is False and rep["nilp_nilpotent"] is False
 
 
 def test_check_unknown_and_parse_error_exit2(tmp_path):

@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from prismalab.breuil_fl import FLModule, kisin_to_breuil
 from prismalab.decomposition import (
-    SplitResult, _ceil_log, check_split_compat, mult_section, split_breuil,
-    split_fl, split_phi_module,
+    SplitResult, _ceil_log, check_split_compat, fitting_conditions,
+    mult_section, split_breuil, split_fl, split_phi_module,
 )
 from prismalab.errors import NotFL, NotKilledByP
 from prismalab.linalg_residue import in_span, kernel_solve
@@ -53,6 +54,18 @@ def test_section_diagonal_unit_is_exact():
     col = M.model().to_column(images[0])
     assert (col[0] - series(W, [1])).is_zero()
     assert col[1].is_zero()
+
+
+@given(st.sampled_from([2, 3]), st.integers(1, 2), st.integers(1, 2),
+       st.integers(1, 4), st.data())
+def test_split_lengths_add_up(p, n, g, b, data):
+    W = WittRing(p, n, 1)
+    poly = st.lists(st.integers(0, W.q - 1), max_size=3)
+    M = u_kill_module(W, [[data.draw(poly) for _ in range(g)]
+                          for _ in range(g)], b)
+    res = split_phi_module(M)
+    assert res.M_mult.length() + res.M_nilp.length() == M.length()
+    assert fitting_conditions(res) == (True, True)
 
 
 def test_section_frozen_unipotent_example():
