@@ -3,8 +3,15 @@
 Every split follows the same pattern: reduce to a finite module where the
 Frobenius is linear enough for a Fitting decomposition (mod u for phi
 modules, mod I_+ for Breuil modules, the module itself for the filtered
-W-modules), then transport the multiplicative part back with the iterated
-section x-bar -> lim phi^t(x_t).
+W-modules), write the reduced Frobenius as a matrix over Z/p^n (over F_p
+for the mod-p splits, where a sigma-semilinear map of F_{p^m}^g is a
+g*m x g*m matrix), and run one core on linalg_residue.  _stable_image is
+the multiplicative part: the span where the iterated images stabilize.
+_preimages solves phi-bar^T(y) = x-bar inside it, and the section
+x-bar -> phi^T(y) transports that part back to the module; the filtered
+split needs no transport, its stable image being the summand itself.
+Data over F_{p^m} (echelon rows, coordinates, projections) are read off
+the Howell form at n = 1, with no second elimination.
 """
 
 from __future__ import annotations
@@ -12,7 +19,8 @@ from __future__ import annotations
 from .breuil_fl import FLModule, fl_to_breuil, is_fl_module
 from .errors import InputError, NotFL, NotKilledByP
 from .linalg_residue import (
-    factor, howell_form, in_span, span_length, spans_equal,
+    factor, howell_form, in_span, pivot_info, reduce_vector, span_length,
+    spans_equal,
 )
 from .phi_modules import PhiModule, presentation_from_generators
 from .series_rings import int_poly_pow
@@ -41,7 +49,7 @@ class SplitResult:
 
 
 # ---------------------------------------------------------------------------
-# phi modules over the truncated series ring
+# the Fitting core: linearized Frobenius, stable image, preimages
 # ---------------------------------------------------------------------------
 
 
@@ -49,25 +57,22 @@ def _mat_apply(A, v, q):
     return [sum(a * b for a, b in zip(row, v)) % q for row in A]
 
 
-def _mod_u_data(M, mdl):
-    """Relations and the linearized Frobenius of M/uM on g*m coordinates:
-    the u^0 coefficients of each relation column times x^a, and of each
-    phi column times sigma(x^a) = sigma(x)^a, for a < m."""
-    W = mdl.W
-    g, m, q, w = M.g, W.m, mdl.q, mdl.N * W.m
+def _multiples(v, mat, m, q):
+    """[v, Mv, ..., M^{m-1} v] for the m x m matrix M (rows) applied to
+    each m-block of the flat vector v."""
+    out = [v]
+    for _ in range(1, m):
+        out.append(_blockwise(mat, out[-1], q))
+    return out
 
-    def multiples(col, rows):
-        v = mdl.vec(col)
-        out = [[a for s in range(g) for a in v[s * w:s * w + m]]]
-        for _ in range(1, m):
-            out.append(_blockwise(rows, out[-1], q))
-        return out
 
-    rel0 = [r for col in M.relations for r in multiples(col, mdl._x_rows)]
+def _semilinear_matrix(images, W, q):
+    """The matrix over Z/q of the sigma-semilinear map sending basis vector
+    k to the flat vector images[k], on the coordinates (k, a) of x^a e_k:
+    column (k, a) is sigma(x)^a times images[k]."""
     sx = W._mul_matrix(W.sigma_gen())
-    cols = [c for j in range(g)
-            for c in multiples([M.phi[i][j] for i in range(g)], sx)]
-    return rel0, [list(r) for r in zip(*cols)]
+    cols = [c for im in images for c in _multiples(im, sx, W.m, q)]
+    return [list(r) for r in zip(*cols)]
 
 
 def _stable_image(F, rel0, p, nexp):
@@ -82,6 +87,69 @@ def _stable_image(F, rel0, p, nexp):
         if spans_equal(cur, nxt, p, nexp):
             return cur
         cur = nxt
+
+
+def _preimages(F, basis, rel, T, targets, p, nexp):
+    """For each target x, a y = sum c_k basis_k with F^T y = x modulo the
+    span of rel, from one factorization of [F^T basis | rel]."""
+    q = p ** nexp
+    dim = len(F)
+    FT = [row[:] for row in F]
+    for _ in range(T - 1):
+        FT = [[sum(FT[i][k] * F[k][j] for k in range(dim)) % q
+               for j in range(dim)] for i in range(dim)]
+    cols = [_mat_apply(FT, row, q) for row in basis] + list(rel)
+    fac = factor([[c[r] for c in cols] for r in range(dim)], p, nexp)
+    out = []
+    for x in targets:
+        y = [0] * dim
+        for c, row in zip(fac.solve(x)[:len(basis)], basis):
+            if c:
+                for i, a in enumerate(row):
+                    y[i] = (y[i] + c * a) % q
+        out.append(y)
+    return out
+
+
+def _field_rows(stable, m, p):
+    """The reduced echelon rows over F_{p^m} of the F_{p^m}-space whose
+    F_p-linearization has the Howell basis stable (at n = 1), with their
+    pivot coordinates.  A vector leading in coordinate t spans all of
+    F_{p^m} there, so the m columns of that block are all F_p pivots, and
+    the F_{p^m} rows are the Howell rows whose pivot starts a block."""
+    rows, piv = [], []
+    for row, (c, _) in zip(stable, pivot_info(stable, p, 1)):
+        if c % m == 0:
+            rows.append(row)
+            piv.append(c // m)
+    return rows, piv
+
+
+def _unflat(W, v):
+    """The flat vector v as a list of WittElems over W."""
+    return [W.elem(v[k:k + W.m]) for k in range(0, len(v), W.m)]
+
+
+# ---------------------------------------------------------------------------
+# phi modules over the truncated series ring
+# ---------------------------------------------------------------------------
+
+
+def _mod_u_data(M, mdl):
+    """Relations and the linearized Frobenius of M/uM on g*m coordinates:
+    the u^0 coefficients of each relation column times x^a, and of each
+    phi column times sigma(x^a) = sigma(x)^a, for a < m."""
+    W = mdl.W
+    g, m, q, w = M.g, W.m, mdl.q, mdl.N * W.m
+
+    def at_u0(col):
+        v = mdl.vec(col)
+        return [a for s in range(g) for a in v[s * w:s * w + m]]
+
+    rel0 = [r for col in M.relations
+            for r in _multiples(at_u0(col), mdl._x_rows, m, q)]
+    images = [at_u0([M.phi[i][j] for i in range(g)]) for j in range(g)]
+    return rel0, _semilinear_matrix(images, W, q)
 
 
 def _fitting_lengths(M):
@@ -122,21 +190,9 @@ def mult_section(M, rng=None):
              and any(row)]
     b = M.killed_by[1] if (M.killed_by and M.killed_by[1]) else mdl.N
     T = max(1, _ceil_log(b, p)) + 1
-    FT = [row[:] for row in F]
-    for _ in range(T - 1):
-        FT = [[sum(FT[i][k] * F[k][j] for k in range(len(F))) % q
-               for j in range(len(F))] for i in range(len(F))]
     # solve phi-bar^T(y) = x-bar with y inside the multiplicative part
-    cols = [_mat_apply(FT, row, q) for row in basis] + list(rel_span)
-    fac = factor([[c[r] for c in cols] for r in range(len(F))], p, nexp)
     images = []
-    for xbar in basis:
-        sol = fac.solve(xbar)
-        y = [0] * len(F)
-        for c, row in zip(sol[:len(basis)], basis):
-            if c:
-                for i, a in enumerate(row):
-                    y[i] = (y[i] + c * a) % q
+    for y in _preimages(F, basis, rel_span, T, basis, p, nexp):
         v = [0] * mdl.dim
         for s in range(M.g):
             for j in range(mdl.m):
@@ -167,52 +223,6 @@ def split_phi_module(M, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# field linear algebra over W_1 = F_{p^m} (for the mod-p splits)
-# ---------------------------------------------------------------------------
-
-
-def _f_echelon(rows, W):
-    """Reduced row echelon over the field W; returns (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    out, pivots = [], []
-    width = len(rows[0]) if rows else 0
-    for c in range(width):
-        piv = next((r for r in rows
-                    if all(x.is_zero() for x in r[:c]) and r[c].is_unit()),
-                   None)
-        if piv is None:
-            continue
-        rows.remove(piv)
-        inv = piv[c].inv()
-        piv = [x * inv for x in piv]
-        rows = [[x - r[c] * y for x, y in zip(r, piv)] for r in rows]
-        out = [[x - r[c] * y for x, y in zip(r, piv)] for r in out]
-        out.append(piv)
-        pivots.append(c)
-    return out, pivots
-
-
-def _f_reduce(v, ech, pivots):
-    v = list(v)
-    for row, c in zip(ech, pivots):
-        if not v[c].is_zero():
-            v = [x - v[c] * y for x, y in zip(v, row)]
-    return v
-
-
-def _f_coords(v, ech, pivots):
-    """Coefficients of v on the echelon rows; None if not in the span."""
-    coeffs = []
-    v = list(v)
-    for row, c in zip(ech, pivots):
-        coeffs.append(v[c])
-        v = [x - v[c] * y for x, y in zip(v, row)]
-    if any(not x.is_zero() for x in v):
-        return None
-    return coeffs
-
-
-# ---------------------------------------------------------------------------
 # Breuil modules (mod p)
 # ---------------------------------------------------------------------------
 
@@ -222,7 +232,7 @@ def split_breuil(B, alternative=None):
     S = B.S
     if S.n_user != 1:
         raise NotKilledByP("the Breuil split works on the mod-p layer")
-    p, r = B.p, B.r
+    p, r, m = B.p, B.r, S.m
     Eh = S.from_int_poly(int_poly_pow(list(S.eis.int_coeffs), B.h))
     c1ih = (S.c1_inv() ** B.h).reduce_prec(1)
     Fcols = []
@@ -240,70 +250,38 @@ def split_breuil(B, alternative=None):
             acc = [a + fs * c for a, c in zip(acc, Fcols[i])]
         return [a.reduce_prec(1) for a in acc]
 
-    W1 = WittRing(p, 1, S.m, list(S.ring.f) if S.m > 1 else None)
-    const = lambda v: [W1.elem([a % p for a in c.vec[:S.m]]) for c in v]
-
-    def apply_bar(wv):
-        # semilinear reduction of the Frobenius to S/I_+ = W_1^r
-        acc = [W1.zero() for _ in range(r)]
-        for i in range(r):
-            a = wv[i]
-            if a.is_zero():
-                continue
-            sa = W1.sigma(a)
-            col = const(Fcols[i])
-            acc = [x + y * sa for x, y in zip(acc, col)]
-        return acc
-
-    cur, _ = _f_echelon([apply_bar([W1.one() if k == i else W1.zero()
-                                    for k in range(r)])
-                         for i in range(r)], W1)
-    while True:
-        nxt, _ = _f_echelon([apply_bar(row) for row in cur], W1)
-        if len(nxt) == len(cur):
-            break
-        cur = nxt
+    # the semilinear reduction of the Frobenius to S/I_+ = F_{p^m}^r,
+    # linearized over F_p
+    W1 = WittRing(p, 1, m, list(S.ring.f) if m > 1 else None)
+    F = _semilinear_matrix([[a % p for c in Fcols[i] for a in c.vec[:m]]
+                            for i in range(r)], W1, p)
+    stable = _stable_image(F, [], p, 1)
+    cur, _ = _field_rows(stable, m, p)
     ell = max(1, _ceil_log(S.D, p)) + 1
 
-    def power_bar(wv, k):
-        for _ in range(k):
-            wv = apply_bar(wv)
-        return wv
-
-    cols = [power_bar(row, ell) for row in cur]
-    images = []
-    for xbar in cur:
-        coeffs = _solve_field([list(c) for c in cols], xbar, W1)
-        y = [W1.zero() for _ in range(r)]
-        for c, row in zip(coeffs, cur):
-            y = [a + b * c for a, b in zip(y, row)]
-        v = [S.one().scale_w(S.ring.elem(list(c.coeffs))) for c in y]
+    def lift(v):
         for _ in range(ell):
             v = apply_phi(v)
-        images.append(v)
-    rows = []
-    for v in images:
-        rows.extend(B.s_multiples(v))
-    mult_span, _ = howell_form(rows, p, 1) if rows else ([], None)
+        return v
+
+    def span(vectors):
+        rows = [row for v in vectors for row in B.s_multiples(v)]
+        return howell_form(rows, p, 1)[0] if rows else []
+
+    images = [lift([S.from_vec(y[k:k + m]) for k in range(0, r * m, m)])
+              for y in _preimages(F, stable, [], ell, cur, p, 1)]
+    mult_span = span(images)
     mult_len = span_length(mult_span, p, 1)
-    nilp_len = B.dim - mult_len
     cert = {"canonical": None, "fil_compatible": _fil_compat(B, mult_span,
                                                              images)}
     if alternative is not None:
-        alt = []
-        for v in alternative:
-            w = [c.reduce_prec(1) for c in v]
-            for _ in range(ell):
-                w = apply_phi(w)
-            alt.append(w)
-        arows = []
-        for v in alt:
-            arows.extend(B.s_multiples(v))
-        aspan, _ = howell_form(arows, p, 1) if arows else ([], None)
+        aspan = span([lift([c.reduce_prec(1) for c in v])
+                      for v in alternative])
         cert["canonical"] = spans_equal(aspan, mult_span, p, 1)
     return SplitResult(
         {"generators": images, "span": mult_span, "length": mult_len},
-        {"length": nilp_len}, section=cur, inclusion=images,
+        {"length": B.dim - mult_len},
+        section=[_unflat(W1, row) for row in cur], inclusion=images,
         certificate=cert)
 
 
@@ -327,20 +305,6 @@ def _fil_compat(B, mult_span, images):
     return span_length(hs, p, 1) == inter_dim
 
 
-def _solve_field(cols, target, W):
-    """Coefficients over the field W with sum c_k cols_k = target."""
-    r = len(target)
-    rows = [list(col) + [W.zero()] * len(cols) for col in cols]
-    for k in range(len(cols)):
-        rows[k][r + k] = W.one()
-    ech, piv = _f_echelon(rows, W)
-    v = list(target) + [W.zero()] * len(cols)
-    red = _f_reduce(v, ech, piv)
-    if any(not x.is_zero() for x in red[:r]):
-        raise InputError("target outside the span")
-    return [-x for x in red[r:]]
-
-
 # ---------------------------------------------------------------------------
 # filtered W-modules (mod p)
 # ---------------------------------------------------------------------------
@@ -353,50 +317,32 @@ def split_fl(M):
     W = M.W
     if W.n != 1:
         raise InputError("the filtered split works on the mod-p layer")
-    g = M.g
+    g, m, p = M.g, W.m, W.p
     phi0 = M.phi_images(0)
-
-    def apply0(v):
-        acc = [W.zero() for _ in range(g)]
-        for t in range(g):
-            a = v[t]
-            if a.is_zero():
-                continue
-            sa = W.sigma(a)
-            acc = [x + y * sa for x, y in zip(acc, phi0[t])]
-        return acc
-
-    cur, piv = _f_echelon([list(phi0[t]) for t in range(g)], W)
-    while True:
-        nxt, npiv = _f_echelon([apply0(row) for row in cur], W)
-        if len(nxt) == len(cur):
-            break
-        cur, piv = nxt, npiv
-    rank = len(cur)
-    # multiplicative part: phi_0 restricted to the stable rows
-    phi0_sub = []
-    for row in cur:
-        coeffs = _f_coords(apply0(row), cur, piv)
-        phi0_sub.append(coeffs)
-    M_mult = FLModule(W, [1] * rank, M.h, {},
-                      {0: [list(c) for c in phi0_sub]})
+    F = _semilinear_matrix([M.vec(v) for v in phi0], W, p)
+    stable = _stable_image(F, [], p, 1)
+    cur, piv = _field_rows(stable, m, p)
+    # multiplicative part: phi_0 on the stable rows, whose coordinates are
+    # their pivot blocks
+    phi0_sub = [[W.elem(y[t * m:(t + 1) * m]) for t in piv]
+                for y in (_mat_apply(F, row, p) for row in cur)]
+    M_mult = FLModule(W, [1] * len(cur), M.h, {}, {0: phi0_sub})
     # quotient on the non-pivot coordinates
-    qcoords = [c for c in range(g) if c not in piv]
+    qcoords = [t for t in range(g) if t not in piv]
 
     def project(v):
-        red = _f_reduce(v, cur, piv)
-        return [red[c] for c in qcoords]
+        red = reduce_vector(stable, v, p, 1)
+        return [W.elem(red[t * m:(t + 1) * m]) for t in qcoords]
 
-    basis = lambda t: [W.one() if s == t else W.zero() for s in range(g)]
-    phi_n = {0: [project(apply0(basis(t))) for t in qcoords]}
+    phi_n = {0: [project(M.vec(phi0[t])) for t in qcoords]}
     fil_n = {}
     for i in range(1, M.h + 1):
-        fil_n[i] = [project(list(v)) for v in M.fil_gens(i)]
-        phi_n[i] = [project(list(v)) for v in M.phi_images(i)]
+        fil_n[i] = [project(M.vec(v)) for v in M.fil_gens(i)]
+        phi_n[i] = [project(M.vec(v)) for v in M.phi_images(i)]
     M_nilp = FLModule(W, [1] * len(qcoords), M.h, fil_n, phi_n)
-    proj_matrix = [project(basis(t)) for t in range(g)]
-    return SplitResult(M_mult, M_nilp, section=[list(r) for r in cur],
-                       inclusion=[list(r) for r in cur],
+    proj_matrix = [project(M.vec(M.basis_vector(t))) for t in range(g)]
+    return SplitResult(M_mult, M_nilp, section=[_unflat(W, r) for r in cur],
+                       inclusion=[_unflat(W, r) for r in cur],
                        projection=proj_matrix)
 
 

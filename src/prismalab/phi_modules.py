@@ -23,6 +23,13 @@ from .linalg_residue import (
 from .series_rings import SeriesElem, phi_apply
 from .witt_base import WittRing, _blockwise
 
+# A model is dense: its relation rows hold (relation count * N * m) x dim
+# cells before the Howell form runs, so a relation of high u-degree in a
+# small document would exhaust memory with no report.  2^24 cells is about
+# 57 times the largest model of the benchmark corpus and still passes a
+# 1 x 1 module with relation u^4000.
+MODEL_CELL_BUDGET = 2 ** 24
+
 
 class PhiModule:
     """coker of the relation matrix, with phi(gen_j) = sum_i Phi[i][j] gen_i."""
@@ -156,6 +163,12 @@ class FiniteModel:
         self.m = W.m
         self.q = W.q
         self.dim = M.g * N * W.m
+        nrows = len(M.relations) * N * W.m
+        if nrows * self.dim > MODEL_CELL_BUDGET:
+            raise InputError(
+                f"model too large: g={M.g}, N={N}, m={W.m} give {nrows} "
+                f"relation rows of {self.dim} cells, over the budget of "
+                f"{MODEL_CELL_BUDGET} cells")
         self._x_rows = W._mul_matrix(W.gen())
         self._phi_img = None
         # the u^t x^j multiples of different relations often coincide or

@@ -378,9 +378,6 @@ class WittElem:
             k *= 2
         return y
 
-    def reduce_mod(self, pk):
-        return tuple(c % pk for c in self.coeffs)
-
     def __eq__(self, other):
         return (isinstance(other, WittElem) and self.ring == other.ring
                 and self.coeffs == other.coeffs)
@@ -435,24 +432,3 @@ def _zip_pad(a, b):
     la, lb = len(a), len(b)
     n = max(la, lb)
     return zip(a + [0] * (n - la), b + [0] * (n - lb))
-
-
-# ---------------------------------------------------------------------------
-# module-level operations
-# ---------------------------------------------------------------------------
-
-
-def witt_sigma(x: WittElem) -> WittElem:
-    return x.ring.sigma(x)
-
-
-def witt_arith(a: WittElem, b: WittElem, op: str) -> WittElem:
-    if a.ring != b.ring:
-        raise InputError("operands live in different rings")
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inv()
-    raise InputError(f"unknown op {op!r}")

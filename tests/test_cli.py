@@ -15,7 +15,9 @@ from prismalab.decomposition import (
     SplitResult, fitting_conditions, split_phi_module,
 )
 from prismalab.errors import ParseError, UnknownCheck
-from prismalab.phi_modules import PhiModule, presentation_from_generators
+from prismalab.phi_modules import (
+    FiniteModel, PhiModule, presentation_from_generators,
+)
 
 SPLIT_DOC = """\
 [ring]
@@ -328,6 +330,36 @@ def test_check_length_readme_document_at_p_near_1e18(tmp_path):
     assert time.perf_counter() - t0 < 1.0
     assert res.exit_code == 0
     assert json.loads(res.output)["status"] == "pass"
+
+
+def _u_power_document(d):
+    return (f"[ring]\np=2 n=1\n[module]\ng=1\nu^{d}\n[phi]\n1\n"
+            "[check]\nname=length\n")
+
+
+def test_check_refuses_an_oversized_model_before_building_it(
+        tmp_path, monkeypatch):
+    # the dense model of u^5000 has 5001 x 5001 cells: it took seconds and
+    # hundreds of MB before it could answer, and larger degrees gigabytes
+    def no_rows(*args):
+        raise AssertionError("relation rows built")
+
+    monkeypatch.setattr(FiniteModel, "column_rows", no_rows)
+    t0 = time.perf_counter()
+    res = run(["check", _write(tmp_path, _u_power_document(5000)), "--json"])
+    assert time.perf_counter() - t0 < 1.0
+    assert res.exit_code == 2
+    report = json.loads(res.output)
+    assert report["error"] == "InputError"
+    for part in ("g=1", "N=5001", "m=1", "5001 relation rows", "16777216"):
+        assert part in report["detail"]
+
+
+def test_check_length_of_u4000_fits_the_model_budget(tmp_path):
+    res = run(["check", _write(tmp_path, _u_power_document(4000)), "--json"])
+    assert res.exit_code == 0
+    assert json.loads(res.output) == {"check": "length", "length": 4000,
+                                      "status": "pass"}
 
 
 def _raise_internal(*args, **kwargs):

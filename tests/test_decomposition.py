@@ -1,17 +1,24 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from prismalab.breuil_fl import FLModule, kisin_to_breuil
-from prismalab.decomposition import (
-    SplitResult, _ceil_log, check_split_compat, fitting_conditions,
-    mult_section, split_breuil, split_fl, split_phi_module,
+from prismalab.breuil_fl import (
+    FLModule, fl_to_breuil, is_fl_module, kisin_to_breuil,
 )
-from prismalab.errors import NotFL, NotKilledByP
-from prismalab.linalg_residue import in_span, kernel_solve
+from prismalab.decomposition import (
+    SplitResult, _ceil_log, _fil_compat, check_split_compat,
+    fitting_conditions, mult_section, split_breuil, split_fl,
+    split_phi_module,
+)
+from prismalab.errors import InputError, NotFL, NotKilledByP
+from prismalab.linalg_residue import (
+    howell_form, in_span, kernel_solve, span_length, spans_equal,
+)
 from prismalab.phi_modules import KisinModule, PhiModule
-from prismalab.series_rings import DpRing, SeriesElem, eisenstein_make
+from prismalab.series_rings import (
+    DpRing, SeriesElem, eisenstein_make, int_poly_pow,
+)
 from prismalab.witt_base import WittRing
 
 
@@ -335,3 +342,300 @@ def test_check_split_compat():
     assert check_split_compat(_unit_fl(W3))
     assert check_split_compat(_tate_fl(W3))
     assert check_split_compat(_unit_fl(W3).direct_sum(_tate_fl(W3)))
+
+
+# ---------------------------------------------------------------------------
+# reference: the boxed Gauss-Jordan over F_{p^m} and the mod-p splits built
+# on it, kept verbatim up to names
+# ---------------------------------------------------------------------------
+
+
+def _f_echelon(rows, W):
+    """Reduced row echelon over the field W; returns (rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    out, pivots = [], []
+    width = len(rows[0]) if rows else 0
+    for c in range(width):
+        piv = next((r for r in rows
+                    if all(x.is_zero() for x in r[:c]) and r[c].is_unit()),
+                   None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        inv = piv[c].inv()
+        piv = [x * inv for x in piv]
+        rows = [[x - r[c] * y for x, y in zip(r, piv)] for r in rows]
+        out = [[x - r[c] * y for x, y in zip(r, piv)] for r in out]
+        out.append(piv)
+        pivots.append(c)
+    return out, pivots
+
+
+def _f_reduce(v, ech, pivots):
+    v = list(v)
+    for row, c in zip(ech, pivots):
+        if not v[c].is_zero():
+            v = [x - v[c] * y for x, y in zip(v, row)]
+    return v
+
+
+def _f_coords(v, ech, pivots):
+    """Coefficients of v on the echelon rows; None if not in the span."""
+    coeffs = []
+    v = list(v)
+    for row, c in zip(ech, pivots):
+        coeffs.append(v[c])
+        v = [x - v[c] * y for x, y in zip(v, row)]
+    if any(not x.is_zero() for x in v):
+        return None
+    return coeffs
+
+
+def ref_split_breuil(B, alternative=None):
+    """Fitting split along the I_+-reduction of the recovered Frobenius."""
+    S = B.S
+    if S.n_user != 1:
+        raise NotKilledByP("the Breuil split works on the mod-p layer")
+    p, r = B.p, B.r
+    Eh = S.from_int_poly(int_poly_pow(list(S.eis.int_coeffs), B.h))
+    c1ih = (S.c1_inv() ** B.h).reduce_prec(1)
+    Fcols = []
+    for i in range(r):
+        v = B.scale_vector(Eh.reduce_prec(1), B.basis_vector(i))
+        Fcols.append([(c1ih * c).reduce_prec(1) for c in B.phi_h(v)])
+
+    def apply_phi(v):
+        acc = [S.zero().reduce_prec(1) for _ in range(r)]
+        for i in range(r):
+            s = v[i]
+            if s.reduce_prec(1).is_zero():
+                continue
+            fs = S.phi(s)
+            acc = [a + fs * c for a, c in zip(acc, Fcols[i])]
+        return [a.reduce_prec(1) for a in acc]
+
+    W1 = WittRing(p, 1, S.m, list(S.ring.f) if S.m > 1 else None)
+    const = lambda v: [W1.elem([a % p for a in c.vec[:S.m]]) for c in v]
+
+    def apply_bar(wv):
+        # semilinear reduction of the Frobenius to S/I_+ = W_1^r
+        acc = [W1.zero() for _ in range(r)]
+        for i in range(r):
+            a = wv[i]
+            if a.is_zero():
+                continue
+            sa = W1.sigma(a)
+            col = const(Fcols[i])
+            acc = [x + y * sa for x, y in zip(acc, col)]
+        return acc
+
+    cur, _ = _f_echelon([apply_bar([W1.one() if k == i else W1.zero()
+                                    for k in range(r)])
+                         for i in range(r)], W1)
+    while True:
+        nxt, _ = _f_echelon([apply_bar(row) for row in cur], W1)
+        if len(nxt) == len(cur):
+            break
+        cur = nxt
+    ell = max(1, _ceil_log(S.D, p)) + 1
+
+    def power_bar(wv, k):
+        for _ in range(k):
+            wv = apply_bar(wv)
+        return wv
+
+    cols = [power_bar(row, ell) for row in cur]
+    images = []
+    for xbar in cur:
+        coeffs = _solve_field([list(c) for c in cols], xbar, W1)
+        y = [W1.zero() for _ in range(r)]
+        for c, row in zip(coeffs, cur):
+            y = [a + b * c for a, b in zip(y, row)]
+        v = [S.one().scale_w(S.ring.elem(list(c.coeffs))) for c in y]
+        for _ in range(ell):
+            v = apply_phi(v)
+        images.append(v)
+    rows = []
+    for v in images:
+        rows.extend(B.s_multiples(v))
+    mult_span, _ = howell_form(rows, p, 1) if rows else ([], None)
+    mult_len = span_length(mult_span, p, 1)
+    nilp_len = B.dim - mult_len
+    cert = {"canonical": None, "fil_compatible": _fil_compat(B, mult_span,
+                                                             images)}
+    if alternative is not None:
+        alt = []
+        for v in alternative:
+            w = [c.reduce_prec(1) for c in v]
+            for _ in range(ell):
+                w = apply_phi(w)
+            alt.append(w)
+        arows = []
+        for v in alt:
+            arows.extend(B.s_multiples(v))
+        aspan, _ = howell_form(arows, p, 1) if arows else ([], None)
+        cert["canonical"] = spans_equal(aspan, mult_span, p, 1)
+    return SplitResult(
+        {"generators": images, "span": mult_span, "length": mult_len},
+        {"length": nilp_len}, section=cur, inclusion=images,
+        certificate=cert)
+
+
+def _solve_field(cols, target, W):
+    """Coefficients over the field W with sum c_k cols_k = target."""
+    r = len(target)
+    rows = [list(col) + [W.zero()] * len(cols) for col in cols]
+    for k in range(len(cols)):
+        rows[k][r + k] = W.one()
+    ech, piv = _f_echelon(rows, W)
+    v = list(target) + [W.zero()] * len(cols)
+    red = _f_reduce(v, ech, piv)
+    if any(not x.is_zero() for x in red[:r]):
+        raise InputError("target outside the span")
+    return [-x for x in red[r:]]
+
+
+def ref_split_fl(M):
+    ok, why = is_fl_module(M)
+    if not ok:
+        raise NotFL(why)
+    W = M.W
+    if W.n != 1:
+        raise InputError("the filtered split works on the mod-p layer")
+    g = M.g
+    phi0 = M.phi_images(0)
+
+    def apply0(v):
+        acc = [W.zero() for _ in range(g)]
+        for t in range(g):
+            a = v[t]
+            if a.is_zero():
+                continue
+            sa = W.sigma(a)
+            acc = [x + y * sa for x, y in zip(acc, phi0[t])]
+        return acc
+
+    cur, piv = _f_echelon([list(phi0[t]) for t in range(g)], W)
+    while True:
+        nxt, npiv = _f_echelon([apply0(row) for row in cur], W)
+        if len(nxt) == len(cur):
+            break
+        cur, piv = nxt, npiv
+    rank = len(cur)
+    # multiplicative part: phi_0 restricted to the stable rows
+    phi0_sub = []
+    for row in cur:
+        coeffs = _f_coords(apply0(row), cur, piv)
+        phi0_sub.append(coeffs)
+    M_mult = FLModule(W, [1] * rank, M.h, {},
+                      {0: [list(c) for c in phi0_sub]})
+    # quotient on the non-pivot coordinates
+    qcoords = [c for c in range(g) if c not in piv]
+
+    def project(v):
+        red = _f_reduce(v, cur, piv)
+        return [red[c] for c in qcoords]
+
+    basis = lambda t: [W.one() if s == t else W.zero() for s in range(g)]
+    phi_n = {0: [project(apply0(basis(t))) for t in qcoords]}
+    fil_n = {}
+    for i in range(1, M.h + 1):
+        fil_n[i] = [project(list(v)) for v in M.fil_gens(i)]
+        phi_n[i] = [project(list(v)) for v in M.phi_images(i)]
+    M_nilp = FLModule(W, [1] * len(qcoords), M.h, fil_n, phi_n)
+    proj_matrix = [project(basis(t)) for t in range(g)]
+    return SplitResult(M_mult, M_nilp, section=[list(r) for r in cur],
+                       inclusion=[list(r) for r in cur],
+                       projection=proj_matrix)
+
+
+def ref_check_split_compat(M, eis=None, D=None):
+    """Base change to the divided-power ring commutes with the split."""
+    B = fl_to_breuil(M, eis=eis, D=D)
+    res_b = ref_split_breuil(B)
+    res_f = ref_split_fl(M)
+    S = B.S
+    rows = []
+    for wrow in res_f.section:
+        v = [S.one().scale_w(S.ring.elem(list(c.coeffs))) for c in wrow]
+        rows.extend(B.s_multiples(v))
+    hs, _ = howell_form(rows, B.p, 1) if rows else ([], None)
+    return spans_equal(hs, res_b.M_mult["span"], B.p, 1)
+
+
+def _fl_case(p, m, g, k, entries):
+    """The FL module at h = 1 with phi_0 = A on e_1..e_k and 0 on the rest,
+    Fil^1 = <e_{k+1}..e_g> and phi_1 = A there, or None if it is not one."""
+    W = WittRing(p, 1, m)
+    A = [[W.elem(entries[(t * g + s) * m:(t * g + s + 1) * m])
+          for s in range(g)] for t in range(g)]
+    phi0 = [A[t] if t < k else [W.zero()] * g for t in range(g)]
+    fil1 = [[W.one() if s == t else W.zero() for s in range(g)]
+            for t in range(k, g)]
+    M = FLModule(W, [1] * g, 1, {1: fil1}, {0: phi0, 1: A[k:]})
+    return M if is_fl_module(M)[0] else None
+
+
+@st.composite
+def fl_modules(draw, p, m, g):
+    k = draw(st.integers(0, g))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=g * g * m,
+                            max_size=g * g * m))
+    M = _fl_case(p, m, g, k, entries)
+    assume(M is not None)
+    return M
+
+
+FL_CASES = [(p, m, g) for p in (2, 3, 5) for m in (1, 2, 3) for g in range(4)]
+
+
+def _fl_fields(F):
+    return F.divisors, F.h, F.fil, F.phi
+
+
+@pytest.mark.parametrize("p, m, g", FL_CASES)
+@settings(max_examples=3)
+@given(st.data())
+def test_split_fl_equals_the_field_engine(p, m, g, data):
+    M = data.draw(fl_modules(p, m, g))
+    new, ref = split_fl(M), ref_split_fl(M)
+    assert _fl_fields(new.M_mult) == _fl_fields(ref.M_mult)
+    assert _fl_fields(new.M_nilp) == _fl_fields(ref.M_nilp)
+    assert new.section == ref.section
+    assert new.inclusion == ref.inclusion
+    assert new.projection == ref.projection
+
+
+@pytest.mark.parametrize("p, m, g", FL_CASES)
+@settings(max_examples=2)
+@given(st.data())
+def test_split_breuil_equals_the_field_engine(p, m, g, data):
+    M = data.draw(fl_modules(p, m, g))
+    B = fl_to_breuil(M)
+    new, ref = split_breuil(B), ref_split_breuil(B)
+    for key in ("span", "length"):
+        assert new.M_mult[key] == ref.M_mult[key]
+    assert new.M_nilp == ref.M_nilp
+    assert new.certificate == ref.certificate
+    assert new.section == ref.section
+    if m == 1:
+        flat = lambda gens: [[(c.vec, c.prec) for c in v] for v in gens]
+        assert (flat(new.M_mult["generators"])
+                == flat(ref.M_mult["generators"]))
+    assert check_split_compat(M) == ref_check_split_compat(M)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_split_breuil_generators_reduce_to_the_section(p):
+    # the section solve was F_{p^m}-linear in a sigma^ell-semilinear map,
+    # so at m > 1 the generators did not reduce mod I_+ to their rows
+    W = WittRing(p, 1, 2)
+    for c in W.elements():
+        if c.is_zero():
+            continue
+        B = fl_to_breuil(FLModule(W, [1], 1, {}, {0: [[c]]}))
+        res = split_breuil(B)
+        assert len(res.section) == 1
+        for gen, row in zip(res.M_mult["generators"], res.section):
+            assert ([tuple(a % p for a in s.vec[:W.m]) for s in gen]
+                    == [w.coeffs for w in row]), c
