@@ -155,6 +155,8 @@ class SeriesElem:
         return SeriesElem.from_vec(W, vec, self.N, self.exact)
 
     def __pow__(self, k):
+        if k < 0:
+            raise InputError(f"negative exponent {k}")
         acc = SeriesElem(self.ring, [1], self.N, self.exact)
         base = self
         while k:
@@ -783,6 +785,8 @@ class DpElem:
                                          R._mul_table()), self.prec)
 
     def __pow__(self, k):
+        if k < 0:
+            raise InputError(f"negative exponent {k}")
         acc = self.ring.one()
         base = self
         while k:

@@ -2,12 +2,21 @@
 
 The ring is modelled as (Z/p^n)[x]/(f) for a monic degree-m lift f of an
 irreducible polynomial over F_p.  The Frobenius lift sigma is computed once
-per ring by Newton iteration on f starting from x^p; its matrix on the basis
-1, x, ..., x^{m-1} is built on first use and applied as m dot products.
+per ring by Newton iteration on f starting from x^p.
+
+At m > 1, products, powers and sigma run on Kronecker-packed ints: the
+element sum a_i x^i (0 <= a_i < q) is the int sum a_i 2^{b i}, where b is
+the bit length of m q^2 (1 + (m - 1) q).  A product's slots are below
+m q^2; folding its m - 1 high slots into the low m with the packed rows
+x^k mod (f, q) keeps each below 2^b, as does sigma's sum of a_j times the
+packed columns sigma(x)^j, so no slot carries.  Each ring builds b, the
+rows and the columns once, on first use.  Packed ints never escape a call:
+an element stores its coefficient tuple, and results are unpacked mod q.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 from .errors import NonSeparable, NotAUnit, InputError
@@ -35,22 +44,7 @@ def _fp_mul(a, b, p):
 
 
 def _fp_mod(a, f, p):
-    a = list(a)
-    df = len(f) - 1
-    inv_lead = pow(f[-1], -1, p)
-    while len(a) - 1 >= df and _fp_trim(a):
-        if not a:
-            break
-        da = len(a) - 1
-        c = (a[-1] * inv_lead) % p
-        for i in range(df + 1):
-            a[da - df + i] = (a[da - df + i] - c * f[i]) % p
-        _fp_trim(a)
-    return a
-
-
-def _fp_mulmod(a, b, f, p):
-    return _fp_mod(_fp_mul(a, b, p), f, p)
+    return _fp_divmod(a, f, p)[1]
 
 
 def _fp_powmod(a, e, f, p):
@@ -58,8 +52,8 @@ def _fp_powmod(a, e, f, p):
     a = _fp_mod(list(a), f, p)
     while e:
         if e & 1:
-            r = _fp_mulmod(r, a, f, p)
-        a = _fp_mulmod(a, a, f, p)
+            r = _fp_mod(_fp_mul(r, a, p), f, p)
+        a = _fp_mod(_fp_mul(a, a, p), f, p)
         e >>= 1
     return r
 
@@ -155,7 +149,8 @@ def default_irreducible(p, m):
 class WittRing:
     """(Z/p^n)[x]/(f) with cached Frobenius lift."""
 
-    __slots__ = ("p", "n", "m", "f", "q", "_sigma_gen", "_sigma_mat")
+    __slots__ = ("p", "n", "m", "f", "q", "_sigma_gen", "_sigma_mat",
+                 "_sigma_cols", "_slot", "_mask", "_shifts", "_folds")
 
     def __init__(self, p, n, m=1, f=None):
         if n < 1 or m < 1:
@@ -177,8 +172,7 @@ class WittRing:
         if len(_fp_gcd(fbar, _fp_deriv(fbar, p), p)) - 1 >= 1:
             raise NonSeparable("f has repeated roots mod p")
         self.f = tuple(f)
-        self._sigma_gen = None
-        self._sigma_mat = None
+        self._sigma_gen = self._sigma_mat = self._slot = None
 
     # -- element constructors ------------------------------------------
 
@@ -202,16 +196,8 @@ class WittRing:
 
     def elements(self):
         """All p^{nm} elements (desk scale only)."""
-        cur = [self.zero()]
-        for i in range(self.m):
-            nxt = []
-            for e in cur:
-                for c in range(self.q):
-                    v = list(e.coeffs)
-                    v[i] = c
-                    nxt.append(WittElem(self, tuple(v)))
-            cur = nxt
-        return cur
+        return [WittElem(self, c)
+                for c in itertools.product(range(self.q), repeat=self.m)]
 
     def lower_precision(self, drop):
         """The same ring with n reduced by `drop` p-adic digits."""
@@ -235,6 +221,50 @@ class WittRing:
                 for i in range(m):
                     coeffs[k - m + i] -= c * f[i]
         return [c % self.q for c in coeffs[:m]]
+
+    # -- Kronecker-packed arithmetic at m > 1 (see the module docstring) --
+
+    def _packing(self):
+        """Build, once, the slot width b, the slot mask, the shifts of the
+        m low slots (top first) and, for k = m..2m-2, the shift of slot k
+        with the packed row x^k mod (f, q); returns b."""
+        m, q = self.m, self.q
+        b = self._slot = (m * q * q * (1 + (m - 1) * q)).bit_length()
+        self._mask = (1 << b) - 1
+        self._shifts = tuple(range((m - 1) * b, -1, -b))
+        self._folds = tuple((k * b, self._pack(self._reduce([0] * k + [1])))
+                            for k in range(m, 2 * m - 1))
+        return b
+
+    def _pack(self, coeffs):
+        """coeffs mod q as one packed int; builds the layout on first use."""
+        b, q, v = self._slot or self._packing(), self.q, 0
+        for c in reversed(coeffs):
+            v = v << b | c % q
+        return v
+
+    def _fold(self, w):
+        """A packed product whose low m slots hold it mod f: each high
+        slot is added to them times its packed row x^k mod (f, q)."""
+        mask = self._mask
+        for s, row in self._folds:
+            w += (w >> s & mask) * row
+        return w
+
+    def _unpack(self, w):
+        """The low m slots of w, each mod q, as a tuple."""
+        b, mask, q, out = self._slot, self._mask, self.q, []
+        for _ in range(self.m):
+            out.append((w & mask) % q)
+            w >>= b
+        return tuple(out)
+
+    def _repack(self, w):
+        """The low m slots of w, each mod q, packed again."""
+        b, mask, q, v = self._slot, self._mask, self.q, 0
+        for s in self._shifts:
+            v = v << b | (w >> s & mask) % q
+        return v
 
     # -- sigma -----------------------------------------------------------
 
@@ -266,13 +296,14 @@ class WittRing:
         return acc
 
     def _sigma_matrix(self):
-        """The m x m matrix M over Z/p^n whose column j is
-        sigma(x^j) = sigma(x)^j, as a tuple of rows (built once)."""
+        """The m x m matrix M over Z/p^n whose column j is sigma(x^j) =
+        sigma(x)^j, as a tuple of rows, and its packed columns (built once)."""
         if self._sigma_mat is None:
             s = self.sigma_gen()
             pows = [self.one()]
             for _ in range(self.m - 1):
                 pows.append(pows[-1] * s)
+            self._sigma_cols = tuple(self._pack(pw.coeffs) for pw in pows)
             self._sigma_mat = tuple(zip(*(pw.coeffs for pw in pows)))
         return self._sigma_mat
 
@@ -286,15 +317,19 @@ class WittRing:
         return tuple(zip(*cols))
 
     def sigma(self, a):
-        """The Frobenius lift, a -> M a with M from _sigma_matrix."""
+        """The Frobenius lift, a -> M a with M from _sigma_matrix, as the
+        sum of a_j times the packed column j."""
         if self.m == 1:
             return a
-        return WittElem(self, tuple([
-            sum(map(operator.mul, row, a.coeffs)) % self.q
-            for row in self._sigma_mat or self._sigma_matrix()]))
+        if self._sigma_mat is None:
+            self._sigma_matrix()
+        q, v = self.q, 0
+        for c, col in zip(a.coeffs, self._sigma_cols):
+            v += c % q * col
+        return WittElem(self, self._unpack(v))
 
     def __eq__(self, other):
-        return (isinstance(other, WittRing)
+        return self is other or (isinstance(other, WittRing)
                 and (self.p, self.n, self.m, self.f)
                 == (other.p, other.n, other.m, other.f))
 
@@ -332,12 +367,8 @@ class WittElem:
         r = self.ring
         if r.m == 1:
             return WittElem(r, ((self.coeffs[0] * other.coeffs[0]) % r.q,))
-        out = [0] * (2 * r.m - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return WittElem(r, tuple(r._reduce(out)))
+        return WittElem(r, r._unpack(r._fold(
+            r._pack(self.coeffs) * r._pack(other.coeffs))))
 
     __rmul__ = __mul__
 
@@ -346,14 +377,21 @@ class WittElem:
         return WittElem(self.ring, tuple((a * c) % q for a in self.coeffs))
 
     def __pow__(self, e):
-        acc = self.ring.one()
-        base = self
+        """Square-and-multiply on the packed int, boxed once; a negative e
+        raises the inverse (NotAUnit for a non-unit)."""
+        r = self.ring
+        if e < 0:
+            return self.inv() ** -e
+        if r.m == 1:
+            return WittElem(r, (pow(self.coeffs[0], e, r.q),))
+        acc, base = 1, r._pack(self.coeffs)
         while e:
             if e & 1:
-                acc = acc * base
-            base = base * base
+                acc = r._repack(r._fold(acc * base))
             e >>= 1
-        return acc
+            if e:
+                base = r._repack(r._fold(base * base))
+        return WittElem(r, r._unpack(acc))
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
@@ -368,9 +406,7 @@ class WittElem:
             raise NotAUnit("element is zero mod p")
         p = r.p
         fbar = _fp_trim([c % p for c in r.f])
-        abar = _fp_trim([c % p for c in self.coeffs])
-        inv_bar = _fp_invmod(abar, fbar, p)
-        y = r.elem(inv_bar + [0] * r.m)
+        y = r.elem(_fp_invmod(_fp_trim([c % p for c in self.coeffs]), fbar, p))
         two = r.elem([2])
         k = 1
         while k < r.n:
@@ -407,8 +443,8 @@ def _fp_invmod(a, f, p):
     while _fp_trim(list(r1)):
         q, rem = _fp_divmod(r0, r1, p)
         r0, r1 = r1, rem
-        s0, s1 = s1, _fp_trim([
-            (x - y) % p for x, y in _zip_pad(s0, _fp_mul(q, s1, p))])
+        s0, s1 = s1, _fp_trim([(x - y) % p for x, y in itertools.zip_longest(
+            s0, _fp_mul(q, s1, p), fillvalue=0)])
     # r0 = gcd, a constant since f is irreducible
     c = pow(r0[0], -1, p)
     return [(c * x) % p for x in s0]
@@ -424,11 +460,5 @@ def _fp_divmod(a, b, p):
         q[d] = c
         for i in range(len(b)):
             a[d + i] = (a[d + i] - c * b[i]) % p
-        _fp_trim(a)
     return _fp_trim(q), a
 
-
-def _zip_pad(a, b):
-    la, lb = len(a), len(b)
-    n = max(la, lb)
-    return zip(a + [0] * (n - la), b + [0] * (n - lb))

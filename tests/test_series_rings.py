@@ -137,6 +137,17 @@ def test_c1_from_division_matches_dp_ring():
     assert (S.c1() * S.c1_inv() - S.one()).is_zero()
 
 
+def test_negative_series_power_is_refused():
+    with pytest.raises(InputError, match="negative exponent"):
+        SeriesElem(WittRing(3, 2, 2), [1, 1], 4) ** -1
+
+
+def test_negative_dp_power_is_refused():
+    S = DpRing(eisenstein_make(3, "explicit", [3, 1]), n=1, h=0, D=6)
+    with pytest.raises(InputError, match="negative exponent"):
+        S.one() ** -1
+
+
 def test_dp_structure_constants_are_integers():
     for p, e in [(2, 1), (2, 2), (3, 2), (5, 4)]:
         E = eisenstein_make(p, "explicit", [p] + [0] * (e - 1) + [1])

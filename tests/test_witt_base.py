@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 
 import pytest
@@ -226,6 +227,120 @@ def test_unit_inverse_property(a1):
     assume(a.is_unit())
     assert a * a.inv() == a.ring.one()
     assert a.inv() * a == a.ring.one()
+
+
+# ---------------------------------------------------------------------------
+# reference: the boxed schoolbook product, its reduction, the boxed
+# square-and-multiply and the row-matrix sigma, kept verbatim as functions
+# of the ring or element; the packed arithmetic must equal them
+# ---------------------------------------------------------------------------
+
+
+def ref_reduce(self, coeffs):
+    """coeffs (length >= m, overwritten) mod (f, q), with one % q per
+    coefficient."""
+    m, f = self.m, self.f
+    # x^k = x^{k-m} x^m = -sum f_i x^{k-m+i}, top degree first
+    for k in range(len(coeffs) - 1, m - 1, -1):
+        c = coeffs[k]
+        if c:
+            for i in range(m):
+                coeffs[k - m + i] -= c * f[i]
+    return [c % self.q for c in coeffs[:m]]
+
+
+def ref_sigma(self, a):
+    """The Frobenius lift, a -> M a with M from _sigma_matrix."""
+    if self.m == 1:
+        return a
+    return WittElem(self, tuple([
+        sum(map(operator.mul, row, a.coeffs)) % self.q
+        for row in self._sigma_mat or self._sigma_matrix()]))
+
+
+def ref_mul(self, other):
+    if isinstance(other, int):
+        return self.scale(other)
+    r = self.ring
+    if r.m == 1:
+        return WittElem(r, ((self.coeffs[0] * other.coeffs[0]) % r.q,))
+    out = [0] * (2 * r.m - 1)
+    for i, a in enumerate(self.coeffs):
+        if a:
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+    return WittElem(r, tuple(ref_reduce(r, out)))
+
+
+def ref_pow(self, e):
+    acc = self.ring.one()
+    base = self
+    while e:
+        if e & 1:
+            acc = ref_mul(acc, base)
+        base = ref_mul(base, base)
+        e >>= 1
+    return acc
+
+
+def sweep_rings():
+    """Every (p, n, m) with p <= 64 and p^(nm) <= 4096 (115 rings)."""
+    return [(p, n, m) for p in range(2, 65) if _is_prime(p)
+            for n in range(1, 13) for m in range(1, 13)
+            if p ** (n * m) <= 4096]
+
+
+REF_RINGS = [WittRing(2, 1, 12), WittRing(2, 12, 1), WittRing(61, 1, 2),
+             WittRing(2, 6, 2), WittRing(3, 1, 7), WittRing(5, 2, 3)]
+
+
+def exponents(R):
+    return st.sampled_from([0, 1, R.p, R.p ** R.m, 2 ** 20 + 1])
+
+
+def assert_matches_reference(a, b, e):
+    R = a.ring
+    assert (a * b).coeffs == ref_mul(a, b).coeffs
+    assert (a ** e).coeffs == ref_pow(a, e).coeffs
+    assert R.sigma(a).coeffs == ref_sigma(R, a).coeffs
+
+
+@given(st.data())
+def test_packed_arithmetic_matches_reference(data):
+    R = data.draw(st.sampled_from(REF_RINGS))
+    coeff = st.integers(0, R.q - 1)
+    a, b = (R.elem([data.draw(coeff) for _ in range(R.m)]) for _ in range(2))
+    assert_matches_reference(a, b, data.draw(exponents(R)))
+
+
+@given(st.data())
+def test_packed_arithmetic_reduces_unreduced_and_negative_input(data):
+    R = data.draw(st.sampled_from(REF_RINGS))
+    coeff = st.integers(-3 * R.q, 3 * R.q)
+    a, b = (WittElem(R, tuple(data.draw(coeff) for _ in range(R.m)))
+            for _ in range(2))
+    assert_matches_reference(a, b, data.draw(exponents(R)))
+
+
+def test_top_coefficients_fit_the_slot_width_on_every_sweep_ring():
+    # q - 1 in every slot maximises every slot of a product and of sigma
+    rings = sweep_rings()
+    assert len(rings) == 115
+    for p, n, m in rings:
+        R = WittRing(p, n, m)
+        top = R.elem([R.q - 1] * m)
+        for e in (0, 1, p, p ** m, 2 ** 20 + 1):
+            assert_matches_reference(top, top, e)
+
+
+def test_negative_witt_power_is_a_power_of_the_inverse():
+    R = WittRing(3, 2, 2)
+    x = R.gen()
+    assert x ** -1 == x.inv() and x * x ** -1 == R.one()
+    assert x ** -5 == x.inv() ** 5
+    assert R.elem([4]) ** -1 == R.elem([7])
+    with pytest.raises(NotAUnit):
+        R.elem([3]) ** -1
 
 
 # ---------------------------------------------------------------------------
