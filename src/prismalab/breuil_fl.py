@@ -18,6 +18,7 @@ from .linalg_residue import (
 )
 from .phi_modules import EtalePhiModule, etale_fixed_points
 from .series_rings import DpRing, eisenstein_make, int_poly_pow, s_phi_div
+from .witt_base import _multiples
 
 
 # ---------------------------------------------------------------------------
@@ -60,13 +61,11 @@ class BreuilModule:
     def s_multiples(self, v):
         """Coordinate rows spanning the S-multiples of the vector v."""
         S = self.S
-        pows = S.residue_powers()
+        x = S.ring._gen_matrices()[0]
         rows = []
         for t in range(S.D):
             bt = S.basis_elem(t)
-            w = [bt * c for c in v]
-            for xa in pows:
-                rows.append(self.vec([c.scale_w(xa) for c in w]))
+            rows.extend(_multiples(self.vec([bt * c for c in v]), x, self.p))
         return rows
 
     def _fil_data(self):
@@ -78,20 +77,16 @@ class BreuilModule:
         source blocks the reduced echelon basis of Fil.
         """
         if self._fil_H is None:
-            S = self.S
-            pows = [(xa, S.ring.sigma(xa)) for xa in S.residue_powers()]
-            # the multipliers x^a b_t with their twists phi(x^a b_t)
-            mults = []
-            for t in range(S.D):
-                bt = S.basis_elem(t)
-                pb = S.phi(bt)
-                mults.extend((bt.scale_w(xa), pb.scale_w(sxa))
-                             for xa, sxa in pows)
-            rows = [self.vec([mult * c for c in g])
-                    + self.vec([tw * c for c in img])
-                    for g, img in zip(self.fil_gens, self.phi_gens)
-                    for mult, tw in mults]
-            self._fil_H, _ = howell_form(rows, self.p, 1)
+            S, p = self.S, self.p
+            x, sx = S.ring._gen_matrices()
+            bases = [(b, S.phi(b)) for b in map(S.basis_elem, range(S.D))]
+            rows = []
+            for g, img in zip(self.fil_gens, self.phi_gens):
+                for bt, pb in bases:
+                    src = _multiples(self.vec([bt * c for c in g]), x, p)
+                    dst = _multiples(self.vec([pb * c for c in img]), sx, p)
+                    rows.extend(a + b for a, b in zip(src, dst))
+            self._fil_H, _ = howell_form(rows, p, 1)
         return self._fil_H
 
     def _fil_rows(self):
@@ -286,11 +281,9 @@ class FLModule:
     def w_span(self, gens, extra_rows=()):
         """Howell span of the W-module generated by gens (mod relations)."""
         rows = list(extra_rows) + list(self.relation_rows())
-        xgen = self.W.gen()
-        pows = [xgen ** j for j in range(self.m)]
+        x = self.W._gen_matrices()[0]
         for v in gens:
-            for w in pows:
-                rows.append(self.vec([c * w for c in v]))
+            rows.extend(_multiples(self.vec(v), x, self.W.q))
         H, _ = howell_form(rows, self.p, self.W.n) if rows else ([], None)
         return H
 
@@ -303,15 +296,13 @@ class FLModule:
         images of all syzygies, also at n > 1.
         """
         W = self.W
-        xgen = W.gen()
-        pows = [xgen ** j for j in range(self.m)]
-        twists = [(w, W.sigma(w)) for w in pows]
+        x, sx = W._gen_matrices()
         zero = [0] * self.dim
         rows = [list(r) + zero for r in self.relation_rows()]
         for f, im in zip(gens, images):
-            for w, tw in twists:
-                rows.append(self.vec([c * w for c in f])
-                            + self.vec([c * tw for c in im]))
+            src = _multiples(self.vec(f), x, W.q)
+            dst = _multiples(self.vec(im), sx, W.q)
+            rows.extend(a + b for a, b in zip(src, dst))
         H, _ = howell_form(rows, self.p, W.n)
         return H
 

@@ -21,7 +21,7 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import click
 
@@ -307,9 +307,14 @@ def build_module(doc):
     if g is None:
         raise InputError("[module] must declare g")
     N = mod.get("N")
+    if N is not None and not (isinstance(N, int) and N >= 1):
+        raise InputError(f"[module] N must be one integer >= 1, got {N}")
     killed = mod.get("killed")
     if killed is not None and not isinstance(killed, tuple):
         killed = (killed, None)
+    if killed is not None and (len(killed) != 2
+                               or min(k or 0 for k in killed) < 0):
+        raise InputError("[module] killed must be one or two integers >= 0")
     rel = [[_series_elem(W, t, N=N) for t in row] for row in doc.relations]
     if g == 0:
         return PhiModule.zero(W)

@@ -18,8 +18,8 @@ from .phi_modules import (
     check_ann_inclusion, u_torsion,
 )
 from .series_rings import (
-    DpRing, binomial_power_minus_one, cyclotomic_q, eisenstein_make,
-    int_poly_mul,
+    DpRing, SeriesElem, binomial_power_minus_one, cyclotomic_q,
+    eisenstein_make, int_poly_mul,
 )
 from .witt_base import WittRing
 
@@ -88,7 +88,6 @@ def ker_phi_minus_d(inst, m):
 
 def h2_instance_module(inst):
     """S/(g0, p^n) with phi(g) = g as a PhiModule."""
-    from .series_rings import SeriesElem
     p, n = inst.p, inst.n
     W = WittRing(p, n, 1)
     g0 = SeriesElem.from_ints(W, [c % W.q for c in inst.g0])
@@ -145,10 +144,6 @@ def _j_mingens_at(inst, D):
     # kernel of multiplication by q_n on S/p^n; only coordinates whose
     # product with q_n stays below the degree bound are trusted, so every
     # kernel element is genuine rather than a truncation artifact
-    # the kernel solve only trusts coordinates whose product with q_n is
-    # fully visible below the degree bound; the resulting generators are
-    # genuine, and all later multiplications are exact below D because
-    # multiplication in the divided-power ring raises degree
     faithful = D - dq
     Asub = [[A[r][c] % pn for c in range(faithful)] for r in range(S.dim)]
     K, _ = kernel_solve(Asub, None, p, n)

@@ -5,7 +5,9 @@ Frobenius is linear enough for a Fitting decomposition (mod u for phi
 modules, mod I_+ for Breuil modules, the module itself for the filtered
 W-modules), write the reduced Frobenius as a matrix over Z/p^n (over F_p
 for the mod-p splits, where a sigma-semilinear map of F_{p^m}^g is a
-g*m x g*m matrix), and run one core on linalg_residue.  _stable_image is
+g*m x g*m matrix), and run one core on linalg_residue.  The matrices come
+from the linearization in witt_base (_semilinear_matrix), through
+phi_modules._mod_u_data for phi modules.  _stable_image is
 the multiplicative part: the span where the iterated images stabilize.
 _preimages solves phi-bar^T(y) = x-bar inside it, and the section
 x-bar -> phi^T(y) transports that part back to the module; the filtered
@@ -22,9 +24,9 @@ from .linalg_residue import (
     factor, howell_form, in_span, pivot_info, reduce_vector, span_length,
     spans_equal,
 )
-from .phi_modules import PhiModule, presentation_from_generators
+from .phi_modules import PhiModule, _mod_u_data, presentation_from_generators
 from .series_rings import int_poly_pow
-from .witt_base import WittRing, _blockwise
+from .witt_base import WittRing, _semilinear_matrix
 
 
 def _ceil_log(b, p):
@@ -55,24 +57,6 @@ class SplitResult:
 
 def _mat_apply(A, v, q):
     return [sum(a * b for a, b in zip(row, v)) % q for row in A]
-
-
-def _multiples(v, mat, m, q):
-    """[v, Mv, ..., M^{m-1} v] for the m x m matrix M (rows) applied to
-    each m-block of the flat vector v."""
-    out = [v]
-    for _ in range(1, m):
-        out.append(_blockwise(mat, out[-1], q))
-    return out
-
-
-def _semilinear_matrix(images, W, q):
-    """The matrix over Z/q of the sigma-semilinear map sending basis vector
-    k to the flat vector images[k], on the coordinates (k, a) of x^a e_k:
-    column (k, a) is sigma(x)^a times images[k]."""
-    sx = W._mul_matrix(W.sigma_gen())
-    cols = [c for im in images for c in _multiples(im, sx, W.m, q)]
-    return [list(r) for r in zip(*cols)]
 
 
 def _stable_image(F, rel0, p, nexp):
@@ -133,23 +117,6 @@ def _unflat(W, v):
 # ---------------------------------------------------------------------------
 # phi modules over the truncated series ring
 # ---------------------------------------------------------------------------
-
-
-def _mod_u_data(M, mdl):
-    """Relations and the linearized Frobenius of M/uM on g*m coordinates:
-    the u^0 coefficients of each relation column times x^a, and of each
-    phi column times sigma(x^a) = sigma(x)^a, for a < m."""
-    W = mdl.W
-    g, m, q, w = M.g, W.m, mdl.q, mdl.N * W.m
-
-    def at_u0(col):
-        v = mdl.vec(col)
-        return [a for s in range(g) for a in v[s * w:s * w + m]]
-
-    rel0 = [r for col in M.relations
-            for r in _multiples(at_u0(col), mdl._x_rows, m, q)]
-    images = [at_u0([M.phi[i][j] for i in range(g)]) for j in range(g)]
-    return rel0, _semilinear_matrix(images, W, q)
 
 
 def _fitting_lengths(M):

@@ -7,7 +7,9 @@ linear algebra on the basis u^t * x^j * gen_s below a u-degree bound; the
 certificate guarantees the truncation is faithful.  A model vector is one
 block of N*m ints per generator, the flat SeriesElem.vec of its series cut
 at u^N, so x^j u^t gen_s sits at (s*N + t)*m + j: u^k shifts each block by
-k*m entries and x acts on each m-slice as an m x m matrix.
+k*m entries and x acts on each m-slice as an m x m matrix.  The x^a and
+sigma(x)^a multiples and the linearized Frobenius are taken with the
+helpers of witt_base.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .linalg_residue import (
     span_length,
 )
 from .series_rings import SeriesElem, phi_apply
-from .witt_base import WittRing, _blockwise
+from .witt_base import WittRing, _blockwise, _multiples, _semilinear_matrix
 
 # A model is dense: its relation rows hold (relation count * N * m) x dim
 # cells before the Howell form runs, so a relation of high u-degree in a
@@ -169,7 +171,6 @@ class FiniteModel:
                 f"model too large: g={M.g}, N={N}, m={W.m} give {nrows} "
                 f"relation rows of {self.dim} cells, over the budget of "
                 f"{MODEL_CELL_BUDGET} cells")
-        self._x_rows = W._mul_matrix(W.gen())
         self._phi_img = None
         # the u^t x^j multiples of different relations often coincide or
         # vanish; the Howell form depends only on their span
@@ -213,30 +214,20 @@ class FiniteModel:
             out += v[base:base + w - len(pad)]
         return out
 
-    def x_mul(self, v):
-        return list(v) if self.m == 1 else _blockwise(self._x_rows, v, self.q)
-
     def column_rows(self, col):
         """Spanning vectors for all S-multiples of the element col."""
         rows = []
-        v = self.vec(col)
-        for j in range(self.m):
-            if j:
-                v = self.x_mul(v)
+        for v in _multiples(self.vec(col), self.W._gen_matrices()[0], self.q):
             rows.extend(self.u_shift(v, t) for t in range(self.N))
         return rows
 
     def phi_vec(self, v):
         N, m = self.N, self.m
         if self._phi_img is None:
-            g, W = self.M.g, self.W
-            sx = W._mul_matrix(W.sigma_gen())
-            self._phi_img = []
-            for s in range(g):
-                img = [self.vec([self.M.phi[i][s] for i in range(g)])]
-                for _ in range(1, m):
-                    img.append(_blockwise(sx, img[-1], self.q))
-                self._phi_img.append(img)
+            g, sx = self.M.g, self.W._gen_matrices()[1]
+            self._phi_img = [
+                _multiples(self.vec([self.M.phi[i][s] for i in range(g)]),
+                           sx, self.q) for s in range(g)]
         out = [0] * self.dim
         for s in range(self.M.g):
             for t in range(-(-N // self.p)):
@@ -285,9 +276,7 @@ def presentation_from_generators(M, mdl, gens, killed_by=None):
     r = len(gens)
     cols = []
     for v in gens:
-        xs = [v]
-        for _ in range(1, mdl.m):
-            xs.append(mdl.x_mul(xs[-1]))
+        xs = _multiples(v, mdl.W._gen_matrices()[0], mdl.q)
         cols.extend(mdl.u_shift(w, t) for t in range(mdl.N) for w in xs)
     # relations: combinations of the generator multiples that die in M
     F = factor(list(zip(*cols, *mdl.H)), mdl.p, mdl.nexp)
@@ -362,8 +351,30 @@ def check_ann_inclusion(M, i, e):
     return lhs >= rhs, {"alpha": alpha, "lhs": lhs, "rhs": rhs}
 
 
+def _mod_u_data(M, mdl):
+    """Relations and the linearized Frobenius of M/uM on g*m coordinates:
+    the u^0 coefficients of each relation column times x^a, and of each
+    phi column times sigma(x^a) = sigma(x)^a, for a < m."""
+    W = mdl.W
+    g, m, q, w = M.g, W.m, mdl.q, mdl.N * W.m
+
+    def at_u0(col):
+        v = mdl.vec(col)
+        return [a for s in range(g) for a in v[s * w:s * w + m]]
+
+    rel0 = [r for col in M.relations
+            for r in _multiples(at_u0(col), W._gen_matrices()[0], q)]
+    images = [at_u0([M.phi[i][j] for i in range(g)]) for j in range(g)]
+    return rel0, _semilinear_matrix(images, W, q)
+
+
 def boundary_structure_check(M, e=None, i=None):
-    """(p,u)-annihilation and bijectivity of phi mod (p, u)."""
+    """(p,u)-annihilation and bijectivity of phi mod (p, u).
+
+    phi-bar is an F_p-linear endomorphism of the finite space M/(p, u), well
+    defined since M passed _validate, so it is bijective iff it is onto:
+    iff its images and the relations mod p span all g*m coordinates.
+    """
     p = M.ring.p
     if e is not None and i is not None and e * (i - 1) != p - 1:
         raise InputError("boundary case requires e(i-1) = p-1")
@@ -372,30 +383,9 @@ def boundary_structure_check(M, e=None, i=None):
                 and mdl.member([(x * p) % mdl.q
                                 for x in mdl.gen_vec(s)])
                 for s in range(M.g))
-    # residual space: coordinates (s, t=0, j) mod p
-    m = M.ring.m
-    D = M.g * m
-    small = lambda v: [v[mdl.idx(s, 0, j)] % p
-                       for s in range(M.g) for j in range(m)]
-    rel_small = [small(h) for h in mdl.H]
-    # x^j gen_s for j < m is the unit vector at idx(s, 0, j)
-    phi_cols = [small(mdl.phi_vec([int(k == mdl.idx(s, 0, j))
-                                   for k in range(mdl.dim)]))
-                for s in range(M.g) for j in range(m)]
-    Hs, _ = howell_form(rel_small, p, 1) if rel_small else ([], None)
-    full, _ = howell_form(phi_cols + Hs, p, 1) if D else ([], None)
-    surj = span_length(full, p, 1) == D if D else True
-    inj = True
-    if D:
-        A = [[phi_cols[c][r] for c in range(D)] + [h[r] for h in Hs]
-             for r in range(D)]
-        K, _ = kernel_solve(A, None, p, 1)
-        for k in K:
-            x = [k[c] % p for c in range(D)]
-            if any(x) and not (Hs and in_span(Hs, x, p, 1)):
-                inj = False
-                break
-    bij = surj and inj
+    rel0, F = _mod_u_data(M, mdl)
+    H, _ = howell_form([*zip(*F), *rel0], p, 1)
+    bij = span_length(H, p, 1) == len(F)
     return {"p_u_annihilates": kills, "phi_bijective": bij,
             "passed": kills and bij}
 
@@ -458,6 +448,8 @@ class KisinModule:
     """PhiModule of height <= h, with the E^h-inverse matrix psi."""
 
     def __init__(self, module, h, psi, eis):
+        if h < 0:
+            raise InputError(f"height must be at least 0, got {h}")
         self.module = module
         self.h = h
         self.psi = [list(row) for row in psi]
@@ -578,18 +570,13 @@ class EtalePhiModule:
                    self.field.elem(a) for a in row] for row in A]
         if len(self.A) != d or any(len(r) != d for r in self.A):
             raise InputError("A must be d x d")
-        if not _invertible_over_field(self.A, self.field):
+        # F is phi = A sigma over F_p; sigma is bijective, so phi is
+        # bijective iff A is invertible iff F has full rank
+        self.F = _semilinear_matrix(
+            [[c for i in range(d) for c in self.A[i][k].coeffs]
+             for k in range(d)], self.field, p)
+        if span_length(howell_form(self.F, p, 1)[0], p, 1) != d * m:
             raise IllFormedPhi("A is singular; phi is not bijective")
-
-
-def _invertible_over_field(A, F):
-    """Full rank of the F_p-linearization of A over F = F_{p^m}: row (i, s)
-    joins row s of the matrices of multiplication by A[i][j]."""
-    mats = [[F._mul_matrix(a) for a in row] for row in A]
-    rows = [[x for mat in row for x in mat[s]]
-            for row in mats for s in range(F.m)]
-    H, _ = howell_form(rows, F.p, 1)
-    return span_length(H, F.p, 1) == len(rows)
 
 
 def etale_fixed_points(V, t_max):
@@ -597,37 +584,17 @@ def etale_fixed_points(V, t_max):
 
     Tensors V over F_p with F_{p^t}, solves phi(x) = x as an F_p-linear
     system, and returns (t*, basis vectors) once the F_p-dimension m*d is
-    attained.
+    attained.  On the coordinates y^c x^a e_s, indexed (s*m + a)*t + c,
+    phi is the Kronecker product of V.F with the matrix of y -> y^p on
+    F_{p^t}.
     """
     p, m, d = V.p, V.m, V.d
-    F = V.field
-    genm = F.gen()
-    # sigma(x^a) and A-columns expanded on the F_p-basis of F_{p^m}
-    sig_pow = [F.sigma(genm ** a) for a in range(m)]
     for t in range(1, t_max + 1):
-        Ft = WittRing(p, 1, t)
-        gent = Ft.gen()
-        ypow = [(gent ** (p * c)).coeffs for c in range(t)]
-        D = d * m * t
-        idx = lambda s, a, c: (s * m + a) * t + c
-        Phi = [[0] * D for _ in range(D)]
-        for s in range(d):
-            for a in range(m):
-                imgs = [V.A[i][s] * sig_pow[a] for i in range(d)]
-                for c in range(t):
-                    colv = idx(s, a, c)
-                    for i in range(d):
-                        for j in range(m):
-                            w = imgs[i].coeffs[j]
-                            if w:
-                                for cc in range(t):
-                                    y = ypow[c][cc]
-                                    if y:
-                                        r = idx(i, j, cc)
-                                        Phi[r][colv] = (
-                                            Phi[r][colv] + w * y) % p
-        A = [[(Phi[r][c] - (1 if r == c else 0)) % p for c in range(D)]
-             for r in range(D)]
+        Y = WittRing(p, 1, t)._sigma_matrix()
+        A = [[a * b % p for a in frow for b in yrow]
+             for frow in V.F for yrow in Y]
+        for r, row in enumerate(A):
+            row[r] = (row[r] - 1) % p
         K, _ = kernel_solve(A, None, p, 1)
         if len(K) == m * d:
             return t, K

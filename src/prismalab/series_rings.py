@@ -15,7 +15,6 @@ once per ring; WittElem coordinates appear only as a view (DpElem.coords).
 from __future__ import annotations
 
 import math
-import operator
 import os
 
 from .errors import (
@@ -23,7 +22,7 @@ from .errors import (
     NotEisenstein, NotInFiltration, PrecisionLoss,
 )
 from .linalg_residue import factor, howell_form
-from .witt_base import WittElem, WittRing, _blockwise, _is_prime
+from .witt_base import WittElem, WittRing, _blockwise, _is_prime, _multiples
 
 # ---------------------------------------------------------------------------
 # truncated series over W_n(F_{p^m})
@@ -593,20 +592,13 @@ class DpRing:
         out.extend([0] * (self.dim - len(out)))
         return DpElem(self, tuple(out), prec or self.n_int)
 
-    def residue_powers(self):
-        """x^0, ..., x^{m-1} in the coefficient ring."""
-        xgen = self.ring.gen()
-        return [xgen ** s for s in range(self.m)]
-
     def mult_matrix(self, y):
         """Matrix of multiplication by y on the Z/p^{n_int}-basis
         {x^s b_t}; columns indexed like to_vec."""
+        x = self.ring._gen_matrices()[0]
         cols = []
-        pows = self.residue_powers()
         for t in range(self.D):
-            base = self.basis_elem(t)
-            for w in pows:
-                cols.append((y * base.scale_w(w)).vec)
+            cols.extend(_multiples((y * self.basis_elem(t)).vec, x, self.q))
         # transpose to row-major matrix acting on column vectors
         return [list(row) for row in zip(*cols)]
 
@@ -653,14 +645,12 @@ class DpRing:
         Only multipliers b_t with t + gdeg < D are used, so no product is
         silently truncated.
         """
+        x = self.ring._gen_matrices()[0]
         rows = []
-        pows = self.residue_powers()
         for t in range(self.D - gdeg):
             base = self.basis_elem(t) * g
-            if not any(base.vec):
-                continue
-            for w in pows:
-                rows.append(self.to_vec(base.scale_w(w)))
+            if any(base.vec):
+                rows.extend(_multiples(self.to_vec(base), x, self.q))
         return rows
 
     def _fil_factor(self, r, prec):
@@ -699,17 +689,14 @@ class DpRing:
 
     def phi(self, x):
         """phi(b_i) = (e(pi)!/e(i)!) b_{pi}, sigma on coordinates."""
-        m, q, v = self.m, self.q, x.vec
-        mat = self.ring._sigma_matrix()
+        m, q = self.m, self.q
+        v = x.vec[:len(self._phi_fac) * m]
+        if m > 1:
+            v = _blockwise(self.ring._sigma_matrix(), v, q)
         out = [0] * self.dim
         for i, fac in enumerate(self._phi_fac):
             k = self.p * i * m
-            if m == 1:
-                out[k] = v[i] * fac % q
-                continue
-            c = v[i * m:(i + 1) * m]
-            for s, row in enumerate(mat):
-                out[k + s] = sum(map(operator.mul, row, c)) * fac % q
+            out[k:k + m] = [a * fac % q for a in v[i * m:(i + 1) * m]]
         return DpElem(self, tuple(out), x.prec)
 
     def nabla(self, x):

@@ -12,6 +12,10 @@ x^k mod (f, q) keeps each below 2^b, as does sigma's sum of a_j times the
 packed columns sigma(x)^j, so no slot carries.  Each ring builds b, the
 rows and the columns once, on first use.  Packed ints never escape a call:
 an element stores its coefficient tuple, and results are unpacked mod q.
+
+The linearization of sigma-semilinear maps lives here too: each ring builds
+the matrices of x and sigma(x) once, _multiples gives the x^a or sigma(x)^a
+multiples of a flat vector, and _semilinear_matrix a map's matrix.
 """
 
 from __future__ import annotations
@@ -150,7 +154,8 @@ class WittRing:
     """(Z/p^n)[x]/(f) with cached Frobenius lift."""
 
     __slots__ = ("p", "n", "m", "f", "q", "_sigma_gen", "_sigma_mat",
-                 "_sigma_cols", "_slot", "_mask", "_shifts", "_folds")
+                 "_sigma_cols", "_gen_mats", "_slot", "_mask", "_shifts",
+                 "_folds")
 
     def __init__(self, p, n, m=1, f=None):
         if n < 1 or m < 1:
@@ -172,7 +177,8 @@ class WittRing:
         if len(_fp_gcd(fbar, _fp_deriv(fbar, p), p)) - 1 >= 1:
             raise NonSeparable("f has repeated roots mod p")
         self.f = tuple(f)
-        self._sigma_gen = self._sigma_mat = self._slot = None
+        self._sigma_gen = self._sigma_mat = self._gen_mats = None
+        self._slot = None
 
     # -- element constructors ------------------------------------------
 
@@ -316,6 +322,13 @@ class WittRing:
             w = self._reduce([0] + w)
         return tuple(zip(*cols))
 
+    def _gen_matrices(self):
+        """The _mul_matrix of x and of sigma(x), built once."""
+        if self._gen_mats is None:
+            self._gen_mats = (self._mul_matrix(self.gen()),
+                              self._mul_matrix(self.sigma_gen()))
+        return self._gen_mats
+
     def sigma(self, a):
         """The Frobenius lift, a -> M a with M from _sigma_matrix, as the
         sum of a_j times the packed column j."""
@@ -434,6 +447,24 @@ def _blockwise(rows, v, q):
         out.extend([sum(map(operator.mul, r, b)) % q for r in rows]
                    if any(b) else b)
     return out
+
+
+def _multiples(v, rows, q):
+    """[v, Mv, ..., M^{m-1} v], M the m x m matrix given by its rows and
+    applied to each m-block of the flat vector v."""
+    out = [v]
+    for _ in range(1, len(rows)):
+        out.append(_blockwise(rows, out[-1], q))
+    return out
+
+
+def _semilinear_matrix(images, W, q):
+    """The matrix over Z/q of the sigma-semilinear map sending basis vector
+    k to the flat vector images[k], on the coordinates (k, a) of x^a e_k:
+    column (k, a) is sigma(x)^a times images[k]."""
+    sx = W._gen_matrices()[1]
+    cols = [c for im in images for c in _multiples(im, sx, q)]
+    return [list(r) for r in zip(*cols)]
 
 
 def _fp_invmod(a, f, p):

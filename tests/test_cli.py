@@ -309,6 +309,24 @@ def test_check_bad_ring_values_exit2(tmp_path, ring):
     assert json.loads(res.output)["error"] == "InputError"
 
 
+@pytest.mark.parametrize("module, check", [
+    ("g=1 N=-1", "length"), ("g=1 N=-2", "length"), ("g=1 N=2,3", "length"),
+    ("g=1 N=0 killed=1,3", "u_torsion"), ("g=1 killed=1,1,1", "length"),
+    ("g=1 killed=-1", "length"),
+    # N=0 answered length 0 for a module of length 3
+    ("g=1 N=0", "length"),
+    # a negative height was certified
+    ("g=1 killed=1,3", "height eis=2,1 h=-1"),
+])
+def test_check_bad_module_values_exit2(tmp_path, module, check):
+    text = (f"[ring]\np=2 n=1\n[module]\n{module}\nu^3\n[phi]\n1\n"
+            f"[psi]\n1\n[check]\nname={check}\n")
+    res = run(["check", _write(tmp_path, text), "--json"])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert json.loads(res.output)["error"] == "InputError"
+
+
 @pytest.mark.parametrize("p", [1000003, 10 ** 12 + 39])
 def test_check_length_at_large_p(tmp_path, p):
     # validating phi on the relation u^3 built phi(u^3) = u^(3p) in full,

@@ -2,14 +2,19 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+from prismalab import phi_modules
 from prismalab.errors import (
-    BoundTooSmall, IllFormedPhi, NotKilledByP, PrecisionTooLow,
+    BoundTooSmall, IllFormedPhi, InputError, NotKilledByP, PrecisionTooLow,
 )
 from prismalab.phi_modules import (
     EtalePhiModule, KisinModule, PhiModule, annihilator_alpha,
     boundary_structure_check, check_ann_inclusion, etale_fixed_points,
     height_check, twist_u_torsion_iso, u_torsion, zp_shape,
+)
+from prismalab.linalg_residue import (
+    howell_form, in_span, kernel_solve, span_length,
 )
 from prismalab.series_rings import SeriesElem, eisenstein_make
 from prismalab.witt_base import WittRing
@@ -406,6 +411,196 @@ def test_etale_fixed_points_random_oracle():
                 if y == (x1, x2):
                     cnt += 1
         assert cnt == 2 ** len(basis) == 4
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: the hand-built linearizations that the shared
+# witt_base one replaced, kept verbatim as oracles
+# ---------------------------------------------------------------------------
+
+
+def ref_invertible_over_field(A, F):
+    """Full rank of the F_p-linearization of A over F = F_{p^m}: row (i, s)
+    joins row s of the matrices of multiplication by A[i][j]."""
+    mats = [[F._mul_matrix(a) for a in row] for row in A]
+    rows = [[x for mat in row for x in mat[s]]
+            for row in mats for s in range(F.m)]
+    H, _ = howell_form(rows, F.p, 1)
+    return span_length(H, F.p, 1) == len(rows)
+
+
+def ref_etale_fixed_points(V, t_max):
+    """Smallest scalar extension where the fixed space reaches full size.
+
+    Tensors V over F_p with F_{p^t}, solves phi(x) = x as an F_p-linear
+    system, and returns (t*, basis vectors) once the F_p-dimension m*d is
+    attained.
+    """
+    p, m, d = V.p, V.m, V.d
+    F = V.field
+    genm = F.gen()
+    # sigma(x^a) and A-columns expanded on the F_p-basis of F_{p^m}
+    sig_pow = [F.sigma(genm ** a) for a in range(m)]
+    for t in range(1, t_max + 1):
+        Ft = WittRing(p, 1, t)
+        gent = Ft.gen()
+        ypow = [(gent ** (p * c)).coeffs for c in range(t)]
+        D = d * m * t
+        idx = lambda s, a, c: (s * m + a) * t + c
+        Phi = [[0] * D for _ in range(D)]
+        for s in range(d):
+            for a in range(m):
+                imgs = [V.A[i][s] * sig_pow[a] for i in range(d)]
+                for c in range(t):
+                    colv = idx(s, a, c)
+                    for i in range(d):
+                        for j in range(m):
+                            w = imgs[i].coeffs[j]
+                            if w:
+                                for cc in range(t):
+                                    y = ypow[c][cc]
+                                    if y:
+                                        r = idx(i, j, cc)
+                                        Phi[r][colv] = (
+                                            Phi[r][colv] + w * y) % p
+        A = [[(Phi[r][c] - (1 if r == c else 0)) % p for c in range(D)]
+             for r in range(D)]
+        K, _ = kernel_solve(A, None, p, 1)
+        if len(K) == m * d:
+            return t, K
+    raise BoundTooSmall(
+        f"fixed space did not reach dimension {m * d} by t = {t_max}")
+
+
+def ref_boundary_structure_check(M, e=None, i=None):
+    """(p,u)-annihilation and bijectivity of phi mod (p, u)."""
+    p = M.ring.p
+    if e is not None and i is not None and e * (i - 1) != p - 1:
+        raise InputError("boundary case requires e(i-1) = p-1")
+    mdl = M.model()
+    kills = all(mdl.member(mdl.u_shift(mdl.gen_vec(s), 1))
+                and mdl.member([(x * p) % mdl.q
+                                for x in mdl.gen_vec(s)])
+                for s in range(M.g))
+    # residual space: coordinates (s, t=0, j) mod p
+    m = M.ring.m
+    D = M.g * m
+    small = lambda v: [v[mdl.idx(s, 0, j)] % p
+                       for s in range(M.g) for j in range(m)]
+    rel_small = [small(h) for h in mdl.H]
+    # x^j gen_s for j < m is the unit vector at idx(s, 0, j)
+    phi_cols = [small(mdl.phi_vec([int(k == mdl.idx(s, 0, j))
+                                   for k in range(mdl.dim)]))
+                for s in range(M.g) for j in range(m)]
+    Hs, _ = howell_form(rel_small, p, 1) if rel_small else ([], None)
+    full, _ = howell_form(phi_cols + Hs, p, 1) if D else ([], None)
+    surj = span_length(full, p, 1) == D if D else True
+    inj = True
+    if D:
+        A = [[phi_cols[c][r] for c in range(D)] + [h[r] for h in Hs]
+             for r in range(D)]
+        K, _ = kernel_solve(A, None, p, 1)
+        for k in K:
+            x = [k[c] % p for c in range(D)]
+            if any(x) and not (Hs and in_span(Hs, x, p, 1)):
+                inj = False
+                break
+    bij = surj and inj
+    return {"p_u_annihilates": kills, "phi_bijective": bij,
+            "passed": kills and bij}
+
+
+@st.composite
+def field_matrices(draw):
+    """(p, m, d, A) with A a d x d matrix over F_{p^m} as coefficient
+    lists; a drawn flag zeroes a random row, so singular A occur often."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 3))
+    A = draw(st.lists(st.lists(st.lists(st.integers(0, p - 1), min_size=m,
+                                        max_size=m),
+                               min_size=d, max_size=d),
+                      min_size=d, max_size=d))
+    if draw(st.booleans()):
+        A[draw(st.integers(0, d - 1))] = [[0] * m] * d
+    return p, m, d, A
+
+
+@given(field_matrices())
+def test_etale_invertibility_equals_reference(case):
+    p, m, d, A = case
+    F = WittRing(p, 1, m)
+    expected = ref_invertible_over_field(
+        [[F.elem(a) for a in row] for row in A], F)
+    try:
+        EtalePhiModule(p, m, d, A)
+    except IllFormedPhi:
+        assert not expected
+    else:
+        assert expected
+
+
+def _with_kernel_solves(fixed_points, V, t_max, namespace):
+    """fixed_points(V, t_max), or its BoundTooSmall message, with the
+    matrices Phi - I it passed to the kernel_solve of namespace."""
+    calls, solve = [], namespace["kernel_solve"]
+
+    def recording(A, *args):
+        calls.append(A)
+        return solve(A, *args)
+
+    namespace["kernel_solve"] = recording
+    try:
+        out = fixed_points(V, t_max)
+    except BoundTooSmall as exc:
+        out = str(exc)
+    finally:
+        namespace["kernel_solve"] = solve
+    return out, calls
+
+
+@given(field_matrices(), st.integers(1, 4))
+def test_etale_fixed_points_equal_reference(case, t_max):
+    # t* is often above t_max, so Phi - I is compared at every t tried
+    p, m, d, A = case
+    F = WittRing(p, 1, m)
+    assume(ref_invertible_over_field(
+        [[F.elem(a) for a in row] for row in A], F))
+    V = EtalePhiModule(p, m, d, A)
+    assert (_with_kernel_solves(etale_fixed_points, V, t_max,
+                                vars(phi_modules))
+            == _with_kernel_solves(ref_etale_fixed_points, V, t_max,
+                                   globals()))
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.integers(1, 2),
+       st.integers(1, 3), st.booleans(), st.booleans(), st.data())
+def test_boundary_check_equals_reference(p, m, n, g, singular, kill_first,
+                                         data):
+    """M = (W[[u]]/(p, u))^g with a random constant phi; a singular phi
+    has its last column divisible by p, so phi-bar is not bijective.  With
+    kill_first, the relation e_0 joins and phi(e_0) = 0, so phi-bar is
+    bijective on M/(p, u) only modulo that relation."""
+    W = WittRing(p, n, m)
+    unit = lambda i, c: [S(W, c) if k == i else S(W, []) for k in range(g)]
+    rels = [unit(i, [0, 1]) for i in range(g)] + [unit(i, [p])
+                                                  for i in range(g)]
+    phi = [[SeriesElem(W, [W.elem(data.draw(st.lists(
+        st.integers(0, W.q - 1), min_size=m, max_size=m)))])
+        for _ in range(g)] for _ in range(g)]
+    if singular:
+        for row in phi:
+            row[-1] = row[-1] * p
+    if kill_first:
+        rels.append(unit(0, [1]))
+        for row in phi:
+            row[0] = S(W, [])
+    M = PhiModule(W, g, rels, phi)
+    rep = boundary_structure_check(M)
+    assert rep == ref_boundary_structure_check(M)
+    assert rep["p_u_annihilates"]
+    if singular and not (kill_first and g == 1):
+        assert not rep["phi_bijective"]
 
 
 # ---------------------------------------------------------------------------
