@@ -102,6 +102,12 @@ class BreuilModule:
         """phi_h is well defined: no graph row has a zero source block."""
         return all(any(r[:self.dim]) for r in self._fil_data())
 
+    def phi_h_generates(self):
+        """The S-span of phi_h(Fil) is the whole module."""
+        rows = [r for img in self.phi_gens for r in self.s_multiples(img)]
+        H, _ = howell_form(rows, self.p, 1)
+        return span_length(H, self.p, 1) == self.dim
+
     def phi_h(self, v):
         """phi_h of a vector in Fil, by reduction against the graph rows.
 
@@ -182,11 +188,7 @@ def is_breuil_module(B):
                    for a, b in zip(lhs, mids[i])):
                 return False, "functional-equation"
     # generation: the S-span of phi_h(Fil) is everything
-    rows = []
-    for img in B.phi_gens:
-        rows.extend(B.s_multiples(img))
-    Himg, _ = howell_form(rows, p, 1)
-    if span_length(Himg, p, 1) != B.dim:
+    if not B.phi_h_generates():
         return False, "generation"
     if B.nabla is not None:
         Eel = S.from_int_poly(list(S.eis.int_coeffs)).reduce_prec(1)
@@ -495,11 +497,7 @@ def fl_criterion(M, eis=None, D=None):
         return True
     if not B.phi_h_consistent():
         return False
-    rows = []
-    for img in B.phi_gens:
-        rows.extend(B.s_multiples(img))
-    H, _ = howell_form(rows, B.p, 1)
-    return span_length(H, B.p, 1) == B.dim
+    return B.phi_h_generates()
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,8 @@ def parse_document(text):
 def _validate_shapes(doc):
     mod = doc.header("module")
     g = mod.get("g")
+    if g is not None and not (isinstance(g, int) and g >= 0):
+        raise InputError(f"[module] g must be one integer >= 0, got {g}")
     if g is None and (doc.relations or doc.phi or doc.psi):
         raise ParseError("[module] must declare g before matrix rows")
     for name, mat in (("module", doc.relations), ("phi", doc.phi),
@@ -496,15 +498,22 @@ def _suite_split(seed):
 # ---------------------------------------------------------------------------
 
 
+def _stdout():
+    """sys.stdout as a text stream, uncached: click.echo with no file keeps
+    every stream ever put in sys.stdout alive, with all its output."""
+    return click.get_text_stream("stdout", errors=None)
+
+
 def _emit(payload, as_json):
+    out = _stdout()
     if as_json:
-        click.echo(json.dumps(payload, sort_keys=True, indent=2))
+        click.echo(json.dumps(payload, sort_keys=True, indent=2), file=out)
         return
     items = payload if isinstance(payload, list) else [payload]
     for item in items:
         for k in sorted(item):
-            click.echo(f"{k}: {item[k]}")
-        click.echo("")
+            click.echo(f"{k}: {item[k]}", file=out)
+        click.echo("", file=out)
 
 
 def _exit_code(payload):
@@ -562,9 +571,10 @@ def cmd_example(family, p, n, as_json):
     doc = Document(ring=(("n", n), ("p", p)),
                    check=(("n", n), ("name", "sharpness"), ("p", p)))
     if as_json:
-        click.echo(json.dumps({"document": doc.serialize()}, sort_keys=True))
+        click.echo(json.dumps({"document": doc.serialize()}, sort_keys=True),
+                   file=_stdout())
     else:
-        click.echo(doc.serialize(), nl=False)
+        click.echo(doc.serialize(), nl=False, file=_stdout())
 
 
 @main.command("suite")

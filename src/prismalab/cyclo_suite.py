@@ -147,11 +147,7 @@ def _j_mingens_at(inst, D):
     faithful = D - dq
     Asub = [[A[r][c] % pn for c in range(faithful)] for r in range(S.dim)]
     K, _ = kernel_solve(Asub, None, p, n)
-    rows = []
-    for i in range(S.dim):
-        v = [0] * S.dim
-        v[i] = pn
-        rows.append(v)
+    rows = [[pn * (j == i) for j in range(S.dim)] for i in range(S.dim)]
     for k in K:
         x = S.from_vec(list(k) + [0] * (S.dim - faithful))
         for t in range(D):

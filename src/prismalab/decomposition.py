@@ -221,7 +221,7 @@ def split_breuil(B, alternative=None):
     # linearized over F_p
     W1 = WittRing(p, 1, m, list(S.ring.f) if m > 1 else None)
     F = _semilinear_matrix([[a % p for c in Fcols[i] for a in c.vec[:m]]
-                            for i in range(r)], W1, p)
+                            for i in range(r)], W1)
     stable = _stable_image(F, [], p, 1)
     cur, _ = _field_rows(stable, m, p)
     ell = max(1, _ceil_log(S.D, p)) + 1
@@ -286,7 +286,7 @@ def split_fl(M):
         raise InputError("the filtered split works on the mod-p layer")
     g, m, p = M.g, W.m, W.p
     phi0 = M.phi_images(0)
-    F = _semilinear_matrix([M.vec(v) for v in phi0], W, p)
+    F = _semilinear_matrix([M.vec(v) for v in phi0], W)
     stable = _stable_image(F, [], p, 1)
     cur, piv = _field_rows(stable, m, p)
     # multiplicative part: phi_0 on the stable rows, whose coordinates are
@@ -319,9 +319,7 @@ def check_split_compat(M, eis=None, D=None):
     res_b = split_breuil(B)
     res_f = split_fl(M)
     S = B.S
-    rows = []
-    for wrow in res_f.section:
-        v = [S.one().scale_w(S.ring.elem(list(c.coeffs))) for c in wrow]
-        rows.extend(B.s_multiples(v))
+    rows = [r for wrow in res_f.section for r in B.s_multiples(
+        [S.one().scale_w(S.ring.elem(list(c.coeffs))) for c in wrow])]
     hs, _ = howell_form(rows, B.p, 1) if rows else ([], None)
     return spans_equal(hs, res_b.M_mult["span"], B.p, 1)

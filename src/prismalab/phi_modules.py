@@ -52,14 +52,8 @@ class PhiModule:
             torsion_bound = killed_by[1]
         self.torsion_bound = torsion_bound
         if N is None:
-            maxdeg = 0
-            for col in self.relations:
-                for e in col:
-                    maxdeg = max(maxdeg, e.degree())
-            for row in self.phi:
-                for e in row:
-                    maxdeg = max(maxdeg, e.degree())
-            N = max(maxdeg + 1, 2)
+            N = max(max((e.degree() for rows in (self.relations, self.phi)
+                         for row in rows for e in row), default=0) + 1, 2)
             if killed_by is not None and killed_by[1] is not None:
                 N = max(N, killed_by[1] + 1)
         self.N = N
@@ -149,6 +143,28 @@ class PhiModule:
                 f"N={self.N}, over {self.ring!r})")
 
 
+def _u_shift(v, k, N, m):
+    """u^k times the flat vector v, in blocks of N*m entries cut at u^N."""
+    if k == 0:
+        return list(v)
+    if k >= N:
+        return [0] * len(v)
+    w, pad = N * m, [0] * (k * m)
+    out = []
+    for base in range(0, len(v), w):
+        out += pad
+        out += v[base:base + w - len(pad)]
+    return out
+
+
+def _s_multiples(v, N, W, q):
+    """The u^t x^a multiples of the flat vector v, in blocks of N*m entries
+    over W, at index a*N + t (t < N, a < m): they span the S-multiples of
+    v."""
+    xs = _multiples(v, W._gen_matrices()[0], q)
+    return [_u_shift(x, t, N, W.m) for x in xs for t in range(N)]
+
+
 class FiniteModel:
     """Z/p^nexp expansion of a module on the basis u^t x^j gen_s, t < N."""
 
@@ -203,23 +219,11 @@ class FiniteModel:
         return v
 
     def u_shift(self, v, k):
-        if k == 0:
-            return list(v)
-        if k >= self.N:
-            return [0] * self.dim
-        w, pad = self.N * self.m, [0] * (k * self.m)
-        out = []
-        for base in range(0, self.dim, w):
-            out += pad
-            out += v[base:base + w - len(pad)]
-        return out
+        return _u_shift(v, k, self.N, self.m)
 
     def column_rows(self, col):
         """Spanning vectors for all S-multiples of the element col."""
-        rows = []
-        for v in _multiples(self.vec(col), self.W._gen_matrices()[0], self.q):
-            rows.extend(self.u_shift(v, t) for t in range(self.N))
-        return rows
+        return _s_multiples(self.vec(col), self.N, self.W, self.q)
 
     def phi_vec(self, v):
         N, m = self.N, self.m
@@ -269,29 +273,49 @@ class FiniteModel:
 # ---------------------------------------------------------------------------
 
 
+def _minimal(vecs, rel, N, W, p, nexp):
+    """The S-multiples of each vector of vecs (flat, in blocks of N*m over
+    W) that is not in the span of rel, (p, u) times the S-multiples of all
+    of vecs, and the S-multiples of the vectors kept before it.  With Y the
+    span of all and X that of the kept ones and rel, X + (p, u)Y = Y, so
+    Y = X + (p, u)^k Y = X since u^N and p^nexp are zero (Nakayama)."""
+    q = p ** nexp
+    mults = [_s_multiples(v, N, W, q) for v in vecs]
+    base = list(rel)
+    for ms in mults:
+        base.extend(x for k, x in enumerate(ms) if k % N)
+        if nexp > 1:
+            base.extend([(a * p) % q for a in x] for x in ms[::N])
+    H = howell_form(base, p, nexp)[0]
+    kept = []
+    for v, ms in zip(vecs, mults):
+        if not in_span(H, v, p, nexp):
+            kept.append(ms)
+            H = howell_form(H + ms[::N], p, nexp)[0]
+    return kept
+
+
 def presentation_from_generators(M, mdl, gens, killed_by=None):
-    """PhiModule presented on the given coordinate vectors of a submodule."""
-    if not gens:
-        return PhiModule.zero(mdl.W)
-    r = len(gens)
-    cols = []
-    for v in gens:
-        xs = _multiples(v, mdl.W._gen_matrices()[0], mdl.q)
-        cols.extend(mdl.u_shift(w, t) for t in range(mdl.N) for w in xs)
+    """Minimal PhiModule presentation of the submodule spanned by the
+    coordinate vectors gens.  p and u are nilpotent on it and on its module
+    of relations, so by Nakayama's lemma a set generates iff it does modulo
+    (p, u); _minimal keeps a basis over F_{p^m} of each quotient."""
+    W, N = mdl.W, mdl.N
+    kept = _minimal(gens, mdl.H, N, W, mdl.p, mdl.nexp)
+    if not kept:
+        return PhiModule.zero(W)
+    r, m = len(kept), W.m
+    # the layout (s*N + t)*m + a of to_column
+    cols = [ms[a * N + t] for ms in kept for t in range(N) for a in range(m)]
     # relations: combinations of the generator multiples that die in M
     F = factor(list(zip(*cols, *mdl.H)), mdl.p, mdl.nexp)
-    rel_cols = []
-    for k in F.kernel():
-        c = k[:len(cols)]
-        if any(c):
-            rel_cols.append(mdl.to_column(c, g=r))
-    phi_rows = [[None] * r for _ in range(r)]
-    for i, v in enumerate(gens):
-        col = mdl.to_column(F.solve(mdl.phi_vec(v))[:len(cols)], g=r)
-        for ii in range(r):
-            phi_rows[ii][i] = col[ii]
-    return PhiModule(mdl.W, r, rel_cols, phi_rows, killed_by=killed_by,
-                     N=mdl.N, validate=False)
+    rels = [k[:len(cols)] for k in F.kernel()]
+    rel_cols = [mdl.to_column(ms[0], g=r)
+                for ms in _minimal(rels, [], N, W, mdl.p, mdl.nexp)]
+    phi_cols = [mdl.to_column(F.solve(mdl.phi_vec(ms[0]))[:len(cols)], g=r)
+                for ms in kept]
+    return PhiModule(W, r, rel_cols, list(zip(*phi_cols)),
+                     killed_by=killed_by, N=N, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +389,7 @@ def _mod_u_data(M, mdl):
     rel0 = [r for col in M.relations
             for r in _multiples(at_u0(col), W._gen_matrices()[0], q)]
     images = [at_u0([M.phi[i][j] for i in range(g)]) for j in range(g)]
-    return rel0, _semilinear_matrix(images, W, q)
+    return rel0, _semilinear_matrix(images, W)
 
 
 def boundary_structure_check(M, e=None, i=None):
@@ -487,10 +511,8 @@ def height_check(K):
             return False
     # psi compose (1 tensor phi), a self-map of the pullback: compare mod
     # the phi-twisted relations
-    rows = []
-    for col in M.relations:
-        tw = [phi_apply(e, N) for e in col]
-        rows.extend(mdl.column_rows(tw))
+    rows = [r for col in M.relations
+            for r in mdl.column_rows([phi_apply(e, N) for e in col])]
     Hphi, _ = howell_form(rows, W.p, W.n) if rows else ([], None)
     C2 = matmul(K.psi, M.phi)
     for j in range(g):
@@ -574,7 +596,7 @@ class EtalePhiModule:
         # bijective iff A is invertible iff F has full rank
         self.F = _semilinear_matrix(
             [[c for i in range(d) for c in self.A[i][k].coeffs]
-             for k in range(d)], self.field, p)
+             for k in range(d)], self.field)
         if span_length(howell_form(self.F, p, 1)[0], p, 1) != d * m:
             raise IllFormedPhi("A is singular; phi is not bijective")
 

@@ -443,7 +443,11 @@ def _rat_mod(num, den, p, q):
 
 
 def precision_slack():
-    return int(os.environ.get("PRISMALAB_PRECISION_SLACK", "0"))
+    raw = os.environ.get("PRISMALAB_PRECISION_SLACK", "0").strip()
+    if not raw.isdecimal():
+        raise InputError("PRISMALAB_PRECISION_SLACK must be an integer >= 0,"
+                         f" got {raw!r}")
+    return int(raw)
 
 
 class DpRing:

@@ -458,12 +458,12 @@ def _multiples(v, rows, q):
     return out
 
 
-def _semilinear_matrix(images, W, q):
-    """The matrix over Z/q of the sigma-semilinear map sending basis vector
-    k to the flat vector images[k], on the coordinates (k, a) of x^a e_k:
-    column (k, a) is sigma(x)^a times images[k]."""
+def _semilinear_matrix(images, W):
+    """The matrix over Z/W.q of the sigma-semilinear map sending basis
+    vector k to the flat vector images[k], on the coordinates (k, a) of
+    x^a e_k: column (k, a) is sigma(x)^a times images[k]."""
     sx = W._gen_matrices()[1]
-    cols = [c for im in images for c in _multiples(im, sx, q)]
+    cols = [c for im in images for c in _multiples(im, sx, W.q)]
     return [list(r) for r in zip(*cols)]
 
 

@@ -1,10 +1,15 @@
+import gc
 import json
+import os
 import random
 import string
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from click.testing import CliRunner, _NamedTextIOWrapper
 from hypothesis import given, strategies as st
 
 from prismalab.cli import (
@@ -325,6 +330,62 @@ def test_check_bad_module_values_exit2(tmp_path, module, check):
     assert res.exit_code == 2
     assert "Traceback" not in res.output
     assert json.loads(res.output)["error"] == "InputError"
+
+
+@pytest.mark.parametrize("g", ["-1", "1,2"])
+def test_check_bad_g_names_the_module_header(tmp_path, g):
+    # refused as "[phi] must be a g x g matrix", naming the wrong header
+    text = f"[ring]\np=2 n=1\n[module]\ng={g}\n[check]\nname=length\n"
+    res = run(["check", _write(tmp_path, text), "--json"])
+    assert res.exit_code == 2
+    rep = json.loads(res.output)
+    assert rep["error"] == "InputError"
+    assert "[module] g" in rep["detail"] and "[phi]" not in rep["detail"]
+
+
+@pytest.mark.parametrize("slack", ["abc", "-1"])
+def test_bad_precision_slack_exit2(tmp_path, monkeypatch, slack):
+    # "abc" exited 3 with a ValueError; "-1" silently computed one p-adic
+    # digit below the stated precision
+    monkeypatch.setenv("PRISMALAB_PRECISION_SLACK", slack)
+    text = "[check]\nname=mingens p=2 n=2\n"
+    res = run(["check", _write(tmp_path, text), "--json"])
+    assert res.exit_code == 2
+    rep = json.loads(res.output)
+    assert rep["error"] == "InputError"
+    assert "PRISMALAB_PRECISION_SLACK" in rep["detail"]
+
+
+def test_cli_keeps_no_captured_stdout_alive(tmp_path):
+    # click.echo with no file cached a wrapper per sys.stdout object, so
+    # every stream a CliRunner swapped in stayed alive with its output
+    path = _write(tmp_path, README_DOC)
+
+    def live():
+        gc.collect()
+        return sum(isinstance(o, _NamedTextIOWrapper)
+                   for o in gc.get_objects())
+
+    run(["check", path, "--json"])
+    before = live()
+    for args in (["check", path, "--json"], ["check", path],
+                 ["example", "cyclo"]) * 10:
+        assert run(args).exit_code == 0
+    assert live() <= before
+
+
+def test_subprocess_output_equals_cli_runner_output(tmp_path):
+    path = _write(tmp_path, README_DOC)
+    src = str(Path(sys.modules["prismalab"].__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PRISMALAB_PRECISION_SLACK", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "prismalab.cli", "check", path, "--json"],
+        capture_output=True, env=env, timeout=60)
+    res = run(["check", path, "--json"])
+    assert proc.returncode == res.exit_code == 0
+    assert proc.stdout == res.stdout_bytes
+    assert json.loads(proc.stdout)["exact"] is True
 
 
 @pytest.mark.parametrize("p", [1000003, 10 ** 12 + 39])

@@ -8,16 +8,18 @@ from prismalab import phi_modules
 from prismalab.errors import (
     BoundTooSmall, IllFormedPhi, InputError, NotKilledByP, PrecisionTooLow,
 )
+from prismalab.decomposition import split_phi_module
 from prismalab.phi_modules import (
-    EtalePhiModule, KisinModule, PhiModule, annihilator_alpha,
-    boundary_structure_check, check_ann_inclusion, etale_fixed_points,
-    height_check, twist_u_torsion_iso, u_torsion, zp_shape,
+    EtalePhiModule, KisinModule, PhiModule, _minimal, _s_multiples,
+    annihilator_alpha, boundary_structure_check, check_ann_inclusion,
+    etale_fixed_points, height_check, presentation_from_generators,
+    twist_u_torsion_iso, u_torsion, zp_shape,
 )
 from prismalab.linalg_residue import (
-    howell_form, in_span, kernel_solve, span_length,
+    factor, howell_form, in_span, kernel_solve, span_length, spans_equal,
 )
 from prismalab.series_rings import SeriesElem, eisenstein_make
-from prismalab.witt_base import WittRing
+from prismalab.witt_base import WittRing, _multiples
 
 
 def S(W, coeffs):
@@ -618,3 +620,134 @@ def test_bad_kill_certificate_rejected():
     W = WittRing(2, 2, 1)
     with pytest.raises(NotKilledByP):
         PhiModule(W, 1, [[S(W, [2])]], [[S(W, [1])]], killed_by=(0, None))
+
+
+# ---------------------------------------------------------------------------
+# minimal presentations of submodules
+# ---------------------------------------------------------------------------
+
+
+def ref_presentation(M, mdl, gens, killed_by=None):
+    """PhiModule presented on the given coordinate vectors of a submodule."""
+    if not gens:
+        return PhiModule.zero(mdl.W)
+    r = len(gens)
+    cols = []
+    for v in gens:
+        xs = _multiples(v, mdl.W._gen_matrices()[0], mdl.q)
+        cols.extend(mdl.u_shift(w, t) for t in range(mdl.N) for w in xs)
+    # relations: combinations of the generator multiples that die in M
+    F = factor(list(zip(*cols, *mdl.H)), mdl.p, mdl.nexp)
+    rel_cols = []
+    for k in F.kernel():
+        c = k[:len(cols)]
+        if any(c):
+            rel_cols.append(mdl.to_column(c, g=r))
+    phi_rows = [[None] * r for _ in range(r)]
+    for i, v in enumerate(gens):
+        col = mdl.to_column(F.solve(mdl.phi_vec(v))[:len(cols)], g=r)
+        for ii in range(r):
+            phi_rows[ii][i] = col[ii]
+    return PhiModule(mdl.W, r, rel_cols, phi_rows, killed_by=killed_by,
+                     N=mdl.N, validate=False)
+
+
+def _mod_pu_length(rows, base, mdl):
+    """Length of (Y + base) / ((p, u)Y + base), Y the S-span of rows in
+    blocks of mdl.N * m: the F_p-dimension of Y/(p, u)Y modulo base."""
+    p, nexp, q, N = mdl.p, mdl.nexp, mdl.q, mdl.N
+    mults = [x for v in rows for x in _s_multiples(v, N, mdl.W, q)]
+    low = [x for k, x in enumerate(mults) if k % N]
+    low += [[(a * p) % q for a in x] for x in mults]
+    Y = howell_form(list(base) + mults, p, nexp)[0]
+    Z = howell_form(list(base) + low, p, nexp)[0]
+    return span_length(Y, p, nexp) - span_length(Z, p, nexp)
+
+
+def _u_kernel_length(P):
+    mdl = P.model()
+    return (span_length(mdl.submodule_kernel_of_u_power(1), mdl.p, mdl.nexp)
+            - span_length(mdl.H, mdl.p, mdl.nexp))
+
+
+@st.composite
+def submodule_cases(draw):
+    """(M, gens): M = W[[u]]^g / (u^b, p^a, c) over W_n(F_{p^m}) with a
+    random phi, where the entries of the optional relation c have u-order
+    at least b/p, so that phi(c) lies in u^b M.  gens are 1-2 random model
+    vectors, a drawn combination of them, and then their phi-images until
+    the S-span stops growing, so they span a phi-stable submodule."""
+    p = draw(st.sampled_from([2, 3]))
+    n, m, g = (draw(st.integers(1, 2)) for _ in range(3))
+    a, b = draw(st.integers(1, n)), draw(st.integers(1, 3))
+    W = WittRing(p, n, m)
+    coeff = st.integers(0, W.q - 1)
+
+    def series(lo, hi):
+        return SeriesElem.from_vec(W, [0] * (lo * m) + draw(st.lists(
+            coeff, min_size=(hi - lo) * m, max_size=(hi - lo) * m)))
+
+    def unit(i, e):
+        return [e if k == i else S(W, []) for k in range(g)]
+
+    rels = [unit(i, S(W, [0] * b + [1])) for i in range(g)]
+    if a < n:
+        rels += [unit(i, S(W, [p ** a])) for i in range(g)]
+    if draw(st.booleans()):
+        rels.append([series(-(-b // p), b) for _ in range(g)])
+    phi = [[series(0, b + 1) for _ in range(g)] for _ in range(g)]
+    M = PhiModule(W, g, rels, phi, killed_by=(a, b))
+    mdl = M.model()
+    vec = st.lists(coeff, min_size=mdl.dim, max_size=mdl.dim)
+    gens = draw(st.lists(vec, min_size=1, max_size=2))
+    if draw(st.booleans()):
+        c = draw(coeff)
+        gens.append([(x + c * y) % W.q for x, y in
+                     zip(gens[0], mdl.u_shift(gens[-1], 1))])
+    span, new = list(mdl.H), gens
+    while new:
+        rows = [x for v in new for x in _s_multiples(v, mdl.N, W, W.q)]
+        span = howell_form(span + rows, p, n)[0]
+        new = [w for w in map(mdl.phi_vec, new) if not in_span(span, w, p, n)]
+        gens += new
+    return M, gens
+
+
+@given(submodule_cases())
+def test_minimal_presentation_equals_reference(case):
+    M, gens = case
+    mdl = M.model()
+    p, nexp, N, W = mdl.p, mdl.nexp, mdl.N, mdl.W
+    new = presentation_from_generators(M, mdl, gens, killed_by=M.killed_by)
+    ref = ref_presentation(M, mdl, gens, killed_by=M.killed_by)
+    new._validate()
+    assert new.length() == ref.length()
+    assert _u_kernel_length(new) == _u_kernel_length(ref)
+    assert u_torsion(new).length() == u_torsion(ref).length()
+    split_new, split_ref = split_phi_module(new), split_phi_module(ref)
+    assert ((split_new.M_mult.length(), split_new.M_nilp.length())
+            == (split_ref.M_mult.length(), split_ref.M_nilp.length()))
+    # the kept generators span what all of them span ...
+    kept = [ms[0] for ms in _minimal(gens, mdl.H, N, W, p, nexp)]
+    assert len(kept) == new.g
+
+    def span(vs):
+        rows = [x for v in vs for x in _s_multiples(v, N, W, mdl.q)]
+        return howell_form(list(mdl.H) + rows, p, nexp)[0]
+
+    assert spans_equal(span(kept), span(gens), p, nexp)
+    # ... and there are as few generators and relations as Nakayama allows
+    assert new.g * W.m == _mod_pu_length(gens, mdl.H, mdl)
+    rels = [new.model().vec(col) for col in new.relations]
+    assert len(rels) * W.m == _mod_pu_length(rels, [], new.model())
+
+
+def test_readme_u_torsion_presentation_is_minimal():
+    W = WittRing(2, 1, 1)
+    rels = [[S(W, [0] * 9 + [1]), S(W, [])], [S(W, []), S(W, [0] * 9 + [1])]]
+    phi = [[S(W, [1]), S(W, [])], [S(W, [0, 1]), S(W, [0, 1])]]
+    M = PhiModule(W, 2, rels, phi, killed_by=(1, 9))
+    T = u_torsion(M)
+    # the unreduced presentation had 18 generators and 162 relations
+    assert T.g == 2 and len(T.relations) <= 2
+    assert T.length() == M.length() == 18
