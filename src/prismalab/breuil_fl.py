@@ -86,7 +86,7 @@ class BreuilModule:
                     src = _multiples(self.vec([bt * c for c in g]), x, p)
                     dst = _multiples(self.vec([pb * c for c in img]), sx, p)
                     rows.extend(a + b for a, b in zip(src, dst))
-            self._fil_H, _ = howell_form(rows, p, 1)
+            self._fil_H = howell_form(rows, p, 1)
         return self._fil_H
 
     def _fil_rows(self):
@@ -105,7 +105,7 @@ class BreuilModule:
     def phi_h_generates(self):
         """The S-span of phi_h(Fil) is the whole module."""
         rows = [r for img in self.phi_gens for r in self.s_multiples(img)]
-        H, _ = howell_form(rows, self.p, 1)
+        H = howell_form(rows, self.p, 1)
         return span_length(H, self.p, 1) == self.dim
 
     def phi_h(self, v):
@@ -276,8 +276,7 @@ class FLModule:
                         v = [0] * self.dim
                         v[t * self.m + j] = self.W.p ** c
                         rows.append(v)
-            self._rel, _ = (howell_form(rows, self.p, self.W.n)
-                            if rows else ([], None))
+            self._rel = howell_form(rows, self.p, self.W.n)
         return self._rel
 
     def w_span(self, gens, extra_rows=()):
@@ -286,8 +285,7 @@ class FLModule:
         x = self.W._gen_matrices()[0]
         for v in gens:
             rows.extend(_multiples(self.vec(v), x, self.W.q))
-        H, _ = howell_form(rows, self.p, self.W.n) if rows else ([], None)
-        return H
+        return howell_form(rows, self.p, self.W.n)
 
     def _graph(self, gens, images):
         """Howell form of the graph rows [f | phi(f)] of a semilinear map.
@@ -305,8 +303,7 @@ class FLModule:
             src = _multiples(self.vec(f), x, W.q)
             dst = _multiples(self.vec(im), sx, W.q)
             rows.extend(a + b for a, b in zip(src, dst))
-        H, _ = howell_form(rows, self.p, W.n)
-        return H
+        return howell_form(rows, self.p, W.n)
 
     def semilinear_apply(self, gens, images, targets):
         """sigma-semilinear values at each of targets; raises Inconsistent
@@ -334,11 +331,7 @@ class FLModule:
                    for r in self._graph(gens, images) if not any(r[:d]))
 
     def is_zero_in_module(self, v):
-        rel = self.relation_rows()
-        vec = self.vec(v)
-        if rel:
-            return in_span(rel, vec, self.p, self.W.n)
-        return all(x % self.W.q == 0 for x in vec)
+        return in_span(self.relation_rows(), self.vec(v), self.p, self.W.n)
 
     def module_length(self):
         full = self.dim * self.W.n
@@ -440,12 +433,9 @@ def kisin_to_breuil(K, h, D=None):
                 line[r * d + i * len(filS) + k] = (-frow[row]) % p
             A.append(line)
     K0, _ = kernel_solve(A, None, p, 1)
-    xs, _ = howell_form([k[:r * d] for k in K0], p, 1) if K0 else ([], None)
     fil_gens = []
     phi_gens = []
-    for row in xs:
-        if not any(row):
-            continue
+    for row in howell_form([k[:r * d] for k in K0], p, 1):
         x = [S.from_vec([row[j * d + c] for c in range(d)], prec=1)
              for j in range(r)]
         img_coords = []

@@ -41,6 +41,10 @@ from .series_rings import SeriesElem, eisenstein_make
 from .witt_base import WittRing
 
 BLOCKS = ("ring", "module", "phi", "psi", "fil", "check")
+# header keys whose value is a list of integers, with the least length
+# (killed=a is (a,), the u-exponent left open); every other key but name
+# is one integer
+LIST_KEYS = {"killed": 1, "f": 2, "eis": 2}
 
 # ---------------------------------------------------------------------------
 # series literals
@@ -196,17 +200,23 @@ def _fmt_value(v):
     return str(v)
 
 
-def _parse_value(key, raw, line):
+def _parse_value(block, key, raw, line):
+    """A header value: raw for name, a tuple for the keys of LIST_KEYS and
+    one int for any other key."""
+    if key == "name":
+        return raw
     try:
-        if "," in raw:
-            return tuple(int(x) for x in raw.split(","))
-        if key == "name":
-            return raw
-        return int(raw)
+        vals = tuple(int(x) for x in raw.split(","))
     except ValueError:
-        if key == "name":
-            return raw
         raise ParseError(f"value of {key!r} must be an integer", line)
+    if key in LIST_KEYS:
+        if len(vals) < LIST_KEYS[key]:
+            raise InputError(f"[{block}] {key} must list at least "
+                             f"{LIST_KEYS[key]} integers")
+        return vals
+    if len(vals) > 1:
+        raise InputError(f"[{block}] {key} must be a single integer")
+    return vals[0]
 
 
 # a block header is a bare bracketed name; a row may start with a
@@ -236,13 +246,11 @@ def parse_document(text):
                 if "=" not in tok:
                     raise ParseError(f"bad header token {tok!r}", lineno)
                 k, v = tok.split("=", 1)
-                blocks[current].append((k, _parse_value(k, v, lineno)))
+                blocks[current].append(
+                    (k, _parse_value(current, k, v, lineno)))
         else:
             rows[current].append((lineno, line))
     ring = dict(blocks["ring"])
-    for key in ("p", "n", "m"):
-        if not isinstance(ring.get(key, 1), int):
-            raise InputError(f"[ring] {key} must be a single integer")
     q = ring.get("p", 0) ** ring.get("n", 1)
     m = ring.get("m", 1)
     if rows["ring"] or rows["check"]:
@@ -277,7 +285,7 @@ def parse_document(text):
 def _validate_shapes(doc):
     mod = doc.header("module")
     g = mod.get("g")
-    if g is not None and not (isinstance(g, int) and g >= 0):
+    if g is not None and g < 0:
         raise InputError(f"[module] g must be one integer >= 0, got {g}")
     if g is None and (doc.relations or doc.phi or doc.psi):
         raise ParseError("[module] must declare g before matrix rows")
@@ -309,11 +317,11 @@ def build_module(doc):
     if g is None:
         raise InputError("[module] must declare g")
     N = mod.get("N")
-    if N is not None and not (isinstance(N, int) and N >= 1):
+    if N is not None and N < 1:
         raise InputError(f"[module] N must be one integer >= 1, got {N}")
     killed = mod.get("killed")
-    if killed is not None and not isinstance(killed, tuple):
-        killed = (killed, None)
+    if killed is not None and len(killed) == 1:
+        killed += (None,)
     if killed is not None and (len(killed) != 2
                                or min(k or 0 for k in killed) < 0):
         raise InputError("[module] killed must be one or two integers >= 0")

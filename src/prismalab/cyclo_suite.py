@@ -70,11 +70,9 @@ def ker_phi_minus_d(inst, m):
             col[j + k] = (col[j + k] - a) % q
         cols.append(col)
     A = [[cols[c][r] for c in range(B + 1)] for r in range(nrows)]
-    K, _ = kernel_solve(A, None, p, m)
-    gens, _ = howell_form(K, p, m) if K else ([], None)
-    gens = [g for g in gens if any(g)]
+    gens, _ = kernel_solve(A, None, p, m)  # a Howell basis
     g0 = [c % q for c in inst.g0] + [0] * (B + 1 - len(inst.g0))
-    g0span, _ = howell_form([g0], p, m)
+    g0span = howell_form([g0], p, m)
     for g in gens:
         if any(g[t] % q for t in range(B - e + 1, B + 1)):
             raise BoundaryContamination(
@@ -149,25 +147,20 @@ def _j_mingens_at(inst, D):
     K, _ = kernel_solve(Asub, None, p, n)
     rows = [[pn * (j == i) for j in range(S.dim)] for i in range(S.dim)]
     for k in K:
-        x = S.from_vec(list(k) + [0] * (S.dim - faithful))
-        for t in range(D):
-            r = S.to_vec(S.basis_elem(t) * x)
-            if any(r):
-                rows.append(r)
-    J, _ = howell_form(rows, p, S.n_int)
-    jgens = [r for r in J if any(r)]
+        rows += S._ideal_rows(S.from_vec(list(k) + [0] * (S.dim - faithful)))
+    J = howell_form(rows, p, S.n_int)
     mults = [S.from_int_poly([0, 1])]
     i = 1
     while p ** i * S.e < D:
         mults.append(S.gamma(p ** i))
         i += 1
     mrows = []
-    for r in jgens:
+    for r in J:
         x = S.from_vec(list(r))
         mrows.append([(p * a) % q for a in r])
         for mlt in mults:
             mrows.append(S.to_vec(mlt * x))
-    MJ, _ = howell_form(mrows, p, S.n_int)
+    MJ = howell_form(mrows, p, S.n_int)
     return span_length(J, p, S.n_int) - span_length(MJ, p, S.n_int)
 
 

@@ -63,10 +63,10 @@ def _stable_image(F, rel0, p, nexp):
     """Howell span of the stabilized image of the linearized Frobenius."""
     q = p ** nexp
     dim = len(F)
-    cur, _ = howell_form(
+    cur = howell_form(
         [[F[r][c] for r in range(dim)] for c in range(dim)] + rel0, p, nexp)
     while True:
-        nxt, _ = howell_form(
+        nxt = howell_form(
             [_mat_apply(F, row, q) for row in cur] + rel0, p, nexp)
         if spans_equal(cur, nxt, p, nexp):
             return cur
@@ -126,7 +126,7 @@ def _fitting_lengths(M):
     mdl = M.model()
     p, nexp = mdl.p, mdl.nexp
     rel0, F = _mod_u_data(M, mdl)
-    rel = span_length(howell_form(rel0, p, nexp)[0], p, nexp) if rel0 else 0
+    rel = span_length(howell_form(rel0, p, nexp), p, nexp)
     stable = span_length(_stable_image(F, rel0, p, nexp), p, nexp)
     return len(F) * nexp - rel, stable - rel
 
@@ -150,11 +150,9 @@ def mult_section(M, rng=None):
     rel0, F = _mod_u_data(M, mdl)
     if M.g == 0:
         return [], [], 0
-    rel_span = howell_form(rel0, p, nexp)[0] if rel0 else []
-    stable = _stable_image(F, rel0, p, nexp)
-    basis = [row for row in stable
-             if not (rel_span and in_span(rel_span, row, p, nexp))
-             and any(row)]
+    rel_span = howell_form(rel0, p, nexp)
+    basis = [row for row in _stable_image(F, rel0, p, nexp)
+             if not in_span(rel_span, row, p, nexp)]
     b = M.killed_by[1] if (M.killed_by and M.killed_by[1]) else mdl.N
     T = max(1, _ceil_log(b, p)) + 1
     # solve phi-bar^T(y) = x-bar with y inside the multiplicative part
@@ -233,7 +231,7 @@ def split_breuil(B, alternative=None):
 
     def span(vectors):
         rows = [row for v in vectors for row in B.s_multiples(v)]
-        return howell_form(rows, p, 1)[0] if rows else []
+        return howell_form(rows, p, 1)
 
     images = [lift([S.from_vec(y[k:k + m]) for k in range(0, r * m, m)])
               for y in _preimages(F, stable, [], ell, cur, p, 1)]
@@ -260,16 +258,14 @@ def _fil_compat(B, mult_span, images):
     fil = B.fil_span()
     lf = span_length(fil, p, 1)
     lm = span_length(mult_span, p, 1)
-    lsum = span_length(howell_form(list(fil) + list(mult_span), p, 1)[0],
-                       p, 1)
+    lsum = span_length(howell_form(list(fil) + list(mult_span), p, 1), p, 1)
     inter_dim = lf + lm - lsum
     rows = []
     for v in images:
         for frow in B.S.fil_span(B.h):
             s = B.S.from_vec(frow)
             rows.extend(B.s_multiples([s * c for c in v]))
-    hs, _ = howell_form(rows, p, 1)
-    return span_length(hs, p, 1) == inter_dim
+    return span_length(howell_form(rows, p, 1), p, 1) == inter_dim
 
 
 # ---------------------------------------------------------------------------
@@ -321,5 +317,5 @@ def check_split_compat(M, eis=None, D=None):
     S = B.S
     rows = [r for wrow in res_f.section for r in B.s_multiples(
         [S.one().scale_w(S.ring.elem(list(c.coeffs))) for c in wrow])]
-    hs, _ = howell_form(rows, B.p, 1) if rows else ([], None)
+    hs = howell_form(rows, B.p, 1)
     return spans_equal(hs, res_b.M_mult["span"], B.p, 1)

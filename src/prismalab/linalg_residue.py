@@ -4,16 +4,19 @@ Howell normal form is the workhorse: it supports row-span membership and
 kernel computations over the chain ring Z/p^n.  Smith elementary divisors
 are provided for shape extraction only.
 
-One elimination engine on augmented rows ``[left | right]`` serves both:
-``howell_form`` appends the identity only when the transform is asked for,
-and ``factor`` echelonizes ``[A^T | I]`` once.  The resulting ``Factored``
-system answers any number of right-hand sides: ``solve(b)`` reduces
-``[b | 0]`` against the stored pivots (a nonzero left remainder means b
-is not attained), and ``kernel()`` is built on its first call from the
-right blocks of the rows whose left block vanished.  ``kernel_solve`` is
-one factor with at most one solve.
+One elimination engine serves both: ``howell_form`` echelonizes the rows
+themselves, and ``factor`` echelonizes ``[A^T | I]`` once.  The resulting
+``Factored`` system answers any number of right-hand sides: ``solve(b)``
+reduces ``[b | 0]`` against the stored pivots (a nonzero left remainder
+means b is not attained), and ``kernel()`` is built on its first call from
+the right blocks of the rows whose left block vanished.  ``kernel_solve``
+is one factor with at most one solve.
 
-Matrices are lists of rows; rows are lists of ints reduced mod p^n.
+Plain rows in, a Howell basis out: every function takes a matrix as a list
+of rows of ints together with p and n, and ``howell_form`` returns the
+canonical Howell basis as a list of rows, none of them zero.  Empty in,
+empty out: no rows, or rows of width 0, give the empty basis, whose span
+has length 0 and holds only the zero vector.
 """
 
 from __future__ import annotations
@@ -35,39 +38,6 @@ def _val(x, p, n):
 def _sub_tail(r, tail, c, col, q):
     """r -= c * s in place, where tail = s[col:] and r, s vanish before col."""
     r[col:] = [(a - c * b) % q for a, b in zip(r[col:], tail)]
-
-
-class ResidueMatrix:
-    """Thin wrapper recording the modulus exponent with the entries."""
-
-    __slots__ = ("p", "n", "rows", "cols", "entries")
-
-    def __init__(self, p, n, entries):
-        self.p = p
-        self.n = n
-        q = p ** n
-        self.entries = [[x % q for x in row] for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.entries else 0
-        if any(len(r) != self.cols for r in self.entries):
-            raise InputError("ragged matrix")
-
-    def __eq__(self, other):
-        return (isinstance(other, ResidueMatrix)
-                and (self.p, self.n, self.entries)
-                == (other.p, other.n, other.entries))
-
-    def __repr__(self):
-        return f"ResidueMatrix(p={self.p}, n={self.n}, {self.entries})"
-
-
-def _unwrap(A, p, n):
-    """(rows, p, n) of a ResidueMatrix, or of plain rows given p and n."""
-    if isinstance(A, ResidueMatrix):
-        return A.entries, A.p, A.n
-    if p is None or n is None:
-        raise InputError("p and n required for raw matrices")
-    return A, p, n
 
 
 def _echelon(rows, ncols, p, n):
@@ -118,23 +88,11 @@ def _echelon(rows, ncols, p, n):
     return pivots, dead
 
 
-def howell_form(A, p=None, n=None, transform=False):
-    """Howell normal form of the row span.
-
-    Accepts a ResidueMatrix or a plain list of rows (then p, n required).
-    Returns (H, T) with T a list of coefficient rows (over the input rows)
-    such that each H row equals T row times A; T is None unless requested.
-    """
-    wrap = isinstance(A, ResidueMatrix)
-    rows, p, n = _unwrap(A, p, n)
+def howell_form(rows, p, n):
+    """Howell basis of the row span of rows over Z/p^n, as a list of rows."""
     q = p ** n
     ncols = len(rows[0]) if rows else 0
-    work = [[x % q for x in r] for r in rows]
-    if transform:
-        for i, r in enumerate(work):
-            r.extend([0] * len(rows))
-            r[ncols + i] = 1
-    pivots, _ = _echelon(work, ncols, p, n)
+    pivots, _ = _echelon([[x % q for x in r] for r in rows], ncols, p, n)
 
     # reduce entries above each pivot for canonicity
     for j, (prow, col, v) in enumerate(pivots):
@@ -143,12 +101,7 @@ def howell_form(A, p=None, n=None, transform=False):
         for r, _, _ in pivots[:j]:
             if r[col] >= pv:
                 _sub_tail(r, tail, r[col] // pv, col, q)
-
-    H = [r[:ncols] for r, _, _ in pivots]
-    T = [r[ncols:] for r, _, _ in pivots] if transform else None
-    if wrap:
-        H = ResidueMatrix(p, n, H) if H else ResidueMatrix(p, n, [[0] * ncols] if ncols else [])
-    return H, T
+    return [r for r, _, _ in pivots]
 
 
 def pivot_info(H, p, n):
@@ -160,22 +113,16 @@ def pivot_info(H, p, n):
     return out
 
 
-def reduce_vector(H, vec, p, n, coeffs=False):
-    """Canonical remainder of vec against a Howell basis H.
-
-    With coeffs=True also returns the combination used, so that
-    vec = sum(c_i * H_i) + remainder.
-    """
+def reduce_vector(H, vec, p, n):
+    """Canonical remainder of vec against a Howell basis H."""
     q = p ** n
     vec = [x % q for x in vec]
-    used = [0] * len(H)
-    for i, r in enumerate(H):
+    for r in H:
         col = next(j for j, x in enumerate(r) if x)
         c = vec[col] // r[col]
         if c:
             _sub_tail(vec, r[col:], c, col, q)
-            used[i] = c
-    return (vec, used) if coeffs else vec
+    return vec
 
 
 def in_span(H, vec, p, n):
@@ -226,17 +173,16 @@ class Factored:
     def kernel(self):
         """Howell basis of ker A, computed on the first call."""
         if self._kernel is None:
-            K = [r[self.rows:] for r in self._dead if any(r[self.rows:])]
-            self._kernel = howell_form(K, self.p, self.n)[0] if K else []
+            self._kernel = howell_form([r[self.rows:] for r in self._dead],
+                                       self.p, self.n)
             self._dead = None
         return self._kernel
 
 
-def factor(A, p=None, n=None):
-    """Eliminate A (a ResidueMatrix or rows over Z/p^n) once, as a Factored
-    system whose kernel and solutions for any right-hand side read off the
-    same echelon form."""
-    entries, p, n = _unwrap(A, p, n)
+def factor(entries, p, n):
+    """Eliminate the rows entries over Z/p^n once, as a Factored system
+    whose kernel and solutions for any right-hand side read off the same
+    echelon form."""
     q = p ** n
     rows = len(entries)
     cols = len(entries[0]) if entries else 0
@@ -249,7 +195,7 @@ def factor(A, p=None, n=None):
     return Factored(p, n, rows, cols, pivots, dead)
 
 
-def kernel_solve(A, b=None, p=None, n=None):
+def kernel_solve(A, b, p, n):
     """Solve A x = 0 (and optionally A x = b) over Z/p^n.
 
     Returns (kernel_generators, particular_solution); the solution part is
@@ -269,16 +215,15 @@ def direct_sum_rows(A, B, ga, gb, zero):
             + [[zero] * ga + list(r) for r in B])
 
 
-def smith_elementary_divisors(A, p=None, n=None):
+def smith_elementary_divisors(A, p, n):
     """Valuations v with elementary divisors p^v (v < n), sorted ascending.
 
     The row span S is the sum of the Z/p^(n-v), so p^k S has length
     sum(max(0, n - v - k)) and #{v <= j} = len(p^(n-1-j) S) - len(p^(n-j) S).
     """
-    A, p, n = _unwrap(A, p, n)
     q = p ** n
     lengths = [span_length(howell_form([[(x * p ** k) % q for x in r]
-                                        for r in A], p, n)[0], p, n)
+                                        for r in A], p, n), p, n)
                for k in range(n + 1)]
     at_most = [0] + [lengths[n - 1 - j] - lengths[n - j] for j in range(n)]
     return [j for j in range(n) for _ in range(at_most[j + 1] - at_most[j])]

@@ -624,8 +624,7 @@ class DpRing:
                         v = [0] * self.dim
                         v[t * self.m + s] = 1
                         rows.append(v)
-                H, _ = howell_form(rows, self.p, self.n_int)
-                self._fil[r] = H
+                self._fil[r] = howell_form(rows, self.p, self.n_int)
             else:
                 if r > self.p:
                     raise InputError("filtration levels above p are not modelled")
@@ -639,8 +638,7 @@ class DpRing:
                     rows += self._ideal_rows(self.gamma(self.p ** i),
                                              self.p ** i * self.e)
                     i += 1
-                H, _ = howell_form(rows, self.p, self.n_int)
-                self._fil[r] = H
+                self._fil[r] = howell_form(rows, self.p, self.n_int)
         return self._fil[r]
 
     def _ideal_rows(self, g, gdeg=0):

@@ -19,6 +19,7 @@ from prismalab.cli import (
 from prismalab.decomposition import (
     SplitResult, fitting_conditions, split_phi_module,
 )
+from prismalab import errors
 from prismalab.errors import ParseError, UnknownCheck
 from prismalab.phi_modules import (
     FiniteModel, PhiModule, presentation_from_generators,
@@ -341,6 +342,74 @@ def test_check_bad_g_names_the_module_header(tmp_path, g):
     rep = json.loads(res.output)
     assert rep["error"] == "InputError"
     assert "[module] g" in rep["detail"] and "[phi]" not in rep["detail"]
+
+
+# one base document per check, with every header key its check reads
+_ARITY_MODULE = ("[ring]\np=2 n=1 m=2 f=1,1,1\n[module]\ng=1 N=4 killed=1,2\n"
+                 "u^2\n[phi]\n1\n")
+ARITY_DOCS = {
+    "sharpness": "[check]\nname=sharpness p=2 n=1 bound=4 D=8\n",
+    "kernel": "[check]\nname=kernel p=2 n=1 bound=4 m=1\n",
+    "mingens": "[check]\nname=mingens p=2 n=1 D=8\n",
+    "split": _ARITY_MODULE + "[check]\nname=split seed=1\n",
+    "zp_shape": _ARITY_MODULE + "[check]\nname=zp_shape\n",
+    "u_torsion": _ARITY_MODULE + "[check]\nname=u_torsion\n",
+    "boundary": _ARITY_MODULE + "[check]\nname=boundary e=1 i=2\n",
+    "height": ("[ring]\np=2 n=1\n[module]\ng=1 N=4\n[phi]\n2 + u\n[psi]\n1\n"
+               "[check]\nname=height eis=2,1 h=1\n"),
+    "length": _ARITY_MODULE + "[check]\nname=length\n",
+}
+
+
+def _arity_cases():
+    """(check, document, block, key) with one header value replaced by a
+    value of the wrong arity: a list for a one-integer key, a scalar for
+    f and eis.  killed=a is the valid shorthand for (a, open)."""
+    for check, text in ARITY_DOCS.items():
+        block = None
+        for line in text.splitlines():
+            if line.startswith("["):
+                block = line[1:-1]
+                continue
+            for tok in line.split():
+                key, _, value = tok.partition("=")
+                if not value or key == "name" or key == "killed":
+                    continue
+                bad = ["3"] if key in ("f", "eis") else ["1,2", "-5,3",
+                                                         "1,2,3"]
+                for v in bad:
+                    yield (check, text.replace(f"{line}\n", line.replace(
+                        tok, f"{key}={v}") + "\n"), block, key)
+
+
+def test_every_header_key_refuses_a_value_of_the_wrong_arity(tmp_path):
+    # list-valued p, n, i, h, m, D and seed and a scalar eis or f exited 3;
+    # bound=1,2 was silently accepted
+    cases = list(_arity_cases())
+    assert {(block, key) for _, _, block, key in cases} >= {
+        ("ring", "p"), ("ring", "n"), ("ring", "m"), ("ring", "f"),
+        ("module", "g"), ("module", "N"), ("check", "bound"),
+        ("check", "D"), ("check", "seed"), ("check", "e"), ("check", "i"),
+        ("check", "eis"), ("check", "h"), ("check", "m"), ("check", "p")}
+    path = _write(tmp_path, "")
+    for text in ARITY_DOCS.values():
+        Path(path).write_text(text)
+        res = run(["check", path, "--json"])
+        assert res.exit_code in (0, 1), (text, res.output)
+    for check, text, block, key in cases:
+        Path(path).write_text(text)
+        res = run(["check", path, "--json"])
+        assert res.exit_code == 2, (check, text, res.output)
+        assert "Traceback" not in res.output
+        rep = json.loads(res.output)
+        assert issubclass(getattr(errors, rep["error"]), errors.InputError)
+        assert f"[{block}] {key} must" in rep["detail"], (check, text, rep)
+
+
+def test_killed_scalar_leaves_the_u_exponent_open():
+    doc = parse_document(_ARITY_MODULE.replace("killed=1,2", "killed=1"))
+    assert doc.header("module")["killed"] == (1,)
+    assert build_module(doc).killed_by == (1, None)
 
 
 @pytest.mark.parametrize("slack", ["abc", "-1"])

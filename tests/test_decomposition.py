@@ -220,7 +220,7 @@ def test_functoriality_of_split():
         for col in resP.inclusion:
             rows.extend(mdlp.column_rows(list(col)))
         from prismalab.linalg_residue import howell_form
-        span, _ = howell_form(rows, mdlp.p, mdlp.nexp)
+        span = howell_form(rows, mdlp.p, mdlp.nexp)
         for col in resM.inclusion:
             img = [sum((col[k].scale(f[i][k]) for k in range(M.g)),
                        SeriesElem.from_ints(W, [])).truncate(Mp.N)
@@ -458,7 +458,7 @@ def ref_split_breuil(B, alternative=None):
     rows = []
     for v in images:
         rows.extend(B.s_multiples(v))
-    mult_span, _ = howell_form(rows, p, 1) if rows else ([], None)
+    mult_span = howell_form(rows, p, 1) if rows else []
     mult_len = span_length(mult_span, p, 1)
     nilp_len = B.dim - mult_len
     cert = {"canonical": None, "fil_compatible": _fil_compat(B, mult_span,
@@ -473,7 +473,7 @@ def ref_split_breuil(B, alternative=None):
         arows = []
         for v in alt:
             arows.extend(B.s_multiples(v))
-        aspan, _ = howell_form(arows, p, 1) if arows else ([], None)
+        aspan = howell_form(arows, p, 1) if arows else []
         cert["canonical"] = spans_equal(aspan, mult_span, p, 1)
     return SplitResult(
         {"generators": images, "span": mult_span, "length": mult_len},
@@ -559,7 +559,7 @@ def ref_check_split_compat(M, eis=None, D=None):
     for wrow in res_f.section:
         v = [S.one().scale_w(S.ring.elem(list(c.coeffs))) for c in wrow]
         rows.extend(B.s_multiples(v))
-    hs, _ = howell_form(rows, B.p, 1) if rows else ([], None)
+    hs = howell_form(rows, B.p, 1) if rows else []
     return spans_equal(hs, res_b.M_mult["span"], B.p, 1)
 
 

@@ -541,7 +541,7 @@ def test_flat_model_equals_boxed(model, data):
         rows.extend(mdl.column_rows(col))
         ref_rows.extend(ref.column_rows(bcol))
     assert rows == ref_rows
-    assert mdl.H == howell_form(ref_rows, mdl.p, nexp)[0]
+    assert mdl.H == howell_form(ref_rows, mdl.p, nexp)
     v = data.draw(st.lists(st.integers(0, mdl.q - 1), min_size=mdl.dim,
                            max_size=mdl.dim))
     for k in range(N + 3):

@@ -1,9 +1,11 @@
-"""Every name a module of src/prismalab imports is used in that module."""
+"""Every name a module of src/prismalab imports is used in that module, and
+no module of src/prismalab or tests unpacks or indexes a howell_form."""
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "prismalab"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "prismalab"
 
 
 def unused_imports(source):
@@ -33,4 +35,44 @@ def test_src_has_no_unused_imports():
     files = sorted(SRC.glob("*.py"))
     assert files
     found = {f.name: unused_imports(f.read_text()) for f in files}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def _is_howell_call(node):
+    if isinstance(node, ast.IfExp):
+        return _is_howell_call(node.body) or _is_howell_call(node.orelse)
+    return isinstance(node, ast.Call) and "howell_form" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def unpacked_howell_forms(source):
+    """Lines that assign a howell_form(...) result to a tuple or list
+    target, or subscript it.  The result is one list of rows, so with two
+    rows a two-name target unpacks it silently and does not raise."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and _is_howell_call(node.value):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Assign) and _is_howell_call(node.value) \
+                and any(isinstance(t, (ast.Tuple, ast.List))
+                        for t in node.targets):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_guard_sees_an_unpacked_howell_form():
+    call = "howell_form(rows, p, n)"
+    source = (f"H, _ = {call}\n"
+              f"[H] = la.{call} if rows else [[]]\n"
+              f"H = {call}[0]\n"
+              f"H = {call}\n"
+              f"H, T = ref_{call}\n"
+              f"x = ref_{call}[0]\n"
+              f"for a, b in {call}: pass\n")
+    assert unpacked_howell_forms(source) == [1, 2, 3]
+
+
+def test_no_howell_form_is_unpacked():
+    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    found = {f.name: unpacked_howell_forms(f.read_text()) for f in files}
     assert {k: v for k, v in found.items() if v} == {}

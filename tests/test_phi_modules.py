@@ -18,7 +18,7 @@ from prismalab.phi_modules import (
 from prismalab.linalg_residue import (
     factor, howell_form, in_span, kernel_solve, span_length, spans_equal,
 )
-from prismalab.series_rings import SeriesElem, eisenstein_make
+from prismalab.series_rings import SeriesElem, eisenstein_make, phi_apply
 from prismalab.witt_base import WittRing, _multiples
 
 
@@ -427,7 +427,7 @@ def ref_invertible_over_field(A, F):
     mats = [[F._mul_matrix(a) for a in row] for row in A]
     rows = [[x for mat in row for x in mat[s]]
             for row in mats for s in range(F.m)]
-    H, _ = howell_form(rows, F.p, 1)
+    H = howell_form(rows, F.p, 1)
     return span_length(H, F.p, 1) == len(rows)
 
 
@@ -494,8 +494,8 @@ def ref_boundary_structure_check(M, e=None, i=None):
     phi_cols = [small(mdl.phi_vec([int(k == mdl.idx(s, 0, j))
                                    for k in range(mdl.dim)]))
                 for s in range(M.g) for j in range(m)]
-    Hs, _ = howell_form(rel_small, p, 1) if rel_small else ([], None)
-    full, _ = howell_form(phi_cols + Hs, p, 1) if D else ([], None)
+    Hs = howell_form(rel_small, p, 1) if rel_small else []
+    full = howell_form(phi_cols + Hs, p, 1) if D else []
     surj = span_length(full, p, 1) == D if D else True
     inj = True
     if D:
@@ -622,6 +622,43 @@ def test_bad_kill_certificate_rejected():
         PhiModule(W, 1, [[S(W, [2])]], [[S(W, [1])]], killed_by=(0, None))
 
 
+def ref_phi_column(M, col):
+    """phi applied to an element given by its coordinate column: the boxed
+    series path PhiModule._validate took before FiniteModel.phi_vec."""
+    W = M.ring
+    out = []
+    for i in range(M.g):
+        acc = SeriesElem.from_ints(W, [])
+        for s in range(M.g):
+            acc = acc + (phi_apply(col[s], M.N)
+                         * M.phi[i][s]).truncate(M.N)
+        out.append(acc)
+    return out
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.integers(1, 2),
+       st.integers(1, 2), st.integers(2, 5), st.data())
+def test_phi_vec_equals_reference_phi_column(p, n, m, g, N, data):
+    """On random phi, relations and columns, some of u-degree at or past
+    N, phi_vec of the model vector is the model vector of phi."""
+    W = WittRing(p, n, m)
+
+    def series():
+        k = data.draw(st.integers(0, N + 1)) * m
+        return SeriesElem.from_vec(W, data.draw(st.lists(
+            st.integers(0, W.q - 1), min_size=k, max_size=k)))
+
+    def column():
+        return [series() for _ in range(g)]
+
+    phi = [column() for _ in range(g)]
+    rels = [column() for _ in range(data.draw(st.integers(0, 2)))]
+    M = PhiModule(W, g, rels, phi, N=N, validate=False)
+    mdl = M.model()
+    for col in rels + [column() for _ in range(2)]:
+        assert mdl.phi_vec(mdl.vec(col)) == mdl.vec(ref_phi_column(M, col))
+
+
 # ---------------------------------------------------------------------------
 # minimal presentations of submodules
 # ---------------------------------------------------------------------------
@@ -659,8 +696,8 @@ def _mod_pu_length(rows, base, mdl):
     mults = [x for v in rows for x in _s_multiples(v, N, mdl.W, q)]
     low = [x for k, x in enumerate(mults) if k % N]
     low += [[(a * p) % q for a in x] for x in mults]
-    Y = howell_form(list(base) + mults, p, nexp)[0]
-    Z = howell_form(list(base) + low, p, nexp)[0]
+    Y = howell_form(list(base) + mults, p, nexp)
+    Z = howell_form(list(base) + low, p, nexp)
     return span_length(Y, p, nexp) - span_length(Z, p, nexp)
 
 
@@ -707,7 +744,7 @@ def submodule_cases(draw):
     span, new = list(mdl.H), gens
     while new:
         rows = [x for v in new for x in _s_multiples(v, mdl.N, W, W.q)]
-        span = howell_form(span + rows, p, n)[0]
+        span = howell_form(span + rows, p, n)
         new = [w for w in map(mdl.phi_vec, new) if not in_span(span, w, p, n)]
         gens += new
     return M, gens
@@ -733,7 +770,7 @@ def test_minimal_presentation_equals_reference(case):
 
     def span(vs):
         rows = [x for v in vs for x in _s_multiples(v, N, W, mdl.q)]
-        return howell_form(list(mdl.H) + rows, p, nexp)[0]
+        return howell_form(list(mdl.H) + rows, p, nexp)
 
     assert spans_equal(span(kept), span(gens), p, nexp)
     # ... and there are as few generators and relations as Nakayama allows

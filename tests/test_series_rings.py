@@ -489,7 +489,7 @@ def ref_fil_contains(self, x, r):
             v = [0] * self.dim
             v[i] = pk
             rows.append(v)
-        rows, _ = howell_form(rows, self.p, self.n_int)
+        rows = howell_form(rows, self.p, self.n_int)
     return in_span(rows, self.to_vec(x), self.p, self.n_int)
 
 
