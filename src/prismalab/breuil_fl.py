@@ -22,6 +22,33 @@ from .witt_base import _multiples
 
 
 # ---------------------------------------------------------------------------
+# graphs of semilinear maps
+# ---------------------------------------------------------------------------
+
+
+def _graph_apply(H, d, targets, p, n, msg):
+    """Values at the flat vectors targets of the map with Howell graph rows
+    H = [source | image], the source being the first d entries: [target | 0]
+    is reduced against the rows with a nonzero source, the value is minus
+    the image block left, and a nonzero source left raises Inconsistent."""
+    q = p ** n
+    rows = [r for r in H if any(r[:d])]
+    out = []
+    for v in targets:
+        rem = reduce_vector(rows, v + [0] * d, p, n)
+        if any(rem[:d]):
+            raise Inconsistent(msg)
+        out.append([-x % q for x in rem[d:]])
+    return out
+
+
+def _graph_consistent(H, d, rel, p, n):
+    """The map is well defined: each graph row with a zero source block,
+    the image of a syzygy, has its image block in the span of rel."""
+    return all(in_span(rel, r[d:], p, n) for r in H if not any(r[:d]))
+
+
+# ---------------------------------------------------------------------------
 # free modules over the truncated divided-power ring, mod p
 # ---------------------------------------------------------------------------
 
@@ -45,10 +72,7 @@ class BreuilModule:
     # -- coordinates (mod p) ------------------------------------------------
 
     def vec(self, v):
-        p, out = self.p, []
-        for c in v:
-            out.extend([a % p for a in c.vec])
-        return out
+        return [a % self.p for c in v for a in c.vec]
 
     def basis_vector(self, i):
         v = [self.S.zero() for _ in range(self.r)]
@@ -60,13 +84,7 @@ class BreuilModule:
 
     def s_multiples(self, v):
         """Coordinate rows spanning the S-multiples of the vector v."""
-        S = self.S
-        x = S.ring._gen_matrices()[0]
-        rows = []
-        for t in range(S.D):
-            bt = S.basis_elem(t)
-            rows.extend(_multiples(self.vec([bt * c for c in v]), x, self.p))
-        return rows
+        return self.S.s_multiples([c.vec for c in v], self.p)
 
     def _fil_data(self):
         """Howell form of the graph rows [x | phi_h(x)] of phi_h on Fil.
@@ -77,30 +95,23 @@ class BreuilModule:
         source blocks the reduced echelon basis of Fil.
         """
         if self._fil_H is None:
-            S, p = self.S, self.p
-            x, sx = S.ring._gen_matrices()
-            bases = [(b, S.phi(b)) for b in map(S.basis_elem, range(S.D))]
-            rows = []
+            S, p, rows = self.S, self.p, []
             for g, img in zip(self.fil_gens, self.phi_gens):
-                for bt, pb in bases:
-                    src = _multiples(self.vec([bt * c for c in g]), x, p)
-                    dst = _multiples(self.vec([pb * c for c in img]), sx, p)
-                    rows.extend(a + b for a, b in zip(src, dst))
+                dst = S.s_multiples([c.vec for c in img], p, frob=True)
+                rows.extend(a + b for a, b in zip(self.s_multiples(g), dst))
             self._fil_H = howell_form(rows, p, 1)
         return self._fil_H
 
-    def _fil_rows(self):
-        return [r for r in self._fil_data() if any(r[:self.dim])]
-
     def fil_span(self):
-        return [r[:self.dim] for r in self._fil_rows()]
+        d = self.dim
+        return [r[:d] for r in self._fil_data() if any(r[:d])]
 
     def fil_contains(self, v):
         return in_span(self.fil_span(), self.vec(v), self.p, 1)
 
     def phi_h_consistent(self):
-        """phi_h is well defined: no graph row has a zero source block."""
-        return all(any(r[:self.dim]) for r in self._fil_data())
+        """phi_h is well defined; a free module has no relations."""
+        return _graph_consistent(self._fil_data(), self.dim, [], self.p, 1)
 
     def phi_h_generates(self):
         """The S-span of phi_h(Fil) is the whole module."""
@@ -113,12 +124,8 @@ class BreuilModule:
 
         Raises Inconsistent when v is not in Fil.
         """
-        d = self.dim
-        rem = reduce_vector(self._fil_rows(), self.vec(v) + [0] * d,
-                            self.p, 1)
-        if any(rem[:d]):
-            raise Inconsistent("vector is not in Fil")
-        img = [-x % self.p for x in rem[d:]]
+        [img] = _graph_apply(self._fil_data(), self.dim, [self.vec(v)],
+                             self.p, 1, "vector is not in Fil")
         k = self.S.dim
         return [self.S.from_vec(img[i * k:(i + 1) * k], prec=1)
                 for i in range(self.r)]
@@ -262,10 +269,7 @@ class FLModule:
         return v
 
     def vec(self, v):
-        out = []
-        for c in v:
-            out.extend(c.coeffs)
-        return out
+        return [a for c in v for a in c.coeffs]
 
     def relation_rows(self):
         if self._rel is None:
@@ -309,26 +313,20 @@ class FLModule:
         """sigma-semilinear values at each of targets; raises Inconsistent
         when a target is not in the W-span of gens.
 
-        The map sends sum a_k f_k to sum sigma(a_k) phi(f_k): [target | 0]
-        is reduced against the graph rows with a nonzero source block, and
-        the value is minus what is left of the image block.
+        The map sends sum a_k f_k to sum sigma(a_k) phi(f_k).
         """
-        d, m = self.dim, self.m
-        rows = [r for r in self._graph(gens, images) if any(r[:d])]
-        rems = [reduce_vector(rows, self.vec(v) + [0] * d, self.p, self.W.n)
-                for v in targets]
-        if any(any(rem[:d]) for rem in rems):
-            raise Inconsistent("target is not in the span of the generators")
-        return [[self.W.elem([-x for x in rem[d + t * m:d + (t + 1) * m]])
-                 for t in range(self.g)] for rem in rems]
+        m = self.m
+        vals = _graph_apply(self._graph(gens, images), self.dim,
+                            [self.vec(v) for v in targets], self.p, self.W.n,
+                            "target is not in the span of the generators")
+        return [[self.W.elem(val[t * m:(t + 1) * m]) for t in range(self.g)]
+                for val in vals]
 
     def semilinear_consistent(self, gens, images):
         """Every syzygy of the gens maps into the relations: each graph
         row with a zero source block has its image block in their span."""
-        d = self.dim
-        rel = self.relation_rows()
-        return all(in_span(rel, r[d:], self.p, self.W.n)
-                   for r in self._graph(gens, images) if not any(r[:d]))
+        return _graph_consistent(self._graph(gens, images), self.dim,
+                                 self.relation_rows(), self.p, self.W.n)
 
     def is_zero_in_module(self, v):
         return in_span(self.relation_rows(), self.vec(v), self.p, self.W.n)
@@ -416,23 +414,14 @@ def kisin_to_breuil(K, h, D=None):
         return BreuilModule(S, 0, h, [], [])
     p = S.p
     nu = [[S.from_series(M.phi[i][j]) for j in range(r)] for i in range(r)]
-    numat = [[S.mult_matrix(nu[i][j]) for j in range(r)] for i in range(r)]
-    filS = S.fil_span(h)
     d = S.dim
-    # solve nu(x) in (Fil^h S)^r over F_p
-    ncols = r * d + r * len(filS)
-    A = []
-    for i in range(r):
-        for row in range(d):
-            line = [0] * ncols
-            for j in range(r):
-                mat = numat[i][j]
-                for c in range(d):
-                    line[j * d + c] = mat[row][c] % p
-            for k, frow in enumerate(filS):
-                line[r * d + i * len(filS) + k] = (-frow[row]) % p
-            A.append(line)
-    K0, _ = kernel_solve(A, None, p, 1)
+    # solve nu(x) in (Fil^h S)^r over F_p: the columns are the S-multiples
+    # of the columns of nu, then minus each row of Fil^h S in each block
+    cols = [c for j in range(r)
+            for c in S.s_multiples([nu[i][j].vec for i in range(r)], p)]
+    cols += [[0] * (i * d) + [-a % p for a in frow] + [0] * ((r - 1 - i) * d)
+             for i in range(r) for frow in S.fil_span(h)]
+    K0, _ = kernel_solve([list(row) for row in zip(*cols)], None, p, 1)
     fil_gens = []
     phi_gens = []
     for row in howell_form([k[:r * d] for k in K0], p, 1):

@@ -45,6 +45,9 @@ BLOCKS = ("ring", "module", "phi", "psi", "fil", "check")
 # (killed=a is (a,), the u-exponent left open); every other key but name
 # is one integer
 LIST_KEYS = {"killed": 1, "f": 2, "eis": 2}
+# header keys of [ring] and [module]; [check] takes name and the keys of
+# its check (CHECKS), and the row blocks take none
+HEADER_KEYS = {"ring": ("p", "n", "m", "f"), "module": ("g", "N", "killed")}
 
 # ---------------------------------------------------------------------------
 # series literals
@@ -246,6 +249,9 @@ def parse_document(text):
                 if "=" not in tok:
                     raise ParseError(f"bad header token {tok!r}", lineno)
                 k, v = tok.split("=", 1)
+                if current not in ("ring", "module", "check"):
+                    raise InputError(f"[{current}] {k} is not a known key; "
+                                     f"[{current}] takes no header keys")
                 blocks[current].append(
                     (k, _parse_value(current, k, v, lineno)))
         else:
@@ -434,16 +440,17 @@ def _check_length(doc, params):
     return True, {"length": M.length()}
 
 
+# each check with the [check] keys it reads besides name
 CHECKS = {
-    "sharpness": _check_sharpness,
-    "kernel": _check_kernel,
-    "mingens": _check_mingens,
-    "split": _check_split,
-    "zp_shape": _check_zp_shape,
-    "u_torsion": _check_u_torsion,
-    "boundary": _check_boundary,
-    "height": _check_height,
-    "length": _check_length,
+    "sharpness": (_check_sharpness, ("p", "n", "bound", "D")),
+    "kernel": (_check_kernel, ("p", "n", "bound", "m")),
+    "mingens": (_check_mingens, ("p", "n", "D")),
+    "split": (_check_split, ("seed",)),
+    "zp_shape": (_check_zp_shape, ()),
+    "u_torsion": (_check_u_torsion, ()),
+    "boundary": (_check_boundary, ("e", "i")),
+    "height": (_check_height, ("eis", "h")),
+    "length": (_check_length, ()),
 }
 
 
@@ -455,7 +462,13 @@ def run_check(doc, name):
     if name not in CHECKS:
         raise UnknownCheck(f"unknown check {name!r}; known: "
                            + ", ".join(sorted(CHECKS)))
-    passed, report = CHECKS[name](doc, params)
+    check, keys = CHECKS[name]
+    for block, known in dict(HEADER_KEYS, check=("name",) + keys).items():
+        for key in doc.header(block):
+            if key not in known:
+                raise InputError(f"[{block}] {key} is not a known key for "
+                                 f"check {name}; known: " + ", ".join(known))
+    passed, report = check(doc, params)
     return {"check": name, "status": "pass" if passed else "fail", **report}
 
 

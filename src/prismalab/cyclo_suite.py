@@ -138,16 +138,15 @@ def _j_mingens_at(inst, D):
     pn = p ** n
     dq = len(inst.q_n) - 1
     qn = S.from_int_poly(inst.q_n)
-    A = S.mult_matrix(qn)
     # kernel of multiplication by q_n on S/p^n; only coordinates whose
     # product with q_n stays below the degree bound are trusted, so every
     # kernel element is genuine rather than a truncation artifact
     faithful = D - dq
-    Asub = [[A[r][c] % pn for c in range(faithful)] for r in range(S.dim)]
+    Asub = [list(r) for r in zip(*S.s_multiples([qn.vec], pn, faithful))]
     K, _ = kernel_solve(Asub, None, p, n)
     rows = [[pn * (j == i) for j in range(S.dim)] for i in range(S.dim)]
     for k in K:
-        rows += S._ideal_rows(S.from_vec(list(k) + [0] * (S.dim - faithful)))
+        rows += S.s_multiples([list(k) + [0] * (S.dim - faithful)], q)
     J = howell_form(rows, p, S.n_int)
     mults = [S.from_int_poly([0, 1])]
     i = 1

@@ -174,6 +174,9 @@ def mult_section(M, rng=None):
 
 
 def split_phi_module(M, rng=None):
+    """M = M_mult (+) M_nilp, M_nilp the quotient of M by the section
+    images.  M must have passed _validate, as every PhiModule built with
+    validate=True has: M_nilp checks phi only on the new columns."""
     basis, images, _ = mult_section(M, rng=rng)
     mdl = M.model()
     M_mult = presentation_from_generators(M, mdl, images,
@@ -181,7 +184,8 @@ def split_phi_module(M, rng=None):
     cols = [tuple(mdl.to_column(v)) for v in images]
     if cols:
         M_nilp = PhiModule(M.ring, M.g, M.relations + cols, M.phi,
-                           killed_by=M.killed_by, N=M.N)
+                           killed_by=M.killed_by, N=M.N, validate=False)
+        M_nilp._validate(first=len(M.relations))
     else:
         M_nilp = M
     return SplitResult(M_mult, M_nilp, section=basis, inclusion=cols)

@@ -103,9 +103,11 @@ class PhiModule:
 
     # -- validation --------------------------------------------------------
 
-    def _validate(self):
+    def _validate(self, first=0):
+        """phi maps each relation from index first on into the relation
+        span, and the generators obey killed_by."""
         mdl = self.model()
-        for r, col in enumerate(self.relations):
+        for r, col in enumerate(self.relations[first:], first):
             if not mdl.member(mdl.phi_vec(mdl.vec(col))):
                 raise IllFormedPhi(
                     f"phi image of relation {r} leaves the relation span")

@@ -599,17 +599,31 @@ class DpRing:
     def mult_matrix(self, y):
         """Matrix of multiplication by y on the Z/p^{n_int}-basis
         {x^s b_t}; columns indexed like to_vec."""
-        x = self.ring._gen_matrices()[0]
-        cols = []
-        for t in range(self.D):
-            cols.extend(_multiples((y * self.basis_elem(t)).vec, x, self.q))
-        # transpose to row-major matrix acting on column vectors
-        return [list(row) for row in zip(*cols)]
+        return [list(row) for row in zip(*self.s_multiples([y.vec], self.q))]
 
-    def basis_elem(self, t):
-        vec = [0] * self.dim
-        vec[t * self.m] = 1
-        return DpElem(self, tuple(vec), self.n_int)
+    def s_multiples(self, vecs, q, tmax=None, frob=False):
+        """Rows x^a b_t v mod q (t < tmax, default D, and a < m) at index
+        t*m + a, v the concatenation of the flat vectors vecs; with frob,
+        row (t, a) is sigma(x)^a phi(b_t) v.  No DpElem is built: b_t v is
+        the weighted shift sum_i T[t][i] y_i b_{t+i} of v = sum_i y_i b_i,
+        T the product table, and phi(b_t) = _phi_fac[t] b_{pt} (0 if pt >= D).
+        """
+        D, m, T = self.D, self.m, self._mul_table()
+        k, fac = (self.p, self._phi_fac) if frob else (1, [1] * D)
+        gen = self.ring._gen_matrices()[1 if frob else 0]
+        xs = [_multiples(v, gen, q) for v in vecs]
+        rows = []
+        for t in range(D if tmax is None else tmax):
+            w = ([fac[t] * c for c in T[k * t] for _ in range(m)]
+                 if k * t < D else [])
+            pad = [0] * (D * m - len(w))
+            for a in range(m):
+                row = []
+                for x in xs:
+                    row += pad
+                    row += [c * y % q for c, y in zip(w, x[a])]
+                rows.append(row)
+        return rows
 
     # -- filtration ---------------------------------------------------------
 
@@ -617,43 +631,20 @@ class DpRing:
         """Howell basis of Fil^r in the truncated model (span stabilized
         over increasing divided-power generators)."""
         if r not in self._fil:
-            if r == 0:
-                rows = []
-                for t in range(self.D):
-                    for s in range(self.m):
-                        v = [0] * self.dim
-                        v[t * self.m + s] = 1
-                        rows.append(v)
-                self._fil[r] = howell_form(rows, self.p, self.n_int)
-            else:
-                if r > self.p:
-                    raise InputError("filtration levels above p are not modelled")
-                # for r <= p the divided-power ideal is generated by gamma_r
-                # together with the z_i = gamma_{p^i}(E); only products whose
-                # untruncated degree stays below D are admitted, so every row
-                # is the image of a genuine degree-bounded ideal element
-                rows = self._ideal_rows(self.gamma(r), r * self.e)
-                i = 1
-                while self.p ** i * self.e < self.D:
-                    rows += self._ideal_rows(self.gamma(self.p ** i),
-                                             self.p ** i * self.e)
-                    i += 1
-                self._fil[r] = howell_form(rows, self.p, self.n_int)
+            if r > self.p:
+                raise InputError("filtration levels above p are not modelled")
+            # for r <= p the divided-power ideal is generated by gamma_r
+            # (gamma_0 = 1) together with the z_i = gamma_{p^i}(E); only
+            # products whose untruncated degree stays below D are admitted,
+            # so every row is the image of a genuine degree-bounded element
+            js, k = [r], self.p
+            while k * self.e < self.D:
+                js.append(k)
+                k *= self.p
+            rows = [row for j in js for row in self.s_multiples(
+                [self.gamma(j).vec], self.q, self.D - j * self.e)]
+            self._fil[r] = howell_form(rows, self.p, self.n_int)
         return self._fil[r]
-
-    def _ideal_rows(self, g, gdeg=0):
-        """Vectors spanning the S-multiples of g (via all basis products).
-
-        Only multipliers b_t with t + gdeg < D are used, so no product is
-        silently truncated.
-        """
-        x = self.ring._gen_matrices()[0]
-        rows = []
-        for t in range(self.D - gdeg):
-            base = self.basis_elem(t) * g
-            if any(base.vec):
-                rows.extend(_multiples(self.to_vec(base), x, self.q))
-        return rows
 
     def _fil_factor(self, r, prec):
         """[fil_span(r) | p^prec I], factored once per (r, prec)."""

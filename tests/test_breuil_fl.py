@@ -262,7 +262,7 @@ def _breuil_syzygy_consistent(B):
     cols = []
     for g, img in zip(B.fil_gens, B.phi_gens):
         for t in range(S.D):
-            bt = S.basis_elem(t)
+            bt = S.elem([0] * t + [1])
             pb = S.phi(bt)
             for a in range(S.m):
                 mult = bt.scale_w(xgen ** a)

@@ -406,6 +406,54 @@ def test_every_header_key_refuses_a_value_of_the_wrong_arity(tmp_path):
         assert f"[{block}] {key} must" in rep["detail"], (check, text, rep)
 
 
+def _unknown_key_cases():
+    """(check, document, block, key) with one key added to a header line
+    of a base document: a misspelling of each key on the line, and in
+    [check] each key that another check reads; also one key in [phi]."""
+    check_keys = {tok.partition("=")[0] for text in ARITY_DOCS.values()
+                  for tok in text.split("[check]\n")[1].split()}
+    for check, text in ARITY_DOCS.items():
+        block = None
+        for line in text.splitlines():
+            if line.startswith("["):
+                block = line[1:-1]
+                continue
+            if "=" not in line:
+                continue
+            keys = {tok.partition("=")[0] for tok in line.split()}
+            bad = {k[:-1] + k[-1] * 2 for k in keys}
+            if block == "check":
+                bad |= check_keys - keys
+            for key in sorted(bad):
+                tok = f"{key}=2,1" if key in ("f", "eis") else f"{key}=1"
+                yield (check, text.replace(f"{line}\n", f"{line} {tok}\n"),
+                       block, key)
+        if "[phi]\n" in text:
+            yield check, text.replace("[phi]\n", "[phi]\nx=1\n"), "phi", "x"
+
+
+def test_every_block_refuses_an_unknown_header_key(tmp_path):
+    # [check] name=kernel p=2 n=1 bund=4 mm=9 exited 0 with the default
+    # bound and m; unknown [ring], [module] and [phi] keys were ignored
+    cases = list(_unknown_key_cases())
+    assert {(c, b) for c, _, b, _ in cases} >= {
+        (c, "check") for c in ARITY_DOCS} | {(c, "ring") for c in (
+            "split", "height")} | {("length", "module"), ("split", "phi")}
+    assert ("length", "check", "seed") in {(c, b, k) for c, _, b, k in cases}
+    path = _write(tmp_path, "")
+    for check, text, block, key in cases:
+        Path(path).write_text(text)
+        res = run(["check", path, "--json"])
+        assert res.exit_code == 2, (check, text, res.output)
+        assert "Traceback" not in res.output
+        rep = json.loads(res.output)
+        assert rep["error"] == "InputError", (check, text, rep)
+        assert f"[{block}] {key} is not a known key" in rep["detail"], rep
+    bund = ARITY_DOCS["kernel"].replace("bound", "bund").replace("m=1", "mm=9")
+    rep = json.loads(run(["check", _write(tmp_path, bund), "--json"]).output)
+    assert rep["detail"].startswith("[check] bund is not a known key")
+
+
 def test_killed_scalar_leaves_the_u_exponent_open():
     doc = parse_document(_ARITY_MODULE.replace("killed=1,2", "killed=1"))
     assert doc.header("module")["killed"] == (1,)

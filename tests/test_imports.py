@@ -1,5 +1,6 @@
-"""Every name a module of src/prismalab imports is used in that module, and
-no module of src/prismalab or tests unpacks or indexes a howell_form."""
+"""Every name a module of src/prismalab imports is used in that module,
+every private helper it defines is used in src/prismalab, and no module of
+src/prismalab or tests unpacks or indexes a howell_form."""
 
 import ast
 import pathlib
@@ -76,3 +77,48 @@ def test_no_howell_form_is_unpacked():
     files = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     found = {f.name: unpacked_howell_forms(f.read_text()) for f in files}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def dead_helpers(sources):
+    """(file, line, name) of each _-prefixed, non-dunder function or method
+    defined in sources (file name -> text) whose name no expression in
+    sources loads, as a name or as an attribute; an import alone does not
+    count."""
+    defs, used = [], set()
+    for fname, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__")
+                                                 and name.endswith("__")):
+                    defs.append((fname, node.lineno, name))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+    return sorted(d for d in defs if d[2] not in used)
+
+
+def test_the_guard_sees_a_dead_helper():
+    sources = {
+        "a.py": ("from b import _imported\n"
+                 "def _called(): pass\n"
+                 "def _dead(): pass\n"
+                 "class C:\n"
+                 "    def __init__(self): self._method()\n"
+                 "    def _method(self): pass\n"
+                 "    def _unused_method(self): pass\n"
+                 "_called()\n"),
+        "b.py": "def _imported(): pass\ndef _used_elsewhere(): pass\n",
+        "c.py": "x = [_used_elsewhere]\n_dead = C._unused_method = 0\n",
+    }
+    assert dead_helpers(sources) == [("a.py", 3, "_dead"),
+                                     ("a.py", 7, "_unused_method"),
+                                     ("b.py", 1, "_imported")]
+
+
+def test_src_has_no_dead_private_helpers():
+    sources = {f.name: f.read_text() for f in sorted(SRC.glob("*.py"))}
+    assert sources
+    assert dead_helpers(sources) == []

@@ -622,6 +622,42 @@ def test_bad_kill_certificate_rejected():
         PhiModule(W, 1, [[S(W, [2])]], [[S(W, [1])]], killed_by=(0, None))
 
 
+def test_validate_from_first_checks_the_later_relations_and_the_kill():
+    # phi(e0) = phi(e1) = e1 sends the relation u^3 e0 to u^6 e1, outside
+    # the span of u^3 e0 and 2 e1; phi(2 e1) = 2 e1 stays inside
+    W = WittRing(2, 2, 1)
+    bad, good = (S(W, [0, 0, 0, 1]), S(W, [])), (S(W, []), S(W, [2]))
+    phi = [[S(W, []), S(W, [])], [S(W, [1]), S(W, [1])]]
+
+    def module(rels, killed_by=None):
+        return PhiModule(W, 2, rels, phi, killed_by=killed_by, N=8,
+                         validate=False)
+    module([bad, good])._validate(first=1)
+    with pytest.raises(IllFormedPhi, match="relation 0"):
+        module([bad, good])._validate()
+    with pytest.raises(IllFormedPhi, match="relation 1"):
+        module([good, bad])._validate(first=1)
+    with pytest.raises(NotKilledByP):
+        module([bad, good], killed_by=(1, None))._validate(first=2)
+
+
+def test_split_checks_phi_only_on_the_section_columns(monkeypatch):
+    W = WittRing(2, 1, 1)
+    u9, z = S(W, [0] * 9 + [1]), S(W, [])
+    M = PhiModule(W, 2, [[u9, z], [z, u9]],
+                  [[S(W, [1]), z], [S(W, [0, 1]), S(W, [0, 1])]],
+                  killed_by=(1, 9))
+    seen, validate = [], PhiModule._validate
+
+    def spy(self, first=0):
+        seen.append((len(self.relations), first))
+        validate(self, first)
+    monkeypatch.setattr(PhiModule, "_validate", spy)
+    res = split_phi_module(M)
+    assert res.inclusion
+    assert seen == [(2 + len(res.inclusion), 2)]
+
+
 def ref_phi_column(M, col):
     """phi applied to an element given by its coordinate column: the boxed
     series path PhiModule._validate took before FiniteModel.phi_vec."""

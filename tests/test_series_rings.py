@@ -2,18 +2,19 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from prismalab.errors import (
     Inconsistent, InputError, InsufficientPrecision, NotDivisible,
     NotEisenstein, NotInFiltration, PrecisionLoss,
 )
+from prismalab.breuil_fl import BreuilModule
 from prismalab.linalg_residue import howell_form, in_span, kernel_solve
 from prismalab.series_rings import (
-    DpRing, EisensteinPoly, SeriesElem, cyclotomic_q, divide_exact,
+    DpElem, DpRing, EisensteinPoly, SeriesElem, cyclotomic_q, divide_exact,
     eisenstein_make, int_poly_divmod, int_poly_pow, phi_apply, s_phi_div,
 )
-from prismalab.witt_base import WittElem, WittRing
+from prismalab.witt_base import WittElem, WittRing, _multiples
 
 
 W22 = WittRing(2, 2, 1)
@@ -572,3 +573,109 @@ def test_s_phi_div_refuses_non_members_at_every_precision():
         s_phi_div(E1 + S.one() * S.p ** (S.n_int - 1), 1)
     low = s_phi_div(E1.reduce_prec(2), 1)
     assert (s_phi_div(E1, 1) - low).is_zero() and low.prec == 2
+
+
+# ---------------------------------------------------------------------------
+# S-multiples as weighted shifts, against the DpElem products they replace
+# ---------------------------------------------------------------------------
+
+
+def basis_elem(S, t):
+    """b_t, as the removed DpRing.basis_elem built it."""
+    vec = [0] * S.dim
+    vec[t * S.m] = 1
+    return DpElem(S, tuple(vec), S.n_int)
+
+
+def ref_s_multiples(B, v):
+    """BreuilModule.s_multiples as a loop of DpElem products."""
+    S = B.S
+    x = S.ring._gen_matrices()[0]
+    rows = []
+    for t in range(S.D):
+        bt = basis_elem(S, t)
+        rows.extend(_multiples(B.vec([bt * c for c in v]), x, B.p))
+    return rows
+
+
+def ref_fil_data(B):
+    """The graph rows of BreuilModule._fil_data as a loop of DpElem
+    products, before the Howell form."""
+    S, p = B.S, B.p
+    x, sx = S.ring._gen_matrices()
+    bases = [(b, S.phi(b)) for b in (basis_elem(S, t) for t in range(S.D))]
+    rows = []
+    for g, img in zip(B.fil_gens, B.phi_gens):
+        for bt, pb in bases:
+            src = _multiples(B.vec([bt * c for c in g]), x, p)
+            dst = _multiples(B.vec([pb * c for c in img]), sx, p)
+            rows.extend(a + b for a, b in zip(src, dst))
+    return rows
+
+
+def ref_mult_matrix(S, y):
+    """DpRing.mult_matrix as a loop of DpElem products."""
+    x = S.ring._gen_matrices()[0]
+    cols = []
+    for t in range(S.D):
+        cols.extend(_multiples((y * basis_elem(S, t)).vec, x, S.q))
+    # transpose to row-major matrix acting on column vectors
+    return [list(row) for row in zip(*cols)]
+
+
+def ref_ideal_rows(S, g, gdeg=0):
+    """The S-multiples b_t g with t + gdeg < D as DpElem products, zero
+    products skipped."""
+    x = S.ring._gen_matrices()[0]
+    rows = []
+    for t in range(S.D - gdeg):
+        base = basis_elem(S, t) * g
+        if any(base.vec):
+            rows.extend(_multiples(S.to_vec(base), x, S.q))
+    return rows
+
+
+_S_RINGS = {}
+
+
+@st.composite
+def s_multiple_cases(draw, p, e, m):
+    """A DpRing at n in {1, 2} and pe < D <= pe + 3, with a Fil generator
+    and its image: two vectors of r random elements, r in {1, 2}, whose
+    coordinates are often zero."""
+    key = (p, e, m, draw(st.integers(1, 2)), p * e + draw(st.integers(1, 3)))
+    if key not in _S_RINGS:
+        E = eisenstein_make(p, "explicit", [p] + [0] * (e - 1) + [1])
+        _S_RINGS[key] = DpRing(E, n=key[3], m=m, D=key[4])
+    S = _S_RINGS[key]
+    r = draw(st.integers(1, 2))
+    coord = st.one_of(st.just(0), st.integers(0, S.q - 1))
+
+    def vector():
+        return [S.from_vec(draw(st.lists(coord, min_size=S.dim,
+                                         max_size=S.dim))) for _ in range(r)]
+    return S, vector(), vector()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("m", [1, 2])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_s_multiples_match_reference_dp_products(p, e, m, data):
+    S, g, img = data.draw(s_multiple_cases(p, e, m))
+    B = BreuilModule(S, len(g), 0, [g], [img])
+    q = S.q
+    src = S.s_multiples([c.vec for c in g], p)
+    assert src == B.s_multiples(g) == ref_s_multiples(B, g)
+    rows = [a + b for a, b in zip(
+        src, S.s_multiples([c.vec for c in img], p, frob=True))]
+    assert rows == ref_fil_data(B)
+    assert B._fil_data() == howell_form(rows, p, 1)
+    for y in g:
+        assert S.mult_matrix(y) == ref_mult_matrix(S, y)
+        for tmax in range(S.D + 1):
+            got = S.s_multiples([y.vec], q, tmax)
+            assert len(got) == tmax * S.m
+            assert ([r for r in got if any(r)]
+                    == ref_ideal_rows(S, y, S.D - tmax))
