@@ -320,6 +320,6 @@ def check_split_compat(M, eis=None, D=None):
     res_f = split_fl(M)
     S = B.S
     rows = [r for wrow in res_f.section for r in B.s_multiples(
-        [S.one().scale_w(S.ring.elem(list(c.coeffs))) for c in wrow])]
+        [S.elem([S.ring.elem(list(c.coeffs))]) for c in wrow])]
     hs = howell_form(rows, B.p, 1)
     return spans_equal(hs, res_b.M_mult["span"], B.p, 1)

@@ -627,22 +627,26 @@ class DpRing:
 
     # -- filtration ---------------------------------------------------------
 
+    def fil_gamma_indices(self, r):
+        """The j whose gamma_j(E) generate Fil^r as an ideal: for r <= p,
+        gamma_r (gamma_0 = 1) and the z_k = gamma_{p^k}(E) with p^k e < D."""
+        if r > self.p:
+            raise InputError("filtration levels above p are not modelled")
+        js, k = [r], self.p
+        while k * self.e < self.D:
+            js.append(k)
+            k *= self.p
+        return js
+
     def fil_span(self, r):
         """Howell basis of Fil^r in the truncated model (span stabilized
         over increasing divided-power generators)."""
         if r not in self._fil:
-            if r > self.p:
-                raise InputError("filtration levels above p are not modelled")
-            # for r <= p the divided-power ideal is generated by gamma_r
-            # (gamma_0 = 1) together with the z_i = gamma_{p^i}(E); only
-            # products whose untruncated degree stays below D are admitted,
-            # so every row is the image of a genuine degree-bounded element
-            js, k = [r], self.p
-            while k * self.e < self.D:
-                js.append(k)
-                k *= self.p
-            rows = [row for j in js for row in self.s_multiples(
-                [self.gamma(j).vec], self.q, self.D - j * self.e)]
+            # only multiples of untruncated degree below D are admitted, so
+            # every row is the image of a genuine degree-bounded element
+            rows = [row for j in self.fil_gamma_indices(r)
+                    for row in self.s_multiples([self.gamma(j).vec], self.q,
+                                                self.D - j * self.e)]
             self._fil[r] = howell_form(rows, self.p, self.n_int)
         return self._fil[r]
 

@@ -1,13 +1,16 @@
 import random
+import re
 
 import pytest
 
+from prismalab import decomposition
 from prismalab.breuil_fl import (
     BreuilModule, FLModule, fl_criterion, fl_to_breuil, is_breuil_module,
     is_fl_module, kisin_to_breuil, residual_module, unramified_realization,
 )
+from prismalab.decomposition import check_split_compat
 from prismalab.errors import (
-    BadRamification, HasUTorsion, Inconsistent, InputError,
+    BadRamification, HasUTorsion, Inconsistent, InputError, PrismalabError,
 )
 from prismalab.linalg_residue import kernel_solve, spans_equal
 from prismalab.phi_modules import EtalePhiModule, KisinModule, PhiModule
@@ -188,11 +191,18 @@ def _random_invertible(rng, g, p):
     return A
 
 
-def _random_fl(rng, W, g, h, break_axiom=None):
+def _random_fl(rng, W, g, h, break_axiom=None, units=False):
+    """Random FL module over W (n = 1) on a random basis; with units, each
+    phi column is also scaled by a random unit of F_{p^m}."""
     p = W.p
     A = _random_invertible(rng, g, p)
     levels = [rng.randrange(h + 1) for _ in range(g)]
-    col = lambda t: [W.elem([A[s][t]]) for s in range(g)]
+    c = [W.one()] * g
+    if units:
+        c = [W.elem([rng.randrange(1, p)] + [rng.randrange(p)
+                                             for _ in range(W.m - 1)])
+             for _ in range(g)]
+    col = lambda t: [W.elem([A[s][t]]) * c[t] for s in range(g)]
     zero = [W.zero() for _ in range(g)]
     basis = lambda t: [W.one() if s == t else W.zero() for s in range(g)]
     fil = {i: [basis(t) for t in range(g) if levels[t] >= i]
@@ -389,6 +399,107 @@ def test_fl_graph_check_random_relations(p, m):
         for value, want in zip(got, wants):
             assert M.is_zero_in_module([x - y for x, y in zip(value, want)])
     assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the base-changed Fil^h against the all-Howell-rows reference
+# ---------------------------------------------------------------------------
+
+
+def ref_fl_to_breuil(M, eis=None, D=None):
+    """fl_to_breuil with every Howell row of Fil^i S as a separate
+    generator, not only the ideal generators gamma_j(E), and each
+    W-coordinate boxed as a constant of S."""
+    h = M.h
+    if eis is None:
+        eis = eisenstein_make(M.p, "explicit", [M.p, 1])
+    S = DpRing(eis, 1, m=M.m, f=None if M.m == 1 else list(M.W.f),
+               D=D, h=h)
+    embed = lambda wv: [S.one().scale_w(S.ring.elem(list(c.coeffs)))
+                        for c in wv]
+    fil_gens, phi_gens = [], []
+    for i in range(h + 1):
+        if i == 0:
+            s_list = [S.one()]
+        else:
+            s_list = [S.from_vec(row) for row in S.fil_span(i)]
+        for s in s_list:
+            fs = S.phi(s).divide_p(0) if i == 0 else s_phi_div(s, i)
+            fs = fs.reduce_prec(1)
+            sm = s.reduce_prec(1)
+            for f, im in zip(M.fil_gens(h - i), M.phi_images(h - i)):
+                fil_gens.append([sm * c for c in embed(f)])
+                phi_gens.append([fs * c for c in embed(im)])
+    nabla = [[S.zero() for _ in range(M.g)] for _ in range(M.g)]
+    return BreuilModule(S, M.g, h, fil_gens, phi_gens, nabla=nabla)
+
+
+def _outcome(f, *args):
+    """The value of f(*args), or the name of the library error it raises."""
+    try:
+        return f(*args)
+    except PrismalabError as exc:
+        return type(exc).__name__
+
+
+def test_fl_to_breuil_matches_all_rows_reference(monkeypatch):
+    # every (p, m, e) with the truncation D cycling through the default,
+    # p*e + 1 and 2*p*e + 2, two random FL modules each, broken ones too
+    rng = random.Random(14)
+    verdicts, done = set(), 0
+    cases = [(p, m, e) for p in (3, 5, 7) for m in (1, 2) for e in (1, 2)]
+    for k, (p, m, e) in enumerate(cases):
+        W = WittRing(p, 1, m)
+        eis = eisenstein_make(p, "explicit", [p] + [0] * (e - 1) + [1])
+        D = (None, p * e + 1, 2 * p * e + 2)[k % 3]
+        for _ in range(2):
+            M = None
+            while M is None:
+                M = _random_fl(rng, W, rng.randrange(1, 3),
+                               rng.randrange(1, min(p - 1, 3) + 1),
+                               break_axiom=rng.choice([None, 2, 3]),
+                               units=True)
+            B, R = fl_to_breuil(M, eis, D), ref_fl_to_breuil(M, eis, D)
+            case = (p, m, e, D, M.g, M.h)
+            assert B._fil_data() == R._fil_data(), case
+            got = [B.phi_h_consistent(), B.phi_h_generates(),
+                   _outcome(is_breuil_module, B)]
+            assert got == [R.phi_h_consistent(), R.phi_h_generates(),
+                           _outcome(is_breuil_module, R)], case
+            assert fl_criterion(M, eis, D) == (got[0] and got[1]), case
+            split = _outcome(check_split_compat, M, eis, D)
+            with monkeypatch.context() as mp:
+                mp.setattr(decomposition, "fl_to_breuil", ref_fl_to_breuil)
+                assert split == _outcome(check_split_compat, M, eis, D), case
+            verdicts.add((got[2][0], split))
+            done += 1
+    assert done == 24
+    assert {v for v, _ in verdicts} == {True, False}
+    assert {s for _, s in verdicts} >= {True, "NotFL"}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_levels_at_and_above_p_are_refused(p):
+    # phi_h needs h <= p - 1, and Fil^r S is modelled only up to r = p
+    W = WittRing(p, 1, 1)
+    one, zero = W.one(), W.zero()
+    for h in (p - 1, p, p + 1):
+        tate_h = FLModule(W, [1], h, {i: [[one]] for i in range(1, h + 1)},
+                          {i: [[one if i == h else zero]]
+                           for i in range(h + 1)})
+        for M in (unit_fl(W, h), tate_h):
+            if h == p - 1:
+                assert fl_criterion(M)
+                continue
+            with pytest.raises(InputError, match=re.escape(
+                    "filtration level must satisfy 0 <= i <= p-1")):
+                fl_criterion(M)
+    S = dp_ring(p, 1)
+    assert S.fil_span(p)
+    for call in (S.fil_span, S.fil_gamma_indices):
+        with pytest.raises(InputError,
+                           match="filtration levels above p are not modelled"):
+            call(p + 1)
 
 
 # ---------------------------------------------------------------------------
