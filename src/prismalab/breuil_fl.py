@@ -166,19 +166,25 @@ class BreuilModule:
 def is_breuil_module(B):
     """All axioms of the mod-p Breuil category; returns (ok, failing).
 
-    The nabla loop sees only the Fil generators, S-module generators at
-    least, and still certifies all of Fil: N is a derivation, Fil is an
-    S-module, and N(phi(s)) and phi(E N(s)) vanish mod p, so each nabla
-    condition at s g follows from the one at g (see the README notes)."""
+    The conditions on Fil^h S run over its ideal generators gamma_j(E)
+    (S.fil_gamma_indices), not over every Howell row, and still certify
+    all of Fil^h S: both are S-linear in s.  Fil is an S-module, so
+    s' s x lies in Fil when s x does; and phi_h(s' y) = phi(s') phi_h(y)
+    on Fil while phi_h(s' s) = phi(s') phi_h(s) on Fil^h S, so both sides
+    of the functional equation at s' s are phi(s') times their values at
+    s.  The nabla loop likewise sees only the Fil generators, S-module
+    generators at least, and still certifies all of Fil: N is a
+    derivation, Fil is an S-module, and N(phi(s)) and phi(E N(s)) vanish
+    mod p, so each nabla condition at s g follows from the one at g (see
+    the README notes)."""
     if B.r == 0:
         return True, None
     S = B.S
     p = B.p
     # Fil must contain Fil^h S times the module
-    filS = S.fil_span(B.h)
+    gens = [S.gamma(j).reduce_prec(1) for j in S.fil_gamma_indices(B.h)]
     for i in range(B.r):
-        for row in filS:
-            g = S.from_vec(row, prec=1)
+        for g in gens:
             v = [S.zero() for _ in range(B.r)]
             v[i] = g
             if not B.fil_contains(v):
@@ -186,13 +192,12 @@ def is_breuil_module(B):
     if not B.phi_h_consistent():
         return False, "phi-not-well-defined"
     # functional equation phi_h(s x) = c1^{-h} phi_h(s) phi_h(E^h x), on
-    # every Howell row s of Fil^h S and every basis vector x
+    # every ideal generator s of Fil^h S and every basis vector x
     c1ih = (S.c1_inv() ** B.h).reduce_prec(1)
     Eh = S.from_int_poly(int_poly_pow(list(S.eis.int_coeffs), B.h))
     mids = [B.phi_h(B.scale_vector(Eh.reduce_prec(1), B.basis_vector(i)))
             for i in range(B.r)]
-    for row in filS:
-        s = S.from_vec(row, prec=1)
+    for s in gens:
         fs = (c1ih * s_phi_div(s, B.h)).reduce_prec(1)
         for i in range(B.r):
             lhs = B.phi_h(B.scale_vector(s, B.basis_vector(i)))

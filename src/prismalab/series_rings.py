@@ -5,15 +5,18 @@ behave as honest polynomials.  A SeriesElem stores its coefficients as one
 flat tuple of ints mod p^n, the x^j-coefficient of u^t at index t*m + j;
 its WittElem coefficients appear only as a view (SeriesElem.coeffs).
 EisensteinPoly carries exact integer coefficient lifts so that divided
-powers can be computed without p-adic precision loss.  DpRing is the divided-power ring at u-degree bound D and
-internal p-precision n_int, with coordinates on the basis u^i/e(i)!.  A
-DpElem stores its coordinates as one flat tuple of D*m ints mod p^{n_int}
-(the to_vec layout) and multiplies with a structure-constant table built
-once per ring; WittElem coordinates appear only as a view (DpElem.coords).
+powers can be computed without p-adic precision loss.  DpRing is the
+divided-power ring at u-degree bound D and internal p-precision n_int, with
+coordinates on the basis u^i/e(i)!; one ring is shared per parameter set
+(at most DP_RING_CACHE of them).  A DpElem stores its coordinates as one
+flat tuple of D*m ints mod p^{n_int} (the to_vec layout) and multiplies
+with a structure-constant table the ring builds on first use; WittElem
+coordinates appear only as a view (DpElem.coords).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 
@@ -452,33 +455,20 @@ def precision_slack():
 
 class DpRing:
     """Divided-power ring at u-degree bound D and p-precision n_int = n + h
-    (+ global slack), coordinates on the basis b_i = u^i / e(i)!."""
+    (+ global slack), coordinates on the basis b_i = u^i / e(i)!.
 
-    def __init__(self, eis: EisensteinPoly, n, m=1, f=None, D=None, h=0):
-        self.eis = eis
-        self.p = eis.p
-        self.e = eis.e
-        self.n_user = n
-        self.h = h
-        self.n_int = n + h + precision_slack()
-        self.q = self.p ** self.n_int
-        self.ring = WittRing(self.p, self.n_int, m, f)
-        self.m = m
-        self.D = D if D is not None else 2 * self.p * self.e
-        if self.D <= self.p * self.e:
-            raise InputError("degree bound D must exceed p*e")
-        self._struct = {}
-        self._table = None
-        self._gamma = {}
-        self._fil = {}
-        self._fil_factors = {}
-        self._c1 = None
-        self._c1_inv = None
-        self.dim = self.D * m
-        # phi(b_i) = (e(pi)!/e(i)!) b_{pi} for pi < D
-        self._phi_fac = [math.factorial(self.ei(self.p * i))
-                         // math.factorial(self.ei(i)) % self.q
-                         for i in range((self.D - 1) // self.p + 1)]
+    DpRing(eis, n, m, f, D, h) returns the ring shared by every
+    construction with the same (eis.p, eis.int_coeffs, n, m, f, D, h,
+    slack), D resolved to its default and the DP_RING_CACHE most recently
+    used being kept, so the product table, gamma_j(E), the Fil^r bases and
+    their factors are built once, not once per call; a ring is immutable
+    apart from those memos."""
+
+    def __new__(cls, eis: EisensteinPoly, n, m=1, f=None, D=None, h=0):
+        return _dp_ring(eis.p, eis.int_coeffs, n, m,
+                        None if f is None else tuple(f),
+                        2 * eis.p * eis.e if D is None else D, h,
+                        precision_slack())
 
     # -- combinatorics ----------------------------------------------------
 
@@ -709,6 +699,42 @@ class DpRing:
     def __repr__(self):
         return (f"DpRing(p={self.p}, e={self.e}, n={self.n_user}, "
                 f"h={self.h}, D={self.D}, m={self.m})")
+
+
+# a DpRing can be heavy (at p = 5, e = 4, D = 200, m = 2, h = 3, one with
+# its Fil^1..Fil^4 factors holds about 37 MB), so few are kept
+DP_RING_CACHE = 8
+
+
+@functools.lru_cache(maxsize=DP_RING_CACHE)
+def _dp_ring(p, int_coeffs, n, m, f, D, h, slack):
+    """Validate the parameters and build the ring; DpRing's miss path.
+    An invalid key raises on every call, since lru_cache keeps no error."""
+    S = object.__new__(DpRing)
+    S.eis = eis = EisensteinPoly(p, int_coeffs)
+    S.p = p
+    S.e = eis.e
+    S.n_user = n
+    S.h = h
+    S.n_int = n + h + slack
+    S.q = p ** S.n_int
+    S.ring = WittRing(p, S.n_int, m, f)
+    S.m = m
+    S.D = D
+    if D <= p * S.e:
+        raise InputError("degree bound D must exceed p*e")
+    S._struct = {}
+    S._table = None
+    S._gamma = {}
+    S._fil = {}
+    S._fil_factors = {}
+    S._c1 = None
+    S._c1_inv = None
+    S.dim = D * m
+    # phi(b_i) = (e(pi)!/e(i)!) b_{pi} for pi < D
+    S._phi_fac = [math.factorial(S.ei(p * i)) // math.factorial(S.ei(i))
+                  % S.q for i in range((D - 1) // p + 1)]
+    return S
 
 
 class DpElem:

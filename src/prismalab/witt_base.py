@@ -1,25 +1,29 @@
 """Arithmetic in the coefficient ring W_n(F_{p^m}).
 
 The ring is modelled as (Z/p^n)[x]/(f) for a monic degree-m lift f of an
-irreducible polynomial over F_p.  The Frobenius lift sigma is computed once
-per ring by Newton iteration on f starting from x^p.
+irreducible polynomial over F_p.  WittRing(p, n, m, f) returns one shared
+ring per parameter set (at most WITT_RING_CACHE of them), so what a ring
+builds lazily is built once, not once per construction.  The Frobenius
+lift sigma is computed by Newton iteration on f from x^p.
 
 At m > 1, products, powers and sigma run on Kronecker-packed ints: the
 element sum a_i x^i (0 <= a_i < q) is the int sum a_i 2^{b i}, where b is
 the bit length of m q^2 (1 + (m - 1) q).  A product's slots are below
 m q^2; folding its m - 1 high slots into the low m with the packed rows
 x^k mod (f, q) keeps each below 2^b, as does sigma's sum of a_j times the
-packed columns sigma(x)^j, so no slot carries.  Each ring builds b, the
-rows and the columns once, on first use.  Packed ints never escape a call:
+packed columns sigma(x)^j, so no slot carries.  A ring builds b, the
+rows and the columns on first use.  Packed ints never escape a call:
 an element stores its coefficient tuple, and results are unpacked mod q.
 
-The linearization of sigma-semilinear maps lives here too: each ring builds
-the matrices of x and sigma(x) once, _multiples gives the x^a or sigma(x)^a
-multiples of a flat vector, and _semilinear_matrix a map's matrix.
+The linearization of sigma-semilinear maps lives here too: a ring builds
+the matrices of x and sigma(x) on first use, _multiples gives the x^a or
+sigma(x)^a multiples of a flat vector, and _semilinear_matrix a map's
+matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 
@@ -151,34 +155,20 @@ def default_irreducible(p, m):
 
 
 class WittRing:
-    """(Z/p^n)[x]/(f) with cached Frobenius lift."""
+    """(Z/p^n)[x]/(f) with cached Frobenius lift.
+
+    WittRing(p, n, m, f) returns the ring shared by every construction
+    with the same (p, n, m, f), the WITT_RING_CACHE most recently used
+    being kept, so its memo tables (sigma, the packing, the matrices of x
+    and sigma(x)) are built once, not once per call; a ring is immutable
+    apart from them."""
 
     __slots__ = ("p", "n", "m", "f", "q", "_sigma_gen", "_sigma_mat",
                  "_sigma_cols", "_gen_mats", "_slot", "_mask", "_shifts",
                  "_folds")
 
-    def __init__(self, p, n, m=1, f=None):
-        if n < 1 or m < 1:
-            raise InputError("need n >= 1 and m >= 1")
-        if not _is_prime(p):
-            raise InputError(f"p must be prime, got {p}")
-        self.p = p
-        self.n = n
-        self.m = m
-        self.q = p ** n
-        if f is None:
-            f = default_irreducible(p, m)
-        f = [c % self.q for c in f]
-        if len(f) != m + 1 or f[-1] != 1:
-            raise InputError("f must be monic of degree m")
-        if not is_irreducible_mod_p(f, p):
-            raise InputError("f must be irreducible mod p")
-        fbar = _fp_trim([c % p for c in f])
-        if len(_fp_gcd(fbar, _fp_deriv(fbar, p), p)) - 1 >= 1:
-            raise NonSeparable("f has repeated roots mod p")
-        self.f = tuple(f)
-        self._sigma_gen = self._sigma_mat = self._gen_mats = None
-        self._slot = None
+    def __new__(cls, p, n, m=1, f=None):
+        return _witt_ring(p, n, m, None if f is None else tuple(f))
 
     # -- element constructors ------------------------------------------
 
@@ -351,6 +341,39 @@ class WittRing:
 
     def __repr__(self):
         return f"WittRing(p={self.p}, n={self.n}, m={self.m})"
+
+
+# a WittRing holds O(m^2) ints beside its parameters, so many fit
+WITT_RING_CACHE = 256
+
+
+@functools.lru_cache(maxsize=WITT_RING_CACHE)
+def _witt_ring(p, n, m, f):
+    """Validate the parameters and build the ring; WittRing's miss path.
+    An invalid key raises on every call, since lru_cache keeps no error."""
+    if n < 1 or m < 1:
+        raise InputError("need n >= 1 and m >= 1")
+    if not _is_prime(p):
+        raise InputError(f"p must be prime, got {p}")
+    W = object.__new__(WittRing)
+    W.p = p
+    W.n = n
+    W.m = m
+    W.q = p ** n
+    if f is None:
+        f = default_irreducible(p, m)
+    f = [c % W.q for c in f]
+    if len(f) != m + 1 or f[-1] != 1:
+        raise InputError("f must be monic of degree m")
+    if not is_irreducible_mod_p(f, p):
+        raise InputError("f must be irreducible mod p")
+    fbar = _fp_trim([c % p for c in f])
+    if len(_fp_gcd(fbar, _fp_deriv(fbar, p), p)) - 1 >= 1:
+        raise NonSeparable("f has repeated roots mod p")
+    W.f = tuple(f)
+    W._sigma_gen = W._sigma_mat = W._gen_mats = None
+    W._slot = None
+    return W
 
 
 class WittElem:

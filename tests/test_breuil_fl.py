@@ -1,3 +1,4 @@
+import copy
 import random
 import re
 
@@ -15,9 +16,9 @@ from prismalab.errors import (
 from prismalab.linalg_residue import kernel_solve, spans_equal
 from prismalab.phi_modules import EtalePhiModule, KisinModule, PhiModule
 from prismalab.series_rings import (
-    DpRing, SeriesElem, eisenstein_make, s_phi_div,
+    DpRing, SeriesElem, _dp_ring, eisenstein_make, int_poly_pow, s_phi_div,
 )
-from prismalab.witt_base import WittRing
+from prismalab.witt_base import WittRing, _witt_ring
 
 
 def dp_ring(p, h, e=1, D=None, m=1, f=None):
@@ -228,22 +229,51 @@ def _random_fl(rng, W, g, h, break_axiom=None, units=False):
     return FLModule(W, [1] * g, h, fil, phi)
 
 
-@pytest.mark.parametrize("p", [3, 5])
-def test_fl_criterion_matches_axioms(p):
+def _criterion_modules(p):
+    """20 random FL modules over F_p (seed 100 + p), with the axiom each
+    breaks (None for a true FL module)."""
     rng = random.Random(100 + p)
     W = WittRing(p, 1, 1)
-    done = 0
-    while done < 20:
+    out = []
+    while len(out) < 20:
         g = rng.randrange(1, 3)
         h = rng.randrange(1, min(p - 1, 3) + 1)
         kind = rng.choice([None, None, 2, 3])
         M = _random_fl(rng, W, g, h, break_axiom=kind)
-        if M is None:
-            continue
+        if M is not None:
+            out.append((M, kind))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_fl_criterion_matches_axioms(p):
+    for M, kind in _criterion_modules(p):
         ok, why = is_fl_module(M)
-        assert ok == (kind is None), (p, g, h, kind, why)
-        assert fl_criterion(M) == ok, (p, g, h, kind, why)
-        done += 1
+        assert ok == (kind is None), (p, M.g, M.h, kind, why)
+        assert fl_criterion(M) == ok, (p, M.g, M.h, kind, why)
+
+
+def test_cold_and_warm_rings_give_the_same_answers():
+    # the criterion modules in order, then from empty ring caches in
+    # reverse: each item sees tables built by other items, or none
+    modules = [M for p in (3, 5) for M, _ in _criterion_modules(p)]
+    answer = lambda M: (is_fl_module(M), fl_criterion(M))
+    forward = [answer(M) for M in modules]
+    keys = sorted({(M.p, M.h) for M in modules})
+    ring = lambda p, h: DpRing(eisenstein_make(p, "explicit", [p, 1]), 1,
+                               h=h)
+    warm = [ring(p, h) for p, h in keys]
+    tables = [copy.deepcopy(S._fil) for S in warm]
+    assert all(tables)
+    _witt_ring.cache_clear()
+    _dp_ring.cache_clear()
+    assert [answer(M) for M in reversed(modules)] == forward[::-1]
+    cold = [ring(p, h) for p, h in keys]
+    assert all(S is not T for S, T in zip(warm, cold))
+    assert [S._fil for S in warm] == tables
+    assert [S._fil for S in cold] == tables
+    assert [[S.fil_span(r) for r in t] for S, t in zip(cold, tables)] == [
+        list(t.values()) for t in tables]
 
 
 def test_fl_projector_witnesses():
@@ -476,6 +506,102 @@ def test_fl_to_breuil_matches_all_rows_reference(monkeypatch):
     assert done == 24
     assert {v for v, _ in verdicts} == {True, False}
     assert {s for _, s in verdicts} >= {True, "NotFL"}
+
+
+def ref_is_breuil_module(B):
+    """is_breuil_module with its Fil^h S conditions run over every Howell
+    row of S.fil_span(B.h), not only the ideal generators gamma_j(E)."""
+    if B.r == 0:
+        return True, None
+    S = B.S
+    p = B.p
+    filS = S.fil_span(B.h)
+    for i in range(B.r):
+        for row in filS:
+            g = S.from_vec(row, prec=1)
+            v = [S.zero() for _ in range(B.r)]
+            v[i] = g
+            if not B.fil_contains(v):
+                return False, "fil-contains-filS"
+    if not B.phi_h_consistent():
+        return False, "phi-not-well-defined"
+    c1ih = (S.c1_inv() ** B.h).reduce_prec(1)
+    Eh = S.from_int_poly(int_poly_pow(list(S.eis.int_coeffs), B.h))
+    mids = [B.phi_h(B.scale_vector(Eh.reduce_prec(1), B.basis_vector(i)))
+            for i in range(B.r)]
+    for row in filS:
+        s = S.from_vec(row, prec=1)
+        fs = (c1ih * s_phi_div(s, B.h)).reduce_prec(1)
+        for i in range(B.r):
+            lhs = B.phi_h(B.scale_vector(s, B.basis_vector(i)))
+            if any(not (a - fs * b).reduce_prec(1).is_zero()
+                   for a, b in zip(lhs, mids[i])):
+                return False, "functional-equation"
+    if not B.phi_h_generates():
+        return False, "generation"
+    if B.nabla is not None:
+        Eel = S.from_int_poly(list(S.eis.int_coeffs)).reduce_prec(1)
+        upm1 = S.from_int_poly([0] * (p - 1) + [1]).reduce_prec(1)
+        c1 = S.c1().reduce_prec(1)
+        for g in B.fil_gens:
+            ng = B.nabla_vector(g)
+            Eng = B.scale_vector(Eel, ng)
+            if not B.fil_contains(Eng):
+                return False, "nabla-fil"
+            lhs = [(c1 * c).reduce_prec(1)
+                   for c in B.nabla_vector(B.phi_h(g))]
+            rhs = [(upm1 * c).reduce_prec(1) for c in B.phi_h(Eng)]
+            for a, b in zip(lhs, rhs):
+                d = a - b
+                if any(x % p for x in d.vec[:(S.D - 1) * S.m]):
+                    return False, "nabla-square"
+    return True, None
+
+
+def _gamma_modules(S, h, rng):
+    """Rank-1 modules on the ideal generators gamma_j(E) of Fil^h S with
+    phi_h of the ring: all of them, one image scaled by a random c in
+    F_p other than 0 and 1, and one generator dropped."""
+    gens = [S.gamma(j) for j in S.fil_gamma_indices(h)]
+    imgs = [s_phi_div(g, h) for g in gens]
+    k, c = rng.randrange(len(gens)), rng.randrange(2, S.p)
+    scaled = [im * c if t == k else im for t, im in enumerate(imgs)]
+    keep = [t for t in range(len(gens)) if t != k]
+    return [BreuilModule(S, 1, h, [[g] for g in gens], [[im] for im in imgs]),
+            BreuilModule(S, 1, h, [[g] for g in gens],
+                         [[im] for im in scaled]),
+            BreuilModule(S, 1, h, [[gens[t]] for t in keep],
+                         [[imgs[t]] for t in keep])]
+
+
+def test_is_breuil_module_matches_all_rows_reference():
+    # every (p, m, e) with D cycling as above: base changes of random FL
+    # modules (broken phi and non-generating ones too) and modules on the
+    # gamma_j(E), scaled and with one dropped
+    rng = random.Random(15)
+    seen = set()
+    cases = [(p, m, e) for p in (3, 5, 7) for m in (1, 2) for e in (1, 2)]
+    for k, (p, m, e) in enumerate(cases):
+        W = WittRing(p, 1, m)
+        eis = eisenstein_make(p, "explicit", [p] + [0] * (e - 1) + [1])
+        D = (None, p * e + 1, 2 * p * e + 2)[k % 3]
+        modules = []
+        for kind in (None, 2, 3):
+            M = None
+            while M is None:
+                M = _random_fl(rng, W, rng.randrange(1, 3),
+                               rng.randrange(1, min(p - 1, 3) + 1),
+                               break_axiom=kind, units=True)
+            modules.append(fl_to_breuil(M, eis, D))
+        h = min(p - 1, 3) if k % 2 else 1
+        modules += _gamma_modules(DpRing(eis, 1, m=m, f=None if m == 1
+                                         else list(W.f), D=D, h=h), h, rng)
+        for B in modules:
+            got = is_breuil_module(B)
+            assert got == ref_is_breuil_module(B), (p, m, e, D, B.r, B.h)
+            seen.add(got[1])
+    assert seen == {None, "fil-contains-filS", "phi-not-well-defined",
+                    "functional-equation", "generation"}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

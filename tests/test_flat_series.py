@@ -27,13 +27,10 @@ from prismalab.series_rings import (
 from prismalab.witt_base import WittElem, WittRing, _blockwise
 
 RINGS = [(2, 1, 1), (3, 2, 1), (2, 1, 2), (3, 1, 2), (2, 2, 3)]
-_RING_CACHE = {}
 
 
 def ring(pnm):
-    if pnm not in _RING_CACHE:
-        _RING_CACHE[pnm] = WittRing(*pnm)
-    return _RING_CACHE[pnm]
+    return WittRing(*pnm)
 
 
 # ---------------------------------------------------------------------------

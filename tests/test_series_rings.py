@@ -10,6 +10,7 @@ from prismalab.errors import (
 )
 from prismalab.breuil_fl import BreuilModule
 from prismalab.linalg_residue import howell_form, in_span, kernel_solve
+from prismalab import series_rings
 from prismalab.series_rings import (
     DpElem, DpRing, EisensteinPoly, SeriesElem, cyclotomic_q, divide_exact,
     eisenstein_make, int_poly_divmod, int_poly_pow, phi_apply, s_phi_div,
@@ -679,3 +680,66 @@ def test_s_multiples_match_reference_dp_products(p, e, m, data):
             assert len(got) == tmax * S.m
             assert ([r for r in got if any(r)]
                     == ref_ideal_rows(S, y, S.D - tmax))
+
+
+# ---------------------------------------------------------------------------
+# one shared ring per parameter set
+# ---------------------------------------------------------------------------
+
+
+def test_equal_parameters_give_the_identical_dp_ring():
+    E = eisenstein_make(3, "explicit", [3, 1])
+    S = DpRing(E, 1, m=2, h=1)
+    assert DpRing(E, 1, m=2, h=1) is S
+    # an equal Eisenstein polynomial built again, and the resolved D
+    E2 = eisenstein_make(3, "explicit", [3, 1])
+    assert DpRing(E2, 1, m=2, D=2 * 3 * 1, h=1) is S
+    assert DpRing(E, 1, m=2, D=None, h=1) is S
+    assert DpRing(E, 1, m=2, h=2) is not S
+    assert DpRing(E, 1, m=2, D=7, h=1) is not S
+    # elements of two constructions compare equal (DpElem.__eq__ asks
+    # for the identical ring)
+    x = DpRing(E, 1, m=2, h=1).gamma(1)
+    assert x == DpRing(E2, 1, m=2, h=1).gamma(1)
+    assert DpRing(E2, 1, m=2, h=1).one() == S.one()
+    # the memo tables are shared
+    assert DpRing(E2, 1, m=2, h=1).fil_span(1) is S.fil_span(1)
+
+
+def test_slack_is_part_of_the_ring_key(monkeypatch):
+    E = eisenstein_make(5, "explicit", [5, 1])
+    monkeypatch.delenv("PRISMALAB_PRECISION_SLACK", raising=False)
+    S = DpRing(E, 1, h=1)
+    assert S.n_int == 2
+    monkeypatch.setenv("PRISMALAB_PRECISION_SLACK", "2")
+    T = DpRing(E, 1, h=1)
+    assert T is not S and T.n_int == 4 and T.q == 5 ** 4
+    assert T.ring.n == 4
+    monkeypatch.setenv("PRISMALAB_PRECISION_SLACK", "0")
+    assert DpRing(E, 1, h=1) is S
+
+
+def test_invalid_dp_rings_raise_on_every_call(monkeypatch):
+    E = eisenstein_make(3, "explicit", [3, 1])
+    info = series_rings._dp_ring.cache_info
+    before = info().currsize
+    for _ in range(3):
+        with pytest.raises(InputError, match="must exceed p\\*e"):
+            DpRing(E, 1, D=3)
+        with pytest.raises(InputError, match="irreducible"):
+            DpRing(E, 1, m=2, f=[0, 0, 1])
+    assert info().currsize == before
+    monkeypatch.setenv("PRISMALAB_PRECISION_SLACK", "-1")
+    for _ in range(2):
+        with pytest.raises(InputError, match="PRISMALAB_PRECISION_SLACK"):
+            DpRing(E, 1)
+
+
+def test_dp_ring_cache_is_bounded():
+    info, bound = series_rings._dp_ring.cache_info, series_rings.DP_RING_CACHE
+    assert info().maxsize == bound
+    E = eisenstein_make(2, "explicit", [2, 1])
+    for n in range(1, bound + 6):
+        S = DpRing(E, n)
+        assert S.n_int == n and S.D == 4
+        assert info().currsize <= bound

@@ -385,3 +385,42 @@ def test_is_prime_refuses_beyond_the_certified_bound():
             WittRing(big, 1)
     # a factor among the bases still certifies a composite
     assert not _is_prime(3 * d)
+
+
+# ---------------------------------------------------------------------------
+# one shared ring per parameter set
+# ---------------------------------------------------------------------------
+
+
+def test_equal_parameters_give_the_identical_ring():
+    W = WittRing(3, 2, 2)
+    assert WittRing(3, 2, 2) is W
+    assert WittRing(3, 2, m=2) is W and WittRing(p=3, n=2, m=2) is W
+    # an explicit f is a separate key but an equal ring
+    f = list(W.f)
+    assert WittRing(3, 2, 2, f) is WittRing(3, 2, 2, tuple(f))
+    assert WittRing(3, 2, 2, f) == W
+    # the memo tables are shared: sigma's matrix is built once
+    assert WittRing(3, 2, 2)._sigma_matrix() is W._sigma_matrix()
+    assert WittRing(3, 2, 2).elem([1, 2]) == W.elem([1, 2])
+
+
+def test_invalid_rings_raise_on_every_call():
+    before = witt_base._witt_ring.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(InputError, match="p must be prime"):
+            WittRing(4, 1)
+        with pytest.raises(InputError, match="need n >= 1"):
+            WittRing(3, 0)
+        with pytest.raises(InputError, match="irreducible"):
+            WittRing(3, 1, 2, [0, 0, 1])
+    assert witt_base._witt_ring.cache_info().currsize == before
+
+
+def test_ring_cache_is_bounded():
+    info = witt_base._witt_ring.cache_info
+    assert info().maxsize == witt_base.WITT_RING_CACHE
+    for n in range(1, witt_base.WITT_RING_CACHE + 20):
+        W = WittRing(2, n)
+        assert W.q == 2 ** n
+        assert info().currsize <= witt_base.WITT_RING_CACHE
