@@ -41,6 +41,8 @@ from .series_rings import SeriesElem, eisenstein_make
 from .witt_base import WittRing
 
 BLOCKS = ("ring", "module", "phi", "psi", "fil", "check")
+# the blocks that hold matrix rows; [module] rows are the relation columns
+ROW_BLOCKS = ("module", "phi", "psi", "fil")
 # header keys whose value is a list of integers, with the least length
 # (killed=a is (a,), the u-exponent left open); every other key but name
 # is one integer
@@ -178,14 +180,17 @@ class Document:
     def header(self, block):
         return dict(getattr(self, block))
 
+    def rows(self, block):
+        if block not in ROW_BLOCKS:
+            return ()
+        return self.relations if block == "module" else getattr(self, block)
+
     def serialize(self):
         out = []
-        rows_of = {"module": self.relations, "phi": self.phi,
-                   "psi": self.psi, "fil": self.fil}
         for block in BLOCKS:
             header = (getattr(self, block)
                       if block in ("ring", "module", "check") else ())
-            rows = rows_of.get(block, ())
+            rows = self.rows(block)
             if not header and not rows:
                 continue
             out.append(f"[{block}]")
@@ -295,9 +300,8 @@ def _validate_shapes(doc):
         raise InputError(f"[module] g must be one integer >= 0, got {g}")
     if g is None and (doc.relations or doc.phi or doc.psi):
         raise ParseError("[module] must declare g before matrix rows")
-    for name, mat in (("module", doc.relations), ("phi", doc.phi),
-                      ("psi", doc.psi), ("fil", doc.fil)):
-        for row in mat:
+    for name in ROW_BLOCKS:
+        for row in doc.rows(name):
             if len(row) != g:
                 raise ParseError(
                     f"[{name}] row has {len(row)} entries; expected {g}")
@@ -353,8 +357,7 @@ def _want(params, key, default=None):
 
 
 def _check_sharpness(doc, params):
-    inst = CycloInstance(_want(params, "p"), _want(params, "n"),
-                         B=params.get("bound"), D=params.get("D"))
+    inst = CycloInstance(_want(params, "p"), _want(params, "n"))
     rep = h2_torsion_report(inst)
     report = {k: rep[k] for k in ("p", "n", "e", "alpha", "bound", "sharp")}
     return rep["sharp"], report
@@ -440,17 +443,19 @@ def _check_length(doc, params):
     return True, {"length": M.length()}
 
 
-# each check with the [check] keys it reads besides name
+# each check with the [check] keys it reads besides name, and the blocks
+# whose matrix rows it reads
+_MODULE_ROWS = ("module", "phi")
 CHECKS = {
-    "sharpness": (_check_sharpness, ("p", "n", "bound", "D")),
-    "kernel": (_check_kernel, ("p", "n", "bound", "m")),
-    "mingens": (_check_mingens, ("p", "n", "D")),
-    "split": (_check_split, ("seed",)),
-    "zp_shape": (_check_zp_shape, ()),
-    "u_torsion": (_check_u_torsion, ()),
-    "boundary": (_check_boundary, ("e", "i")),
-    "height": (_check_height, ("eis", "h")),
-    "length": (_check_length, ()),
+    "sharpness": (_check_sharpness, ("p", "n"), ()),
+    "kernel": (_check_kernel, ("p", "n", "bound", "m"), ()),
+    "mingens": (_check_mingens, ("p", "n", "D"), ()),
+    "split": (_check_split, ("seed",), _MODULE_ROWS),
+    "zp_shape": (_check_zp_shape, (), _MODULE_ROWS),
+    "u_torsion": (_check_u_torsion, (), _MODULE_ROWS),
+    "boundary": (_check_boundary, ("e", "i"), _MODULE_ROWS),
+    "height": (_check_height, ("eis", "h"), _MODULE_ROWS + ("psi",)),
+    "length": (_check_length, (), _MODULE_ROWS),
 }
 
 
@@ -462,12 +467,17 @@ def run_check(doc, name):
     if name not in CHECKS:
         raise UnknownCheck(f"unknown check {name!r}; known: "
                            + ", ".join(sorted(CHECKS)))
-    check, keys = CHECKS[name]
+    check, keys, row_blocks = CHECKS[name]
     for block, known in dict(HEADER_KEYS, check=("name",) + keys).items():
         for key in doc.header(block):
             if key not in known:
                 raise InputError(f"[{block}] {key} is not a known key for "
                                  f"check {name}; known: " + ", ".join(known))
+    for block in ROW_BLOCKS:
+        if doc.rows(block) and block not in row_blocks:
+            raise InputError(
+                f"[{block}] rows are not read by check {name}; it reads "
+                + (", ".join(f"[{b}]" for b in row_blocks) or "no rows"))
     passed, report = check(doc, params)
     return {"check": name, "status": "pass" if passed else "fail", **report}
 

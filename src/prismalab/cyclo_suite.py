@@ -54,11 +54,18 @@ def ker_phi_minus_d(inst, m):
 
     Certified cyclic of order p^m, generated by g0; raises
     BoundaryContamination when a kernel element touches the top band
-    (B - e, B], which would mean B is too small for completeness.
+    (B - e, B], which would mean B is too small for completeness.  The
+    band must clear g0, of degree p^(n-1), so a B below e + p^(n-1) is
+    refused before the solve.
     """
     p, B, e = inst.p, inst.B, inst.e
     if not 1 <= m <= inst.n:
         raise InputError("precision level must satisfy 1 <= m <= n")
+    least = e + p ** (inst.n - 1)
+    if B < least:
+        raise BoundaryContamination(
+            f"bound {B} puts the generator g0 in the top degree band; "
+            f"the least admissible bound is {least}")
     q = p ** m
     nrows = p * B + e + 1
     cols = []

@@ -1,8 +1,7 @@
 """Exact linear algebra over Z/p^n.
 
 Howell normal form is the workhorse: it supports row-span membership and
-kernel computations over the chain ring Z/p^n.  Smith elementary divisors
-are provided for shape extraction only.
+kernel computations over the chain ring Z/p^n.
 
 One elimination engine serves both: ``howell_form`` echelonizes the rows
 themselves, and ``factor`` echelonizes ``[A^T | I]`` once.  The resulting
@@ -214,16 +213,3 @@ def direct_sum_rows(A, B, ga, gb, zero):
     return ([list(r) + [zero] * gb for r in A]
             + [[zero] * ga + list(r) for r in B])
 
-
-def smith_elementary_divisors(A, p, n):
-    """Valuations v with elementary divisors p^v (v < n), sorted ascending.
-
-    The row span S is the sum of the Z/p^(n-v), so p^k S has length
-    sum(max(0, n - v - k)) and #{v <= j} = len(p^(n-1-j) S) - len(p^(n-j) S).
-    """
-    q = p ** n
-    lengths = [span_length(howell_form([[(x * p ** k) % q for x in r]
-                                        for r in A], p, n), p, n)
-               for k in range(n + 1)]
-    at_most = [0] + [lengths[n - 1 - j] - lengths[n - j] for j in range(n)]
-    return [j for j in range(n) for _ in range(at_most[j + 1] - at_most[j])]

@@ -23,7 +23,7 @@ from .linalg_residue import (
     span_length,
 )
 from .series_rings import SeriesElem, phi_apply
-from .witt_base import WittRing, _blockwise, _multiples, _semilinear_matrix
+from .witt_base import WittRing, _multiples, _semilinear_matrix
 
 # A model is dense: its relation rows hold (relation count * N * m) x dim
 # cells before the Howell form runs, so a relation of high u-degree in a
@@ -506,55 +506,6 @@ def height_check(K):
         if not in_span(Hphi, mdl.vec(col), W.p, W.n):
             return False
     return True
-
-
-def phi_pullback(M, N=None):
-    """The Frobenius pullback: same generators, phi-twisted relations."""
-    N = M.N if N is None else N
-    rels = [[phi_apply(e, N) for e in col] for col in M.relations]
-    kb = M.killed_by
-    if kb is not None and kb[1] is not None:
-        kb = (kb[0], M.ring.p * kb[1] if M.ring.p * kb[1] < N else None)
-    tb = None
-    if M.torsion_bound is not None and M.ring.p * M.torsion_bound < N:
-        tb = M.ring.p * M.torsion_bound
-    return PhiModule(M.ring, M.g, rels, M.phi, killed_by=kb,
-                     torsion_bound=tb, N=N, validate=False)
-
-
-def twist_u_torsion_iso(M):
-    """The map m -> (m tensor 1) * u^{p-1} from M[u] to (phi*M)[u], mod p."""
-    W = M.ring
-    p, m = W.p, W.m
-    _require_torsion_bound(M)
-    N = M.N
-    N2 = p * N + p
-    src = M.model(nexp=1)
-    Ksrc = src.submodule_kernel_of_u_power(1)
-    src_basis = [row for row in Ksrc if not src.member(row)]
-    dim_src = span_length(Ksrc, p, 1) - span_length(src.H, p, 1)
-
-    pull = phi_pullback(M, N=N2)
-    tgt = pull.model(nexp=1)
-    Ktgt = tgt.submodule_kernel_of_u_power(1)
-    dim_tgt = span_length(Ktgt, p, 1) - span_length(tgt.H, p, 1)
-
-    images = []
-    for v in src_basis:
-        if m > 1:
-            v = _blockwise(src.W._sigma_matrix(), v, src.q)
-        out = [0] * tgt.dim
-        for s in range(M.g):
-            for t in range(N):
-                base = (s * N + t) * m
-                dst = (s * N2 + p * t + p - 1) * m
-                out[dst:dst + m] = [a % p for a in v[base:base + m]]
-        images.append(out)
-    withH = howell_form(images + list(tgt.H), p, 1)
-    rank_img = span_length(withH, p, 1) - span_length(tgt.H, p, 1)
-    bij = dim_src == dim_tgt == rank_img
-    return {"dim_source": dim_src, "dim_target": dim_tgt,
-            "image_rank": rank_img, "bijective": bij}
 
 
 # ---------------------------------------------------------------------------

@@ -354,76 +354,6 @@ def eisenstein_make(p, kind, arg):
 
 
 # ---------------------------------------------------------------------------
-# exact division
-# ---------------------------------------------------------------------------
-
-
-def divide_exact(x, by):
-    """Exact division of a SeriesElem or DpElem.
-
-    `by` is an int p^i (division by a p-power, dropping i digits of
-    p-precision) or an EisensteinPoly / monic exact SeriesElem.
-    """
-    if isinstance(by, int):
-        return _divide_p_power(x, by)
-    if isinstance(by, EisensteinPoly):
-        by = by.series(x.ring)
-    if isinstance(x, DpElem):
-        raise InputError("polynomial division is not defined on DpElem")
-    if not (by.exact and by.vec):
-        raise InputError("divisor must be an exact polynomial")
-    lead = by.coeffs[-1]
-    if not lead.is_unit():
-        raise InputError("divisor must have unit leading coefficient")
-    if not x.exact:
-        raise InsufficientPrecision("exact division requires an exact dividend")
-    W = x.ring
-    m, q = W.m, W.q
-    inv_rows = W._mul_matrix(lead.inv())
-    by_rows = [W._mul_matrix(c) for c in by.coeffs]
-    rem = [x.vec[k:k + m] for k in range(0, len(x.vec), m)]
-    db = by.degree()
-    quot = [(0,) * m] * max(1, len(rem) - db)
-    while len(rem) - 1 >= db and rem:
-        c = _blockwise(inv_rows, rem[-1], q)
-        d = len(rem) - 1 - db
-        quot[d] = c
-        for i, rows in enumerate(by_rows):
-            rem[d + i] = [(a - b) % q for a, b in
-                          zip(rem[d + i], _blockwise(rows, c, q))]
-        while rem and not any(rem[-1]):
-            rem.pop()
-    if rem:
-        raise NotDivisible("nonzero remainder")
-    return SeriesElem.from_vec(W, [a for c in quot for a in c], x.N,
-                               exact=True)
-
-
-def _divide_p_power(x, pk):
-    ring = x.ring if isinstance(x, SeriesElem) else x.ring.ring
-    p = ring.p
-    i = 0
-    while pk > 1:
-        if pk % p:
-            raise InputError("integer divisor must be a power of p")
-        pk //= p
-        i += 1
-    if i == 0:
-        return x
-    if isinstance(x, DpElem):
-        return x.divide_p(i)
-    if ring.n - i < 1:
-        raise InsufficientPrecision(
-            f"cannot drop {i} digits from precision {ring.n}")
-    new_ring = ring.lower_precision(i)
-    pi = p ** i
-    if any(a % pi for a in x.vec):
-        raise NotDivisible("coefficient not divisible by p^i")
-    return SeriesElem.from_vec(new_ring, [a // pi for a in x.vec], x.N,
-                               x.exact)
-
-
-# ---------------------------------------------------------------------------
 # divided-power ring
 # ---------------------------------------------------------------------------
 
@@ -651,14 +581,6 @@ class DpRing:
                  for i in range(self.dim)]
             F = self._fil_factors[r, prec] = factor(A, self.p, self.n_int)
         return F
-
-    def fil_contains(self, x, r):
-        """Membership of x in Fil^r at the precision of x."""
-        try:
-            self._fil_factor(r, x.prec).solve(self.to_vec(x))
-        except Inconsistent:
-            return False
-        return True
 
     def fil_lift(self, x, r):
         """An element of Fil^r (exact at n_int) congruent to x mod p^{x.prec};

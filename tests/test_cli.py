@@ -325,8 +325,9 @@ def test_check_bad_ring_values_exit2(tmp_path, ring):
     ("g=1 killed=1,3", "height eis=2,1 h=-1"),
 ])
 def test_check_bad_module_values_exit2(tmp_path, module, check):
+    psi = "[psi]\n1\n" if check.startswith("height") else ""
     text = (f"[ring]\np=2 n=1\n[module]\n{module}\nu^3\n[phi]\n1\n"
-            f"[psi]\n1\n[check]\nname={check}\n")
+            f"{psi}[check]\nname={check}\n")
     res = run(["check", _write(tmp_path, text), "--json"])
     assert res.exit_code == 2
     assert "Traceback" not in res.output
@@ -348,7 +349,7 @@ def test_check_bad_g_names_the_module_header(tmp_path, g):
 _ARITY_MODULE = ("[ring]\np=2 n=1 m=2 f=1,1,1\n[module]\ng=1 N=4 killed=1,2\n"
                  "u^2\n[phi]\n1\n")
 ARITY_DOCS = {
-    "sharpness": "[check]\nname=sharpness p=2 n=1 bound=4 D=8\n",
+    "sharpness": "[check]\nname=sharpness p=2 n=1\n",
     "kernel": "[check]\nname=kernel p=2 n=1 bound=4 m=1\n",
     "mingens": "[check]\nname=mingens p=2 n=1 D=8\n",
     "split": _ARITY_MODULE + "[check]\nname=split seed=1\n",
@@ -452,6 +453,27 @@ def test_every_block_refuses_an_unknown_header_key(tmp_path):
     bund = ARITY_DOCS["kernel"].replace("bound", "bund").replace("m=1", "mm=9")
     rep = json.loads(run(["check", _write(tmp_path, bund), "--json"]).output)
     assert rep["detail"].startswith("[check] bund is not a known key")
+
+
+_ROWS_MODULE = "[ring]\np=2 n=1\n[module]\ng=1 killed=1,2\n"
+
+
+@pytest.mark.parametrize("text, block", [
+    (_ROWS_MODULE + "u^2\n[phi]\n1\n[fil]\n1\n[check]\nname=length\n",
+     "fil"),
+    (_ROWS_MODULE + "u^2\n[phi]\n1\n[psi]\n1\n[check]\nname=split\n",
+     "psi"),
+    (_ROWS_MODULE + "[phi]\n1\n[check]\nname=sharpness p=2 n=1\n", "phi"),
+], ids=["fil-under-length", "psi-under-split", "phi-under-sharpness"])
+def test_check_refuses_rows_it_does_not_read(tmp_path, text, block):
+    # [fil] rows under every check, and [psi] rows under every check but
+    # height, were parsed, shape-checked and ignored with exit 0
+    res = run(["check", _write(tmp_path, text), "--json"])
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.output
+    rep = json.loads(res.output)
+    assert rep["error"] == "InputError"
+    assert rep["detail"].startswith(f"[{block}] rows are not read"), rep
 
 
 def test_killed_scalar_leaves_the_u_exponent_open():
@@ -603,6 +625,18 @@ def test_check_kernel_and_mingens(tmp_path):
                "--json"])
     assert res.exit_code == 0
     assert json.loads(res.output)["mu"] == 1
+
+
+@pytest.mark.parametrize("bound", [-1, 0, 1])
+def test_check_kernel_refuses_a_small_bound_before_the_solve(tmp_path, bound):
+    # bound=1 was refused as "expected generator missing from the kernel"
+    text = f"[check]\nname=kernel p=3 n=2 bound={bound}\n"
+    res = run(["check", _write(tmp_path, text), "--json"])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    rep = json.loads(res.output)
+    assert rep["error"] == "BoundaryContamination"
+    assert "least admissible bound is 9" in rep["detail"], rep
 
 
 def test_check_height_with_psi(tmp_path):

@@ -1,8 +1,8 @@
 """The flat SeriesElem and FiniteModel against the boxed layout.
 
-BoxedSeries, ref_phi_apply, ref_divide_exact, ref_divide_p_power and the
-methods of BoxedModel are the implementations that stored one WittElem
-per series coefficient, kept verbatim (up to names) as references.  The
+BoxedSeries, ref_phi_apply and the methods of BoxedModel are the
+implementations that stored one WittElem per series coefficient, kept
+verbatim (up to names) as references.  The
 properties check that the flat code gives the same series (coefficients,
 N and the exact flag), the same model vectors, and the same exceptions
 with the same messages, over rings (p, n, m) at m = 1, 2 and 3 and models
@@ -14,15 +14,11 @@ from types import SimpleNamespace
 
 from hypothesis import given, strategies as st
 
-from prismalab.errors import (
-    InputError, InsufficientPrecision, NotDivisible, PrecisionLoss,
-    PrismalabError,
-)
+from prismalab.errors import InputError, PrecisionLoss, PrismalabError
 from prismalab.linalg_residue import howell_form
 from prismalab.phi_modules import FiniteModel, PhiModule
 from prismalab.series_rings import (
-    DpElem, DpRing, EisensteinPoly, SeriesElem, divide_exact,
-    eisenstein_make, phi_apply,
+    DpRing, SeriesElem, eisenstein_make, phi_apply,
 )
 from prismalab.witt_base import WittElem, WittRing, _blockwise
 
@@ -176,72 +172,6 @@ def ref_phi_apply(x: BoxedSeries, bound=None) -> BoxedSeries:
     for i in range(0, width, p):
         out[i] = r.sigma(x.coeffs[i // p])
     return BoxedSeries(r, out, N, exact)
-
-
-# ---------------------------------------------------------------------------
-# integer polynomial helpers (exact lifts, low degree first)
-
-
-def ref_divide_exact(x, by):
-    """Exact division of a BoxedSeries or DpElem.
-
-    `by` is an int p^i (division by a p-power, dropping i digits of
-    p-precision) or an EisensteinPoly / monic exact BoxedSeries.
-    """
-    if isinstance(by, int):
-        return ref_divide_p_power(x, by)
-    if isinstance(by, EisensteinPoly):
-        by = by.series(x.ring)
-    if isinstance(x, DpElem):
-        raise InputError("polynomial division is not defined on DpElem")
-    if not (by.exact and not by.coeffs[-1].is_zero()):
-        raise InputError("divisor must be an exact polynomial")
-    if not by.coeffs[-1].is_unit():
-        raise InputError("divisor must have unit leading coefficient")
-    if not x.exact:
-        raise InsufficientPrecision("exact division requires an exact dividend")
-    lead_inv = by.coeffs[-1].inv()
-    rem = list(x.coeffs)
-    db = by.degree()
-    quot = [x.ring.zero()] * max(1, len(rem) - db)
-    while len(rem) - 1 >= db and rem:
-        c = rem[-1] * lead_inv
-        d = len(rem) - 1 - db
-        quot[d] = c
-        for i in range(db + 1):
-            rem[d + i] = rem[d + i] - c * by.coeffs[i]
-        while rem and rem[-1].is_zero():
-            rem.pop()
-    if rem:
-        raise NotDivisible("nonzero remainder")
-    return BoxedSeries(x.ring, quot, x.N, exact=True)
-
-
-def ref_divide_p_power(x, pk):
-    ring = x.ring if isinstance(x, BoxedSeries) else x.ring.ring
-    p = ring.p
-    i = 0
-    while pk > 1:
-        if pk % p:
-            raise InputError("integer divisor must be a power of p")
-        pk //= p
-        i += 1
-    if i == 0:
-        return x
-    if isinstance(x, DpElem):
-        return x.divide_p(i)
-    if ring.n - i < 1:
-        raise InsufficientPrecision(
-            f"cannot drop {i} digits from precision {ring.n}")
-    new_ring = ring.lower_precision(i)
-    pi = p ** i
-    out = []
-    for c in x.coeffs:
-        if any(a % pi for a in c.coeffs):
-            raise NotDivisible("coefficient not divisible by p^i")
-        out.append(new_ring.elem([a // pi for a in c.coeffs]))
-    return BoxedSeries(new_ring, out, x.N, x.exact)
-
 
 class BoxedModel:
     """The coordinate maps of a FiniteModel on boxed series columns."""
@@ -448,29 +378,6 @@ def test_flat_series_arithmetic_equals_boxed(a, b, c, k, cut, bound):
     same(outcome(lambda: phi_apply(x)), outcome(lambda: ref_phi_apply(X)))
     same(outcome(lambda: phi_apply(x, bound)),
          outcome(lambda: ref_phi_apply(X, bound)))
-    for i in range(W.n + 1):
-        pi = W.p ** i
-        same(outcome(lambda: divide_exact(x, pi)),
-             outcome(lambda: ref_divide_exact(X, pi)))
-        same(outcome(lambda: divide_exact(x * pi, pi)),
-             outcome(lambda: ref_divide_exact(X * pi, pi)))
-    # an exact divisor with a unit leading coefficient (x^j when m > 1)
-    lead = W.gen() ** (c % W.m + 1) if W.m > 1 else W.one()
-    fd, bd = both(W, [W.elem(list(e.coeffs)) for e in b[1]][:3] + [lead],
-                  None, True)
-    d, D = fd[1], bd[1]
-    same(outcome(lambda: divide_exact(x, d)),
-         outcome(lambda: ref_divide_exact(X, D)))
-    same(outcome(lambda: divide_exact(x * d, d)),
-         outcome(lambda: ref_divide_exact(X * D, D)))
-    if y.is_zero():
-        # the boxed code indexed the leading coefficient of a zero divisor
-        # (IndexError); the flat code refuses it
-        assert outcome(lambda: divide_exact(x, y)) == (
-            InputError, "divisor must be an exact polynomial")
-    else:
-        same(outcome(lambda: divide_exact(x, y)),
-             outcome(lambda: ref_divide_exact(X, Y)))
 
 
 @given(series_pairs())

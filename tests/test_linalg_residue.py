@@ -8,15 +8,14 @@ from prismalab.errors import Inconsistent, InputError
 from prismalab import linalg_residue
 from prismalab.linalg_residue import (
     _echelon, factor, howell_form, in_span, kernel_solve, reduce_vector,
-    smith_elementary_divisors, span_length, spans_equal,
+    span_length, spans_equal,
 )
 
 
 # ---------------------------------------------------------------------------
-# references: the separate pivot loops of howell_form, kernel_solve and
-# smith_elementary_divisors that the shared elimination engine replaced,
-# kept verbatim (full-width row operations, an identity transform always
-# carried)
+# references: the separate pivot loops of howell_form and kernel_solve
+# that the shared elimination engine replaced, kept verbatim (full-width
+# row operations, an identity transform always carried)
 # ---------------------------------------------------------------------------
 
 
@@ -145,45 +144,6 @@ def ref_kernel_solve(entries, b, p, n):
     return kernel, sol
 
 
-def ref_smith_divisors(entries, p, n):
-    """The full-pivoting Smith loop smith_elementary_divisors replaced."""
-    q = p ** n
-    M = [[x % q for x in row] for row in entries]
-    divisors = []
-    r0 = 0
-    while True:
-        best = None
-        for i in range(r0, len(M)):
-            for j in range(r0, len(M[0]) if M else 0):
-                if M[i][j]:
-                    v = _val(M[i][j], p, n)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-        if best is None:
-            break
-        v, bi, bj = best
-        M[r0], M[bi] = M[bi], M[r0]
-        for row in M:
-            row[r0], row[bj] = row[bj], row[r0]
-        iu = pow(M[r0][r0] // (p ** v), -1, q)
-        M[r0] = _row_scale(M[r0], iu, q)
-        pv = p ** v
-        for i in range(r0 + 1, len(M)):
-            if M[i][r0]:
-                c = M[i][r0] // pv
-                M[i] = _row_sub(M[i], M[r0], c, q)
-        for j in range(r0 + 1, len(M[0])):
-            if M[r0][j]:
-                c = M[r0][j] // pv
-                for i in range(len(M)):
-                    M[i][j] = (M[i][j] - c * M[i][r0]) % q
-        divisors.append(v)
-        r0 += 1
-        if r0 >= len(M) or r0 >= len(M[0]):
-            break
-    return sorted(divisors)
-
-
 def brute_span(rows, q):
     """All Z/q-combinations of the rows (tiny instances only)."""
     if not rows:
@@ -303,21 +263,6 @@ def test_spans_equal():
     assert spans_equal(H1, H2, p, n)
 
 
-def test_smith_divisors():
-    assert smith_elementary_divisors([[2, 0], [0, 1]], 2, 3) == [0, 1]
-    assert smith_elementary_divisors([[4]], 2, 3) == [2]
-    # diag(1, p, p^2) hidden under row/col mixing
-    p, n = 3, 3
-    q = 27
-    A = [[1, 0, 0], [0, 3, 0], [0, 0, 9]]
-    M = [list(r) for r in A]
-    M[0] = [(a + 5 * b) % q for a, b in zip(M[0], M[1])]
-    M[2] = [(a + 7 * b) % q for a, b in zip(M[2], M[0])]
-    for r in M:
-        r[0], r[2] = r[2], r[0]
-    assert smith_elementary_divisors(M, p, n) == [0, 1, 2]
-
-
 # ---------------------------------------------------------------------------
 # the shared engine against the reference loops
 # ---------------------------------------------------------------------------
@@ -355,8 +300,6 @@ def test_engine_matches_reference_loops(p, n):
             assert howell_form(A, p, n) == H_ref
             K_ref, _ = ref_kernel_solve(A, None, p, n)
             assert kernel_solve(A, None, p, n) == (K_ref, None)
-            smith = ref_smith_divisors(A, p, n)
-            assert smith_elementary_divisors(A, p, n) == smith
             x = [rng.randrange(q) for _ in range(cols)]
             attained = [sum(a * b for a, b in zip(r, x)) % q for r in A]
             for b in (attained, [rng.randrange(q) for _ in range(rows)]):

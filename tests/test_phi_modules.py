@@ -13,7 +13,7 @@ from prismalab.phi_modules import (
     EtalePhiModule, KisinModule, PhiModule, _minimal, _s_multiples,
     annihilator_alpha, boundary_structure_check, check_ann_inclusion,
     etale_fixed_points, height_check, presentation_from_generators,
-    twist_u_torsion_iso, u_torsion, zp_shape,
+    u_torsion, zp_shape,
 )
 from prismalab.linalg_residue import (
     factor, howell_form, in_span, kernel_solve, span_length, spans_equal,
@@ -310,32 +310,6 @@ def test_height_check_determinant_invariant():
         detQ = (Psi[0][0] * Psi[1][1] - Psi[0][1] * Psi[1][0]).truncate(N)
         Ehg = (Es ** (h * 2)).truncate(N)
         assert (detP * detQ).truncate(N) == Ehg.truncate(N)
-
-
-# ---------------------------------------------------------------------------
-# twist_u_torsion_iso
-# ---------------------------------------------------------------------------
-
-
-def test_twist_iso_one_dimensional():
-    W = WittRing(2, 1, 1)
-    rep = twist_u_torsion_iso(quotient_module(W, u_exp=1))
-    assert rep["dim_source"] == rep["dim_target"] == 1 and rep["bijective"]
-
-
-def test_twist_iso_dimension_count():
-    W = WittRing(2, 1, 1)
-    M = quotient_module(W, u_exp=2, N=4).direct_sum(
-        quotient_module(W, u_exp=1, N=4))
-    rep = twist_u_torsion_iso(M)
-    assert rep["dim_source"] == rep["dim_target"] == 2 and rep["bijective"]
-
-
-def test_twist_iso_free_module_trivial():
-    W = WittRing(2, 1, 1)
-    M = PhiModule(W, 1, [], [[S(W, [1])]], torsion_bound=0, N=3)
-    rep = twist_u_torsion_iso(M)
-    assert rep["dim_source"] == rep["dim_target"] == 0 and rep["bijective"]
 
 
 # ---------------------------------------------------------------------------
