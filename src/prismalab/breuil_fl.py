@@ -114,10 +114,24 @@ class BreuilModule:
         return _graph_consistent(self._fil_data(), self.dim, [], self.p, 1)
 
     def phi_h_generates(self):
-        """The S-span of phi_h(Fil) is the whole module."""
-        rows = [r for img in self.phi_gens for r in self.s_multiples(img)]
-        H = howell_form(rows, self.p, 1)
-        return span_length(H, self.p, 1) == self.dim
+        """The S-span of phi_h(Fil) is the whole module, decided on the
+        residue field by Nakayama's lemma.
+
+        The truncated ring S_D is local: its maximal ideal I is spanned by
+        the x^a b_t with t >= 1, and I^D = 0, since b_t b_s lies in
+        F_p b_{t+s}, which is zero at t + s >= D.  So if the S-span N of
+        the images has N + I S^r = S^r, then S^r = N + I^k S^r for every
+        k, and k = D gives N = S^r.  The images therefore generate iff
+        their b_0 slices span (S/I)^r = F_{p^m}^r over F_{p^m}: exactly
+        the verdict of the S-span of all their S-multiples, from m rows of
+        width r m per image instead of D m rows of width r D m.
+        """
+        S, p, m = self.S, self.p, self.S.m
+        x = S.ring._gen_matrices()[0]
+        rows = [r for img in self.phi_gens
+                for r in _multiples([a % p for c in img for a in c.vec[:m]],
+                                    x, p)]
+        return span_length(howell_form(rows, p, 1), p, 1) == self.r * m
 
     def phi_h(self, v):
         """phi_h of a vector in Fil, by reduction against the graph rows.
@@ -182,7 +196,8 @@ def is_breuil_module(B):
     S = B.S
     p = B.p
     # Fil must contain Fil^h S times the module
-    gens = [S.gamma(j).reduce_prec(1) for j in S.fil_gamma_indices(B.h)]
+    js = S.fil_gamma_indices(B.h)
+    gens = [S.gamma(j).reduce_prec(1) for j in js]
     for i in range(B.r):
         for g in gens:
             v = [S.zero() for _ in range(B.r)]
@@ -197,8 +212,8 @@ def is_breuil_module(B):
     Eh = S.from_int_poly(int_poly_pow(list(S.eis.int_coeffs), B.h))
     mids = [B.phi_h(B.scale_vector(Eh.reduce_prec(1), B.basis_vector(i)))
             for i in range(B.r)]
-    for s in gens:
-        fs = (c1ih * s_phi_div(s, B.h)).reduce_prec(1)
+    for j, s in zip(js, gens):
+        fs = (c1ih * S.phi_gamma(j, B.h)).reduce_prec(1)
         for i in range(B.r):
             lhs = B.phi_h(B.scale_vector(s, B.basis_vector(i)))
             if any(not (a - fs * b).reduce_prec(1).is_zero()
@@ -460,13 +475,15 @@ def fl_to_breuil(M, eis=None, D=None):
     conv = lambda wv: [S.ring.elem(list(c.coeffs)) for c in wv]
     fil_gens, phi_gens = [], []
     for i in range(h + 1):
+        pairs = [(conv(f), conv(im))
+                 for f, im in zip(M.fil_gens(h - i), M.phi_images(h - i))]
         # ideal generators of Fil^i S (1 at i = 0); _fil_data adds S-multiples
         for j in S.fil_gamma_indices(i) if i else [0]:
             sm = S.gamma(j).reduce_prec(1)
-            fs = s_phi_div(S.gamma(j), i).reduce_prec(1) if i else sm
-            for f, im in zip(M.fil_gens(h - i), M.phi_images(h - i)):
-                fil_gens.append([sm.scale_w(w) for w in conv(f)])
-                phi_gens.append([fs.scale_w(w) for w in conv(im)])
+            fs = S.phi_gamma(j, i)
+            for f, im in pairs:
+                fil_gens.append([sm.scale_w(w) for w in f])
+                phi_gens.append([fs.scale_w(w) for w in im])
     nabla = [[S.zero()] * M.g for _ in range(M.g)]
     return BreuilModule(S, M.g, h, fil_gens, phi_gens, nabla=nabla)
 

@@ -23,6 +23,12 @@ from .series_rings import (
 )
 from .witt_base import WittRing
 
+# The system of ker_phi_minus_d is dense, (p B + e + 1) x (B + 1) cells, so
+# a large bound would exhaust memory (or overflow an index) before the
+# solve.  2^22 cells is over 6000 times the largest default system of the
+# benchmark corpus (p = 2, n = 3: 629 cells) and is solved in a few seconds.
+KERNEL_CELL_BUDGET = 2 ** 22
+
 
 class CycloInstance:
     def __init__(self, p, n, B=None, D=None):
@@ -56,7 +62,8 @@ def ker_phi_minus_d(inst, m):
     BoundaryContamination when a kernel element touches the top band
     (B - e, B], which would mean B is too small for completeness.  The
     band must clear g0, of degree p^(n-1), so a B below e + p^(n-1) is
-    refused before the solve.
+    refused before the solve, and so is a system over KERNEL_CELL_BUDGET
+    cells.
     """
     p, B, e = inst.p, inst.B, inst.e
     if not 1 <= m <= inst.n:
@@ -66,8 +73,13 @@ def ker_phi_minus_d(inst, m):
         raise BoundaryContamination(
             f"bound {B} puts the generator g0 in the top degree band; "
             f"the least admissible bound is {least}")
-    q = p ** m
     nrows = p * B + e + 1
+    if nrows * (B + 1) > KERNEL_CELL_BUDGET:
+        raise InputError(
+            f"kernel system too large: bound {B} at p={p}, e={e} gives "
+            f"{nrows} x {B + 1} cells, over the budget of "
+            f"{KERNEL_CELL_BUDGET} cells")
+    q = p ** m
     cols = []
     d = list(inst.d.int_coeffs)
     for j in range(B + 1):

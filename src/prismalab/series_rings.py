@@ -390,9 +390,9 @@ class DpRing:
     DpRing(eis, n, m, f, D, h) returns the ring shared by every
     construction with the same (eis.p, eis.int_coeffs, n, m, f, D, h,
     slack), D resolved to its default and the DP_RING_CACHE most recently
-    used being kept, so the product table, gamma_j(E), the Fil^r bases and
-    their factors are built once, not once per call; a ring is immutable
-    apart from those memos."""
+    used being kept, so the product table, gamma_j(E), phi_i(gamma_j(E))
+    mod p, the Fil^r bases and their factors are built once, not once per
+    call; a ring is immutable apart from those memos."""
 
     def __new__(cls, eis: EisensteinPoly, n, m=1, f=None, D=None, h=0):
         return _dp_ring(eis.p, eis.int_coeffs, n, m,
@@ -483,6 +483,21 @@ class DpRing:
                     coords.append(c)
                 self._gamma[j] = self.elem(coords)
         return self._gamma[j]
+
+    def phi_gamma(self, j, i):
+        """phi_i(gamma_j(E)) mod p, for gamma_j(E) in Fil^i (j >= i).
+
+        Equals s_phi_div(self.gamma(j), i).reduce_prec(1): gamma_j(E) is
+        exact at n_int, so its Fil^i lift is itself and no solve is needed.
+        """
+        key = (j, i)
+        if key not in self._phi_gamma:
+            _phi_div_prec(self, self.n_int, i)
+            if j < i:
+                raise NotInFiltration(f"gamma_{j}(E) is not in Fil^{i}")
+            self._phi_gamma[key] = (self.phi(self.gamma(j)).divide_p(i)
+                                    .reduce_prec(1))
+        return self._phi_gamma[key]
 
     def c1(self):
         """phi(E)/p, a unit."""
@@ -648,6 +663,7 @@ def _dp_ring(p, int_coeffs, n, m, f, D, h, slack):
     S._struct = {}
     S._table = None
     S._gamma = {}
+    S._phi_gamma = {}
     S._fil = {}
     S._fil_factors = {}
     S._c1 = None
@@ -784,18 +800,25 @@ class DpElem:
         return ("0" if not parts else " + ".join(parts)) + f" (prec {self.prec})"
 
 
-def s_phi_div(x: DpElem, i: int) -> DpElem:
-    """Divided Frobenius phi_i = p^{-i} phi on Fil^i."""
-    R = x.ring
+def _phi_div_prec(R, prec, i):
+    """Precision of phi_i of an element of R at precision prec; refuses a
+    level outside 0..p-1 and one the internal precision cannot carry."""
     if i < 0 or i > R.p - 1:
         raise InputError("filtration level must satisfy 0 <= i <= p-1")
     # a Fil^i lift is exact at n_int; dividing phi(lift) by p^i spends i
     # internal digits, so the value is good modulo p^{n_int - i}
-    out_prec = min(x.prec, R.n_int - i)
+    out_prec = min(prec, R.n_int - i)
     if out_prec < R.n_user:
         raise InsufficientPrecision(
             f"internal precision {R.n_int} cannot support level {i} "
             f"at user precision {R.n_user}")
+    return out_prec
+
+
+def s_phi_div(x: DpElem, i: int) -> DpElem:
+    """Divided Frobenius phi_i = p^{-i} phi on Fil^i."""
+    R = x.ring
+    out_prec = _phi_div_prec(R, x.prec, i)
     try:
         lift = R.fil_lift(x, i)
     except Inconsistent:

@@ -343,26 +343,33 @@ class WittRing:
         return f"WittRing(p={self.p}, n={self.n}, m={self.m})"
 
 
-# a WittRing holds O(m^2) ints beside its parameters, so many fit
-WITT_RING_CACHE = 256
+# a WittRing holds O(m^2) ints beside its parameters, so many fit; a ring
+# reached through an unresolved f (f=None) takes two entries, that key and
+# the resolved one, so 512 entries keep at least 256 rings
+WITT_RING_CACHE = 512
 
 
 @functools.lru_cache(maxsize=WITT_RING_CACHE)
 def _witt_ring(p, n, m, f):
     """Validate the parameters and build the ring; WittRing's miss path.
-    An invalid key raises on every call, since lru_cache keeps no error."""
+    An invalid key raises on every call, since lru_cache keeps no error.
+    The default f (f=None) and an f not reduced mod p^n are resolved first
+    and the ring of the resolved key returned, so every spelling of one f
+    gives the identical ring."""
     if n < 1 or m < 1:
         raise InputError("need n >= 1 and m >= 1")
     if not _is_prime(p):
         raise InputError(f"p must be prime, got {p}")
+    q = p ** n
+    key = tuple(c % q for c in (default_irreducible(p, m) if f is None
+                                else f))
+    if key != f:
+        return _witt_ring(p, n, m, key)
     W = object.__new__(WittRing)
     W.p = p
     W.n = n
     W.m = m
-    W.q = p ** n
-    if f is None:
-        f = default_irreducible(p, m)
-    f = [c % W.q for c in f]
+    W.q = q
     if len(f) != m + 1 or f[-1] != 1:
         raise InputError("f must be monic of degree m")
     if not is_irreducible_mod_p(f, p):

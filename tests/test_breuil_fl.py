@@ -1,4 +1,3 @@
-import copy
 import random
 import re
 
@@ -13,7 +12,9 @@ from prismalab.decomposition import check_split_compat
 from prismalab.errors import (
     BadRamification, HasUTorsion, Inconsistent, InputError, PrismalabError,
 )
-from prismalab.linalg_residue import kernel_solve, spans_equal
+from prismalab.linalg_residue import (
+    howell_form, kernel_solve, span_length, spans_equal,
+)
 from prismalab.phi_modules import EtalePhiModule, KisinModule, PhiModule
 from prismalab.series_rings import (
     DpRing, SeriesElem, _dp_ring, eisenstein_make, int_poly_pow, s_phi_div,
@@ -262,18 +263,21 @@ def test_cold_and_warm_rings_give_the_same_answers():
     keys = sorted({(M.p, M.h) for M in modules})
     ring = lambda p, h: DpRing(eisenstein_make(p, "explicit", [p, 1]), 1,
                                h=h)
+    # the phi_i(gamma_j(E)) memo, by value (DpElem equality asks for the
+    # identical ring)
+    memo = lambda S: {k: (v.vec, v.prec) for k, v in S._phi_gamma.items()}
     warm = [ring(p, h) for p, h in keys]
-    tables = [copy.deepcopy(S._fil) for S in warm]
+    tables = [memo(S) for S in warm]
     assert all(tables)
     _witt_ring.cache_clear()
     _dp_ring.cache_clear()
     assert [answer(M) for M in reversed(modules)] == forward[::-1]
     cold = [ring(p, h) for p, h in keys]
     assert all(S is not T for S, T in zip(warm, cold))
-    assert [S._fil for S in warm] == tables
-    assert [S._fil for S in cold] == tables
-    assert [[S.fil_span(r) for r in t] for S, t in zip(cold, tables)] == [
-        list(t.values()) for t in tables]
+    assert [memo(S) for S in warm] == tables
+    assert [memo(S) for S in cold] == tables
+    assert [{k: (S.phi_gamma(*k).vec, S.phi_gamma(*k).prec) for k in t}
+            for S, t in zip(cold, tables)] == tables
 
 
 def test_fl_projector_witnesses():
@@ -602,6 +606,92 @@ def test_is_breuil_module_matches_all_rows_reference():
             seen.add(got[1])
     assert seen == {None, "fil-contains-filS", "phi-not-well-defined",
                     "functional-equation", "generation"}
+
+
+# ---------------------------------------------------------------------------
+# generation on the residue field against the all-S-multiples reference
+# ---------------------------------------------------------------------------
+
+
+def ref_phi_h_generates(B):
+    """phi_h_generates as the Howell span of every S-multiple of every
+    phi_h image, compared with the F_p-dimension r D m of the module."""
+    rows = [r for img in B.phi_gens for r in B.s_multiples(img)]
+    return span_length(howell_form(rows, B.p, 1), B.p, 1) == B.dim
+
+
+def _random_images(rng, S, r, k, planted):
+    """k random vectors of S^r with coordinates mod p^{n_int}; planted,
+    their b_0 slices are F_{p^m}-combinations of r - 1 fixed vectors, so
+    they span no more than a hyperplane, while every higher coordinate
+    stays random."""
+    W, m, q = S.ring, S.m, S.q
+    unit = lambda: W.elem([rng.randrange(q) for _ in range(m)])
+    basis = [[unit() for _ in range(r)] for _ in range(r - 1)]
+    out = []
+    for _ in range(k):
+        coef = [unit() for _ in basis]
+        vec = []
+        for t in range(r):
+            tail = [rng.randrange(q) for _ in range(S.dim - m)]
+            if planted:
+                head = sum((c * w[t] for c, w in zip(coef, basis)),
+                           W.zero()).coeffs
+            else:
+                head = unit().coeffs
+            vec.append(S.from_vec(list(head) + tail, prec=1))
+        out.append(vec)
+    return out
+
+
+def test_phi_h_generates_matches_all_multiples_reference():
+    # every (p, m, e, D, r): random images (too few of them as well) and
+    # planted ones with dependent b_0 slices, then residual modules and
+    # base changes of random FL modules
+    rng = random.Random(17)
+    verdicts = {"random": set(), "planted": set(), "residual": set(),
+                "fl": set()}
+    for p in (3, 5, 7):
+        for m in (1, 2):
+            for e in (1, 2):
+                eis = eisenstein_make(p, "explicit",
+                                      [p] + [0] * (e - 1) + [1])
+                for D in (None, p * e + 1, 2 * p * e + 2):
+                    S = DpRing(eis, 1, m=m, f=None if m == 1 else list(
+                        WittRing(p, 1, m).f), D=D, h=1)
+                    for r in (1, 2, 3):
+                        for kind in ("random", "planted"):
+                            k = rng.randrange(1, r + 2)
+                            imgs = _random_images(rng, S, r, k,
+                                                  kind == "planted")
+                            B = BreuilModule(S, r, 1, imgs, imgs)
+                            got = B.phi_h_generates()
+                            assert got == ref_phi_h_generates(B), (
+                                p, m, e, D, r, kind, k)
+                            verdicts[kind].add(got)
+    for p, m, d in [(3, 1, 1), (3, 1, 2), (3, 2, 1), (5, 1, 2), (5, 2, 2),
+                    (7, 1, 3)]:
+        for D in (None, p + 1, 2 * p + 2):
+            V = EtalePhiModule(p, m, d, _random_invertible(rng, d, p))
+            B = residual_module(V, 1, D=D).breuil
+            got = B.phi_h_generates()
+            assert got == ref_phi_h_generates(B), (p, m, d, D)
+            verdicts["residual"].add(got)
+    for k, (p, m, e) in enumerate([(p, m, e) for p in (3, 5, 7)
+                                   for m in (1, 2) for e in (1, 2)]):
+        W = WittRing(p, 1, m)
+        eis = eisenstein_make(p, "explicit", [p] + [0] * (e - 1) + [1])
+        D = (None, p * e + 1, 2 * p * e + 2)[k % 3]
+        for kind in (None, 3):
+            M = _random_fl(rng, W, rng.randrange(1, 4),
+                           rng.randrange(1, min(p - 1, 3) + 1),
+                           break_axiom=kind, units=True)
+            B = fl_to_breuil(M, eis, D)
+            got = B.phi_h_generates()
+            assert got == ref_phi_h_generates(B), (p, m, e, D, M.g, M.h)
+            verdicts["fl"].add(got)
+    assert verdicts == {"random": {True, False}, "planted": {False},
+                        "residual": {True}, "fl": {True, False}}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

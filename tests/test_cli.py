@@ -20,6 +20,7 @@ from prismalab.decomposition import (
     SplitResult, fitting_conditions, split_phi_module,
 )
 from prismalab import errors
+from prismalab.cyclo_suite import KERNEL_CELL_BUDGET
 from prismalab.errors import ParseError, UnknownCheck
 from prismalab.phi_modules import (
     FiniteModel, PhiModule, presentation_from_generators,
@@ -637,6 +638,25 @@ def test_check_kernel_refuses_a_small_bound_before_the_solve(tmp_path, bound):
     rep = json.loads(res.output)
     assert rep["error"] == "BoundaryContamination"
     assert "least admissible bound is 9" in rep["detail"], rep
+
+
+def _least_bound_over_budget(p, e):
+    B = 1
+    while (p * B + e + 1) * (B + 1) <= KERNEL_CELL_BUDGET:
+        B += 1
+    return B
+
+
+@pytest.mark.parametrize("bound", [10 ** 55, _least_bound_over_budget(3, 6)])
+def test_check_kernel_refuses_a_bound_over_the_cell_budget(tmp_path, bound):
+    # bound=10^55 exited 3 with an OverflowError from the allocation
+    text = f"[check]\nname=kernel p=3 n=2 bound={bound}\n"
+    res = run(["check", _write(tmp_path, text), "--json"])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    rep = json.loads(res.output)
+    assert rep["error"] == "InputError"
+    assert f"over the budget of {KERNEL_CELL_BUDGET} cells" in rep["detail"]
 
 
 def test_check_height_with_psi(tmp_path):

@@ -699,6 +699,62 @@ def test_slack_is_part_of_the_ring_key(monkeypatch):
     assert DpRing(E, 1, h=1) is S
 
 
+def _phi_gamma_pairs(S):
+    return [(j, i) for i in range(min(S.h, S.p - 1) + 1)
+            for j in S.fil_gamma_indices(i)]
+
+
+def test_phi_gamma_matches_s_phi_div_on_cold_and_warm_rings(monkeypatch):
+    # every (j, i) with j in fil_gamma_indices(i), on a cold ring (memo
+    # first) and on one whose gamma_j(E) and Fil^i factors are warm
+    monkeypatch.delenv("PRISMALAB_PRECISION_SLACK", raising=False)
+    seen = 0
+    for p, e, m in [(p, e, m) for p in (2, 3, 5) for e in (1, 2)
+                    for m in (1, 2)]:
+        E = eisenstein_make(p, "explicit", [p] + [0] * (e - 1) + [1])
+        for h, D in [(1, None), (p - 1, 2 * p * e + 2)]:
+            for warm in (False, True):
+                series_rings._dp_ring.cache_clear()
+                S = DpRing(E, 1, m=m, D=D, h=h)
+                want = {(j, i): s_phi_div(S.gamma(j), i).reduce_prec(1)
+                        for j, i in _phi_gamma_pairs(S)}
+                if not warm:
+                    series_rings._dp_ring.cache_clear()
+                    S = DpRing(E, 1, m=m, D=D, h=h)
+                for (j, i), ref in want.items():
+                    got = S.phi_gamma(j, i)
+                    assert (got.vec, got.prec) == (ref.vec, 1), (p, e, m, j, i)
+                    assert S.phi_gamma(j, i) is got
+                    seen += 1
+    assert seen > 100
+    E = eisenstein_make(3, "explicit", [3, 1])
+    S = DpRing(E, 1, h=2)
+    with pytest.raises(InputError, match="0 <= i <= p-1"):
+        S.phi_gamma(3, 3)
+    with pytest.raises(NotInFiltration):
+        S.phi_gamma(1, 2)
+
+
+def test_phi_gamma_is_kept_per_h_and_slack(monkeypatch):
+    # rings that differ only in h or in the slack have separate memos,
+    # each equal to its own ring's s_phi_div
+    E = eisenstein_make(5, "explicit", [5, 1])
+    monkeypatch.delenv("PRISMALAB_PRECISION_SLACK", raising=False)
+    rings = [DpRing(E, 1, h=1), DpRing(E, 1, h=2)]
+    monkeypatch.setenv("PRISMALAB_PRECISION_SLACK", "2")
+    rings.append(DpRing(E, 1, h=1))
+    assert len({id(S) for S in rings}) == 3
+    vals = [S.phi_gamma(1, 1) for S in rings]
+    assert len({id(v) for v in vals}) == 3
+    for S, v in zip(rings, vals):
+        assert v.ring is S
+        ref = s_phi_div(S.gamma(1), 1).reduce_prec(1)
+        assert (v.vec, v.prec) == (ref.vec, ref.prec)
+    monkeypatch.setenv("PRISMALAB_PRECISION_SLACK", "0")
+    assert DpRing(E, 1, h=1).phi_gamma(1, 1) is vals[0]
+    assert DpRing(E, 1, h=2).phi_gamma(1, 1) is vals[1]
+
+
 def test_invalid_dp_rings_raise_on_every_call(monkeypatch):
     E = eisenstein_make(3, "explicit", [3, 1])
     info = series_rings._dp_ring.cache_info

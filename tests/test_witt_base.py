@@ -396,10 +396,12 @@ def test_equal_parameters_give_the_identical_ring():
     W = WittRing(3, 2, 2)
     assert WittRing(3, 2, 2) is W
     assert WittRing(3, 2, m=2) is W and WittRing(p=3, n=2, m=2) is W
-    # an explicit f is a separate key but an equal ring
+    # an explicit f equal to the default, in any spelling, is the same ring
     f = list(W.f)
-    assert WittRing(3, 2, 2, f) is WittRing(3, 2, 2, tuple(f))
-    assert WittRing(3, 2, 2, f) == W
+    assert WittRing(3, 2, 2, f) is WittRing(3, 2, 2, tuple(f)) is W
+    assert WittRing(3, 2, 2, [c + 9 for c in f]) is W
+    assert WittRing(2, 1, 1) is WittRing(2, 1, 1, [0, 1])
+    assert WittRing(2, 1, 2) is WittRing(2, 1, 2, [1, 1, 1])
     # the memo tables are shared: sigma's matrix is built once
     assert WittRing(3, 2, 2)._sigma_matrix() is W._sigma_matrix()
     assert WittRing(3, 2, 2).elem([1, 2]) == W.elem([1, 2])
