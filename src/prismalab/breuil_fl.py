@@ -3,21 +3,21 @@
 FLModule is a W_n-module with a finite filtration and divided Frobenii
 phi_i.  BreuilModule is a free module over the truncated divided-power
 ring S_1 with a filtration submodule Fil, the divided Frobenius phi_h
-given on its generators, and an optional connection.  The two functors
-into Breuil modules and the residual-module construction live here.
+given on its generators, and an optional connection.  The base change
+of an FL module into Breuil modules (fl_to_breuil) and the
+residual-module construction live here.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import BadRamification, HasUTorsion, Inconsistent, InputError
+from .errors import BadRamification, Inconsistent, InputError
 from .linalg_residue import (
-    direct_sum_rows, howell_form, in_span, kernel_solve, reduce_vector,
-    span_length,
+    direct_sum_rows, howell_form, in_span, reduce_vector, span_length,
 )
 from .phi_modules import EtalePhiModule, etale_fixed_points
-from .series_rings import DpRing, eisenstein_make, int_poly_pow, s_phi_div
+from .series_rings import DpRing, eisenstein_make, int_poly_pow
 from .witt_base import _multiples
 
 
@@ -356,10 +356,6 @@ class FLModule:
     def is_zero_in_module(self, v):
         return in_span(self.relation_rows(), self.vec(v), self.p, self.W.n)
 
-    def module_length(self):
-        full = self.dim * self.W.n
-        return full - span_length(self.relation_rows(), self.p, self.W.n)
-
     def direct_sum(self, other):
         same = ((self.W.p, self.W.n, self.W.m, self.W.f)
                 == (other.W.p, other.W.n, other.W.m, other.W.f))
@@ -420,47 +416,8 @@ def is_fl_module(M):
 
 
 # ---------------------------------------------------------------------------
-# functors into Breuil modules
+# base change into Breuil modules
 # ---------------------------------------------------------------------------
-
-
-def kisin_to_breuil(K, h, D=None):
-    """Base change of a mod-p Kisin module along phi into S_1."""
-    M = K.module
-    W = M.ring
-    if W.n != 1:
-        raise InputError("the Breuil layer is mod p")
-    if M.relations:
-        raise HasUTorsion("input must be free (classical) mod p")
-    S = DpRing(K.eis, 1, m=W.m, f=None if W.m == 1 else list(W.f),
-               D=D, h=h)
-    r = M.g
-    if r == 0:
-        return BreuilModule(S, 0, h, [], [])
-    p = S.p
-    nu = [[S.from_series(M.phi[i][j]) for j in range(r)] for i in range(r)]
-    d = S.dim
-    # solve nu(x) in (Fil^h S)^r over F_p: the columns are the S-multiples
-    # of the columns of nu, then minus each row of Fil^h S in each block
-    cols = [c for j in range(r)
-            for c in S.s_multiples([nu[i][j].vec for i in range(r)], p)]
-    cols += [[0] * (i * d) + [-a % p for a in frow] + [0] * ((r - 1 - i) * d)
-             for i in range(r) for frow in S.fil_span(h)]
-    K0, _ = kernel_solve([list(row) for row in zip(*cols)], None, p, 1)
-    fil_gens = []
-    phi_gens = []
-    for row in howell_form([k[:r * d] for k in K0], p, 1):
-        x = [S.from_vec([row[j * d + c] for c in range(d)], prec=1)
-             for j in range(r)]
-        img_coords = []
-        for i in range(r):
-            acc = S.zero().reduce_prec(1)
-            for j in range(r):
-                acc = acc + nu[i][j].reduce_prec(1) * x[j]
-            img_coords.append(s_phi_div(acc, h).reduce_prec(1))
-        fil_gens.append(x)
-        phi_gens.append(img_coords)
-    return BreuilModule(S, r, h, fil_gens, phi_gens)
 
 
 def fl_to_breuil(M, eis=None, D=None):
@@ -470,8 +427,7 @@ def fl_to_breuil(M, eis=None, D=None):
     h = M.h
     if eis is None:
         eis = eisenstein_make(M.p, "explicit", [M.p, 1])
-    S = DpRing(eis, 1, m=M.m, f=None if M.m == 1 else list(M.W.f),
-               D=D, h=h)
+    S = DpRing(eis, 1, m=M.m, f=M.W.f, D=D, h=h)
     conv = lambda wv: [S.ring.elem(list(c.coeffs)) for c in wv]
     fil_gens, phi_gens = [], []
     for i in range(h + 1):

@@ -2,12 +2,11 @@
 
 Parses line-oriented module description files, dispatches named checks,
 and emits human-readable or JSON reports.  A document is a sequence of
-blocks ``[ring]``, ``[module]``, ``[phi]``, ``[psi]``, ``[fil]``,
-``[check]``; each block holds ``key=value`` header lines followed by
-matrix rows of comma-separated series literals.  Series literals look
-like ``2 + 1*u + 3*u^3``; when m > 1 a coefficient is written as a
-bracketed list ``[a0,a1]``; divided-power terms are written
-``c*u^i/dp(i)``.
+blocks ``[ring]``, ``[module]``, ``[phi]``, ``[psi]``, ``[check]``;
+each block holds ``key=value`` header lines followed by matrix rows of
+comma-separated series literals.  Series literals look like
+``2 + 1*u + 3*u^3``; when m > 1 a coefficient is written as a bracketed
+list ``[a0,a1]``; divided-power terms are written ``c*u^i/dp(i)``.
 
 Exit codes: 0 = all checks passed, 1 = a mathematical assertion failed
 (the report carries a witness), 2 = malformed input or insufficient
@@ -40,9 +39,9 @@ from .phi_modules import (
 from .series_rings import SeriesElem, eisenstein_make
 from .witt_base import WittRing
 
-BLOCKS = ("ring", "module", "phi", "psi", "fil", "check")
+BLOCKS = ("ring", "module", "phi", "psi", "check")
 # the blocks that hold matrix rows; [module] rows are the relation columns
-ROW_BLOCKS = ("module", "phi", "psi", "fil")
+ROW_BLOCKS = ("module", "phi", "psi")
 # header keys whose value is a list of integers, with the least length
 # (killed=a is (a,), the u-exponent left open); every other key but name
 # is one integer
@@ -174,7 +173,6 @@ class Document:
     relations: tuple = ()   # rows of term-lists, one row per relation column
     phi: tuple = ()
     psi: tuple = ()
-    fil: tuple = ()
     check: tuple = ()
 
     def header(self, block):
@@ -286,7 +284,6 @@ def parse_document(text):
         relations=parse_rows("module"),
         phi=parse_rows("phi"),
         psi=parse_rows("psi"),
-        fil=parse_rows("fil"),
         check=tuple(sorted(set(blocks["check"]))),
     )
     _validate_shapes(doc)

@@ -45,7 +45,16 @@ class CycloInstance:
         # width e above it so completeness is machine-checkable
         self.B = B if B is not None else max(
             4 * self.e // (p - 1), self.e + 2 * (self.e // (p - 1)))
-        self.D = D if D is not None else 2 * p ** n * self.e
+        # a D below the default 2 p^n e is refused: there the truncation
+        # can give a wrong mu that the D -> D + e re-check does not catch
+        # (at p = 2, n = 2, D = 5 both give 1, not 2), while every D
+        # sampled from the default up gave the default's answer
+        least = 2 * p ** n * self.e
+        if D is not None and D < least:
+            raise InputError(
+                f"degree bound D={D} is too small to certify mu at p={p}, "
+                f"n={n}; the least admissible D is {least}")
+        self.D = least if D is None else D
         # d * g0 = q_n exactly over the integers
         prod = int_poly_mul(list(self.d.int_coeffs), self.g0)
         if prod != self.q_n:
@@ -140,7 +149,8 @@ def ideal_j_mingens(inst, check_stability=True):
     """Minimal generator count of J = {x : p^n divides x q_n}.
 
     Computed at the dp-truncation D via Nakayama over (p, u, z_i), then
-    re-verified at D + e; Unstable if the two disagree.
+    re-verified at D + e; Unstable if the two disagree.  D is at least
+    2 p^n e, which CycloInstance enforces.
     """
     mu = _j_mingens_at(inst, inst.D)
     if check_stability:

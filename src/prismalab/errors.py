@@ -65,14 +65,6 @@ class NotKilledByP(InputError):
     """Operation requires a module killed by p."""
 
 
-class NotFL(MathFailure):
-    """Candidate fails the filtered-module axioms."""
-
-
-class HasUTorsion(InputError):
-    """Functor input must be u-torsion free."""
-
-
 class BadRamification(InputError):
     """Ramification index incompatible with the requested construction."""
 

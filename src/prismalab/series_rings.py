@@ -389,16 +389,19 @@ class DpRing:
 
     DpRing(eis, n, m, f, D, h) returns the ring shared by every
     construction with the same (eis.p, eis.int_coeffs, n, m, f, D, h,
-    slack), D resolved to its default and the DP_RING_CACHE most recently
-    used being kept, so the product table, gamma_j(E), phi_i(gamma_j(E))
-    mod p, the Fil^r bases and their factors are built once, not once per
-    call; a ring is immutable apart from those memos."""
+    slack), f resolved as WittRing resolves it, D resolved to its default
+    and the DP_RING_CACHE most recently used being kept, so the product
+    table, gamma_j(E), phi_i(gamma_j(E)) mod p, the Fil^r bases and their
+    factors are built once, not once per call; a ring is immutable apart
+    from those memos."""
 
     def __new__(cls, eis: EisensteinPoly, n, m=1, f=None, D=None, h=0):
-        return _dp_ring(eis.p, eis.int_coeffs, n, m,
-                        None if f is None else tuple(f),
-                        2 * eis.p * eis.e if D is None else D, h,
-                        precision_slack())
+        slack = precision_slack()
+        # f resolved before the lookup, so every spelling of one f (None
+        # for the default included) takes one cache entry
+        f = WittRing(eis.p, n + h + slack, m, f).f
+        return _dp_ring(eis.p, eis.int_coeffs, n, m, f,
+                        2 * eis.p * eis.e if D is None else D, h, slack)
 
     # -- combinatorics ----------------------------------------------------
 
@@ -455,16 +458,6 @@ class DpRing:
                 break
             coords.append((a * math.factorial(self.ei(i))) % self.q)
         return self.elem(coords, prec)
-
-    def from_series(self, s: SeriesElem):
-        """Image of a truncated series; p-precision of the result is the
-        precision of the series coefficients."""
-        if s.ring.p != self.p or s.ring.m != self.m:
-            raise InputError("incompatible series ring")
-        prec = min(s.ring.n, self.n_int)
-        m = self.m
-        return self.from_vec([a * math.factorial(self.ei(k // m))
-                              for k, a in enumerate(s.vec[:self.dim])], prec)
 
     def gamma(self, j):
         """Coordinates of the divided power gamma_j(E) = E^j / j!."""

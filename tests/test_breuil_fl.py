@@ -3,21 +3,19 @@ import re
 
 import pytest
 
-from prismalab import decomposition
 from prismalab.breuil_fl import (
     BreuilModule, FLModule, fl_criterion, fl_to_breuil, is_breuil_module,
-    is_fl_module, kisin_to_breuil, residual_module, unramified_realization,
+    is_fl_module, residual_module, unramified_realization,
 )
-from prismalab.decomposition import check_split_compat
 from prismalab.errors import (
-    BadRamification, HasUTorsion, Inconsistent, InputError, PrismalabError,
+    BadRamification, Inconsistent, InputError, PrismalabError,
 )
 from prismalab.linalg_residue import (
     howell_form, kernel_solve, span_length, spans_equal,
 )
-from prismalab.phi_modules import EtalePhiModule, KisinModule, PhiModule
+from prismalab.phi_modules import EtalePhiModule
 from prismalab.series_rings import (
-    DpRing, SeriesElem, _dp_ring, eisenstein_make, int_poly_pow, s_phi_div,
+    DpRing, _dp_ring, eisenstein_make, int_poly_pow, s_phi_div,
 )
 from prismalab.witt_base import WittRing, _witt_ring
 
@@ -476,7 +474,7 @@ def _outcome(f, *args):
         return type(exc).__name__
 
 
-def test_fl_to_breuil_matches_all_rows_reference(monkeypatch):
+def test_fl_to_breuil_matches_all_rows_reference():
     # every (p, m, e) with the truncation D cycling through the default,
     # p*e + 1 and 2*p*e + 2, two random FL modules each, broken ones too
     rng = random.Random(14)
@@ -501,15 +499,10 @@ def test_fl_to_breuil_matches_all_rows_reference(monkeypatch):
             assert got == [R.phi_h_consistent(), R.phi_h_generates(),
                            _outcome(is_breuil_module, R)], case
             assert fl_criterion(M, eis, D) == (got[0] and got[1]), case
-            split = _outcome(check_split_compat, M, eis, D)
-            with monkeypatch.context() as mp:
-                mp.setattr(decomposition, "fl_to_breuil", ref_fl_to_breuil)
-                assert split == _outcome(check_split_compat, M, eis, D), case
-            verdicts.add((got[2][0], split))
+            verdicts.add(got[2][0])
             done += 1
     assert done == 24
-    assert {v for v, _ in verdicts} == {True, False}
-    assert {s for _, s in verdicts} >= {True, "NotFL"}
+    assert verdicts == {True, False}
 
 
 def ref_is_breuil_module(B):
@@ -719,57 +712,53 @@ def test_levels_at_and_above_p_are_refused(p):
 
 
 # ---------------------------------------------------------------------------
-# base change from height-h modules
+# Breuil modules of height-h Kisin modules, built directly
 # ---------------------------------------------------------------------------
 
 
+def _fil_gammas(S, i):
+    """(gamma_j(E) mod p, phi_i(gamma_j(E)) mod p) for the ideal generators
+    of Fil^i S."""
+    return [(S.gamma(j).reduce_prec(1), S.phi_gamma(j, i))
+            for j in S.fil_gamma_indices(i)]
+
+
 def test_kisin_rank_one_unit_and_tate():
+    # the base changes of the rank-one Kisin modules over E = u + 3 at
+    # h = 1 and D = 8, with phi(e) = nu e: Fil = {x : nu x in Fil^1 S}
+    # and phi_1(x e) = phi(nu x) / p
     p = 3
-    W = WittRing(p, 1, 1)
-    E = eisenstein_make(p, "explicit", [p, 1])
-    one = SeriesElem.from_ints(W, [1])
-    # phi(e) = e: the filtration after base change is Fil^1 S itself
-    M = PhiModule(W, 1, [], [[one]])
-    K = KisinModule(M, 1, [[E.series(W)]], E)
-    B = kisin_to_breuil(K, 1, D=8)
+    S = dp_ring(p, 1, D=8)
+    # phi(e) = e: the filtration is Fil^1 S itself, on its ideal generators
+    gens = _fil_gammas(S, 1)
+    B = BreuilModule(S, 1, 1, [[g] for g, _ in gens],
+                     [[f] for _, f in gens])
     ok, why = is_breuil_module(B)
     assert ok, why
-    T = tate_breuil(dp_ring(p, 1, D=8), 1)
+    T = tate_breuil(S, 1)
     assert spans_equal(B.fil_span(), T.fil_span(), p, 1)
     # phi(e) = E e: every element already maps into E M, so the
-    # filtration is the whole module
-    M = PhiModule(W, 1, [], [[E.series(W)]])
-    K = KisinModule(M, 1, [[one]], E)
-    B = kisin_to_breuil(K, 1, D=8)
+    # filtration is the whole module, with phi_1(1) = phi(E)/p = c1
+    B = BreuilModule(S, 1, 1, [[S.one()]], [[S.c1().reduce_prec(1)]])
     ok, why = is_breuil_module(B)
     assert ok, why
-    from prismalab.linalg_residue import span_length
     assert span_length(B.fil_span(), p, 1) == B.dim
 
 
 def test_kisin_rank_two():
-    p = 3
-    W = WittRing(p, 1, 1)
-    E = eisenstein_make(p, "explicit", [p, 1])
-    z = SeriesElem.from_ints(W, [])
-    one = SeriesElem.from_ints(W, [1])
-    M = PhiModule(W, 2, [], [[z, E.series(W)], [one, z]])
-    psi = [[z, one], [E.series(W), z]]
-    K = KisinModule(M, 2, psi, E)
-    B = kisin_to_breuil(K, 2, D=8)
+    # phi = [[0, E], [1, 0]] at h = 2: Fil = Fil^2 S (+) Fil^1 S, where
+    # phi_2(a, 0) = (0, phi_2(a)) and phi_2(0, b) = (phi_2(E b), 0)
+    S = dp_ring(3, 2, D=8)
+    E = S.from_int_poly(list(S.eis.int_coeffs))
+    z = S.zero()
+    fil = [[g, z] for g, _ in _fil_gammas(S, 2)]
+    img = [[z, f] for _, f in _fil_gammas(S, 2)]
+    for g, _ in _fil_gammas(S, 1):
+        fil.append([z, g])
+        img.append([s_phi_div(E * g, 2).reduce_prec(1), z])
+    B = BreuilModule(S, 2, 2, fil, img)
     ok, why = is_breuil_module(B)
     assert ok, why
-
-
-def test_kisin_with_torsion_rejected():
-    p = 3
-    W = WittRing(p, 1, 1)
-    E = eisenstein_make(p, "explicit", [p, 1])
-    u = SeriesElem.from_ints(W, [0, 1])
-    M = PhiModule(W, 1, [[u]], [[E.series(W)]], killed_by=(1, 1))
-    K = KisinModule(M, 1, [[SeriesElem.from_ints(W, [1])]], E)
-    with pytest.raises(HasUTorsion):
-        kisin_to_breuil(K, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from prismalab.cli import (
 from prismalab.decomposition import (
     SplitResult, fitting_conditions, split_phi_module,
 )
-from prismalab import errors
+from prismalab import errors, series_rings
 from prismalab.cyclo_suite import KERNEL_CELL_BUDGET
 from prismalab.errors import ParseError, UnknownCheck
 from prismalab.phi_modules import (
@@ -459,22 +459,23 @@ def test_every_block_refuses_an_unknown_header_key(tmp_path):
 _ROWS_MODULE = "[ring]\np=2 n=1\n[module]\ng=1 killed=1,2\n"
 
 
-@pytest.mark.parametrize("text, block", [
+@pytest.mark.parametrize("text, error, detail", [
     (_ROWS_MODULE + "u^2\n[phi]\n1\n[fil]\n1\n[check]\nname=length\n",
-     "fil"),
+     "ParseError", "line 8: unknown block [fil]"),
     (_ROWS_MODULE + "u^2\n[phi]\n1\n[psi]\n1\n[check]\nname=split\n",
-     "psi"),
-    (_ROWS_MODULE + "[phi]\n1\n[check]\nname=sharpness p=2 n=1\n", "phi"),
+     "InputError", "[psi] rows are not read"),
+    (_ROWS_MODULE + "[phi]\n1\n[check]\nname=sharpness p=2 n=1\n",
+     "InputError", "[phi] rows are not read"),
 ], ids=["fil-under-length", "psi-under-split", "phi-under-sharpness"])
-def test_check_refuses_rows_it_does_not_read(tmp_path, text, block):
-    # [fil] rows under every check, and [psi] rows under every check but
-    # height, were parsed, shape-checked and ignored with exit 0
+def test_check_refuses_rows_it_does_not_read(tmp_path, text, error, detail):
+    # [psi] rows under every check but height were parsed, shape-checked
+    # and ignored with exit 0; [fil], which no check reads, is no block
     res = run(["check", _write(tmp_path, text), "--json"])
     assert res.exit_code == 2, res.output
     assert "Traceback" not in res.output
     rep = json.loads(res.output)
-    assert rep["error"] == "InputError"
-    assert rep["detail"].startswith(f"[{block}] rows are not read"), rep
+    assert rep["error"] == error
+    assert rep["detail"].startswith(detail), rep
 
 
 def test_killed_scalar_leaves_the_u_exponent_open():
@@ -626,6 +627,22 @@ def test_check_kernel_and_mingens(tmp_path):
                "--json"])
     assert res.exit_code == 0
     assert json.loads(res.output)["mu"] == 1
+
+
+@pytest.mark.parametrize("p, n, D, least", [(2, 2, 5, 16), (3, 2, 19, 108)])
+def test_check_mingens_refuses_a_small_D_before_any_ring(tmp_path, p, n, D,
+                                                         least):
+    # D=5 at p=2, n=2 exited 0 with mu 1, not 2, and D=19 at p=3, n=2 with
+    # mu 2, not 3: the D -> D+e re-check agreed with the wrong answer
+    text = f"[check]\nname=mingens p={p} n={n} D={D}\n"
+    built = series_rings._dp_ring.cache_info().misses
+    res = run(["check", _write(tmp_path, text), "--json"])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    rep = json.loads(res.output)
+    assert rep["error"] == "InputError"
+    assert f"the least admissible D is {least}" in rep["detail"], rep
+    assert series_rings._dp_ring.cache_info().misses == built
 
 
 @pytest.mark.parametrize("bound", [-1, 0, 1])

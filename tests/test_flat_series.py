@@ -9,7 +9,6 @@ with the same messages, over rings (p, n, m) at m = 1, 2 and 3 and models
 at nexp < n.
 """
 
-import math
 from types import SimpleNamespace
 
 from hypothesis import given, strategies as st
@@ -17,9 +16,7 @@ from hypothesis import given, strategies as st
 from prismalab.errors import InputError, PrecisionLoss, PrismalabError
 from prismalab.linalg_residue import howell_form
 from prismalab.phi_modules import FiniteModel, PhiModule
-from prismalab.series_rings import (
-    DpRing, SeriesElem, eisenstein_make, phi_apply,
-)
+from prismalab.series_rings import SeriesElem, phi_apply
 from prismalab.witt_base import WittElem, WittRing, _blockwise
 
 RINGS = [(2, 1, 1), (3, 2, 1), (2, 1, 2), (3, 1, 2), (2, 2, 3)]
@@ -284,18 +281,6 @@ class BoxedModel:
         return out
 
 
-def ref_from_series(self, s):
-    """DpRing.from_series on a boxed series."""
-    if s.ring.p != self.p or s.ring.m != self.m:
-        raise InputError("incompatible series ring")
-    prec = min(s.ring.n, self.n_int)
-    vec = []
-    for i, c in enumerate(s.coeffs[:self.D]):
-        fac = math.factorial(self.ei(i)) % self.q
-        vec.extend(a * fac for a in c.coeffs)
-    return self.from_vec(vec, prec)
-
-
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
@@ -378,18 +363,6 @@ def test_flat_series_arithmetic_equals_boxed(a, b, c, k, cut, bound):
     same(outcome(lambda: phi_apply(x)), outcome(lambda: ref_phi_apply(X)))
     same(outcome(lambda: phi_apply(x, bound)),
          outcome(lambda: ref_phi_apply(X, bound)))
-
-
-@given(series_pairs())
-def test_from_series_equals_boxed(a):
-    W, cs, N, exact = a
-    fa, ba = both(W, cs, N, exact)
-    if fa[0] != "ok":
-        return
-    S = DpRing(eisenstein_make(W.p, "explicit", [W.p, 1]), W.n, m=W.m,
-               f=list(W.f) if W.m > 1 else None)
-    x, X = S.from_series(fa[1]), ref_from_series(S, ba[1])
-    assert (x.vec, x.prec) == (X.vec, X.prec)
 
 
 def test_precision_loss_is_raised_in_the_same_cases():

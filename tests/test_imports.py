@@ -1,7 +1,8 @@
 """Every name a module of src/prismalab imports is used in that module,
 every private helper it defines is used in src/prismalab, every public
-function it defines is reached or on a short allow-list, and no module of
-src/prismalab or tests unpacks or indexes a howell_form."""
+function and module-level class it defines is reached or on a short
+allow-list, and no module of src/prismalab or tests unpacks or indexes a
+howell_form."""
 
 import ast
 import pathlib
@@ -136,14 +137,10 @@ def test_src_has_no_dead_private_helpers():
     assert dead_helpers(sources) == []
 
 
-# public functions and methods of src/prismalab that no module of src, no
-# benchmark script and no acceptance criterion reaches, each with the
-# reason it stays; a name that becomes reached must leave the list
+# public functions, methods and classes of src/prismalab that no module of
+# src, no benchmark script and no acceptance criterion reaches, each with
+# the reason it stays; a name that becomes reached must leave the list
 ALLOWED_UNREACHED = {
-    "check_split_compat": "FL/Breuil split cluster, awaiting `check fl`",
-    "kisin_to_breuil": "Kisin-to-Breuil functor, awaiting `check fl`",
-    "module_length": "FLModule length of the split cluster, awaiting "
-                     "`check fl`",
     "direct_sum": "module builder of the tests",
 }
 
@@ -153,13 +150,20 @@ def _is_click_command(node):
                and d.func.attr == "command" for d in node.decorator_list)
 
 
+def _classes(sources):
+    """(file, line, node) of each module-level class defined in sources."""
+    return [(fname, node.lineno, node) for fname, text in sources.items()
+            for node in ast.parse(text).body if isinstance(node, ast.ClassDef)]
+
+
 def unreached_public(defined, readers):
-    """(file, line, name) of each public, non-dunder function or method
-    defined in defined (file name -> text) whose name no expression in
-    readers loads; a click command (@group.command(...)) counts as
-    reached."""
+    """(file, line, name) of each public, non-dunder function or method and
+    each public module-level class defined in defined (file name -> text)
+    whose name no expression in readers loads; a click command
+    (@group.command(...)) counts as reached."""
     used = _loaded(readers)
-    return sorted((f, line, node.name) for f, line, node in _functions(defined)
+    return sorted((f, line, node.name)
+                  for f, line, node in _functions(defined) + _classes(defined)
                   if not node.name.startswith("_")
                   and node.name not in used and not _is_click_command(node))
 
@@ -176,12 +180,20 @@ def test_the_guard_sees_unreached_public_code():
                  "    def method(self): pass\n"
                  "    def dead_method(self): pass\n"
                  "    def _private(self): pass\n"),
+        "errors.py": ("class Base(Exception): pass\n"
+                      "class Raised(Base): pass\n"
+                      "class Orphan(Base): pass\n"
+                      "class _Private(Base): pass\n"
+                      "def f():\n"
+                      "    class Local: pass\n"
+                      "    raise Raised()\n"),
     }
     readers = dict(defined, **{
         "bench.py": "from a import unreached\ncalled()\nC().method()\n",
-        "test.py": "main()\ndead_method = 0\n"})
-    assert unreached_public(defined, readers) == [("a.py", 7, "unreached"),
-                                                  ("a.py", 11, "dead_method")]
+        "test.py": "main()\ndead_method = 0\nOrphan = 0\nf()\n"})
+    assert unreached_public(defined, readers) == [
+        ("a.py", 7, "unreached"), ("a.py", 11, "dead_method"),
+        ("errors.py", 3, "Orphan")]
 
 
 def test_src_public_code_is_reached_or_allowed():

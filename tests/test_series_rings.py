@@ -677,6 +677,10 @@ def test_equal_parameters_give_the_identical_dp_ring():
     assert DpRing(E, 1, m=2, D=None, h=1) is S
     assert DpRing(E, 1, m=2, h=2) is not S
     assert DpRing(E, 1, m=2, D=7, h=1) is not S
+    # the default f and its explicit spelling: f is resolved before the
+    # lookup, so the ring takes one cache entry
+    assert DpRing(E, 1, m=1, f=None, h=1) is DpRing(E, 1, m=1, f=[0, 1], h=1)
+    assert DpRing(E, 1, m=2, f=(1, 0, 1), h=1) is S
     # elements of two constructions compare equal (DpElem.__eq__ asks
     # for the identical ring)
     x = DpRing(E, 1, m=2, h=1).gamma(1)
