@@ -33,11 +33,11 @@ from .errors import (
     InputError, MathFailure, ParseError, UnknownCheck,
 )
 from .phi_modules import (
-    KisinModule, PhiModule, boundary_structure_check, height_check,
-    u_torsion, zp_shape,
+    MODEL_CELL_BUDGET, KisinModule, PhiModule, boundary_structure_check,
+    height_check, u_torsion, zp_shape,
 )
 from .series_rings import SeriesElem, eisenstein_make
-from .witt_base import WittRing
+from .witt_base import WittRing, check_ring_size
 
 BLOCKS = ("ring", "module", "phi", "psi", "check")
 # the blocks that hold matrix rows; [module] rows are the relation columns
@@ -260,8 +260,9 @@ def parse_document(text):
         else:
             rows[current].append((lineno, line))
     ring = dict(blocks["ring"])
-    q = ring.get("p", 0) ** ring.get("n", 1)
-    m = ring.get("m", 1)
+    p, n, m = ring.get("p", 0), ring.get("n", 1), ring.get("m", 1)
+    check_ring_size(p, n, m)
+    q = p ** n
     if rows["ring"] or rows["check"]:
         lineno = (rows["ring"] + rows["check"])[0][0]
         raise ParseError("this block takes no matrix rows", lineno)
@@ -326,6 +327,11 @@ def build_module(doc):
     N = mod.get("N")
     if N is not None and N < 1:
         raise InputError(f"[module] N must be one integer >= 1, got {N}")
+    if N is not None and g * N * W.m > MODEL_CELL_BUDGET:
+        raise InputError(
+            f"[module] N too large: g={g}, N={N}, m={W.m} give model "
+            f"vectors of {g * N * W.m} cells, over the budget of "
+            f"{MODEL_CELL_BUDGET} cells")
     killed = mod.get("killed")
     if killed is not None and len(killed) == 1:
         killed += (None,)

@@ -15,7 +15,9 @@ from __future__ import annotations
 from .linalg_residue import (
     factor, howell_form, in_span, span_length, spans_equal,
 )
-from .phi_modules import PhiModule, _mod_u_data, presentation_from_generators
+from .phi_modules import (
+    PhiModule, _mod_u_data, check_model_size, presentation_from_generators,
+)
 
 
 def _ceil_log(b, p):
@@ -145,6 +147,8 @@ def split_phi_module(M, rng=None):
     images.  M must have passed _validate, as every PhiModule built with
     validate=True has: M_nilp checks phi only on the new columns."""
     basis, images, _ = mult_section(M, rng=rng)
+    # M_nilp's model is now known; refuse it before M_mult is built
+    check_model_size(M.g, M.N, M.ring.m, len(M.relations) + len(images))
     mdl = M.model()
     M_mult = presentation_from_generators(M, mdl, images,
                                           killed_by=M.killed_by)

@@ -33,6 +33,18 @@ from .witt_base import WittRing, _multiples, _semilinear_matrix
 MODEL_CELL_BUDGET = 2 ** 24
 
 
+def check_model_size(g, N, m, relations):
+    """Refuse (InputError) the model of a module of g generators and the
+    given number of relation columns, cut at u^N over a ring of degree m,
+    when its relation rows would exceed MODEL_CELL_BUDGET cells."""
+    nrows, dim = relations * N * m, g * N * m
+    if nrows * dim > MODEL_CELL_BUDGET:
+        raise InputError(
+            f"model too large: g={g}, N={N}, m={m} give {nrows} "
+            f"relation rows of {dim} cells, over the budget of "
+            f"{MODEL_CELL_BUDGET} cells")
+
+
 class PhiModule:
     """coker of the relation matrix, with phi(gen_j) = sum_i Phi[i][j] gen_i."""
 
@@ -170,12 +182,7 @@ class FiniteModel:
         self.m = W.m
         self.q = W.q
         self.dim = M.g * N * W.m
-        nrows = len(M.relations) * N * W.m
-        if nrows * self.dim > MODEL_CELL_BUDGET:
-            raise InputError(
-                f"model too large: g={M.g}, N={N}, m={W.m} give {nrows} "
-                f"relation rows of {self.dim} cells, over the budget of "
-                f"{MODEL_CELL_BUDGET} cells")
+        check_model_size(M.g, N, W.m, len(M.relations))
         self._phi_img = None
         # the u^t x^j multiples of different relations often coincide or
         # vanish; the Howell form depends only on their span

@@ -6,14 +6,28 @@ ring per parameter set (at most WITT_RING_CACHE of them), so what a ring
 builds lazily is built once, not once per construction.  The Frobenius
 lift sigma is computed by Newton iteration on f from x^p.
 
-At m > 1, products, powers and sigma run on Kronecker-packed ints: the
-element sum a_i x^i (0 <= a_i < q) is the int sum a_i 2^{b i}, where b is
-the bit length of m q^2 (1 + (m - 1) q).  A product's slots are below
+At m > 1 an element keeps one Kronecker-packed int across operations:
+sum a_i x^i (0 <= a_i < q) is the int sum a_i 2^{B i}, with slot spacing
+B = 2b + 2, where b is the bit length of m q^2 (1 + (m - 1) q); coeffs is
+unpacked from it on first read and then kept.  A product's slots are below
 m q^2; folding its m - 1 high slots into the low m with the packed rows
-x^k mod (f, q) keeps each below 2^b, as does sigma's sum of a_j times the
-packed columns sigma(x)^j, so no slot carries.  A ring builds b, the
-rows and the columns on first use.  Packed ints never escape a call:
-an element stores its coefficient tuple, and results are unpacked mod q.
+x^k mod (f, q) keeps each below 2^b, as does sigma's sum of the slots a_j,
+read by shift and mask, times the packed columns sigma(x)^j, so no slot
+carries.  Every slot x < 2^b is then reduced at once by Barrett's
+quotient t = floor(x R / 2^s), with s = b + bitlen(q) and
+R = floor(2^s / q) + 1, as x - q t:
+  - t = floor(x / q) exactly, since R = 2^s/q + d with 0 < d <= 1 and
+    x q < 2^s, so x d / 2^s < 1/q adds less than the fraction's gap to 1;
+  - x R <= (2^b - 1)(2^{b+1} + 1) < 2^{2b+1}, as q >= 2^{s-b-1}: it fits
+    one slot, so the one product of the packed int with R keeps the slots
+    apart;
+  - t < 2^{B-s}, so (x R >> s) masked to B - s bits per slot is t.
+A sum of two reduced elements has slots below 2q; adding 2^(B-1) - q to
+every slot sets a slot's top bit exactly where it is >= q, and q is
+subtracted there.  - and unary - add q in every slot first.  At m = 1 the
+packed int is the coefficient and the arithmetic is plain int arithmetic
+mod q.  A ring builds B, the rows, the columns and the constants on first
+use.
 
 The linearization of sigma-semilinear maps lives here too: a ring builds
 the matrices of x and sigma(x) on first use, _multiples gives the x^a or
@@ -164,8 +178,8 @@ class WittRing:
     apart from them."""
 
     __slots__ = ("p", "n", "m", "f", "q", "_sigma_gen", "_sigma_mat",
-                 "_sigma_cols", "_gen_mats", "_slot", "_mask", "_shifts",
-                 "_folds")
+                 "_sigma_cols", "_gen_mats", "_slot", "_mask", "_low",
+                 "_folds", "_shift", "_recip", "_quot", "_qs", "_flags")
 
     def __new__(cls, p, n, m=1, f=None):
         return _witt_ring(p, n, m, None if f is None else tuple(f))
@@ -175,11 +189,9 @@ class WittRing:
     def elem(self, coeffs):
         if isinstance(coeffs, int):
             coeffs = [coeffs]
-        coeffs = [c % self.q for c in coeffs]
         if len(coeffs) > self.m:
-            coeffs = self._reduce(coeffs)
-        coeffs += [0] * (self.m - len(coeffs))
-        return WittElem(self, tuple(coeffs))
+            coeffs = self._reduce([c % self.q for c in coeffs])
+        return WittElem(self, coeffs)
 
     def zero(self):
         return self.elem([0])
@@ -191,9 +203,10 @@ class WittRing:
         return self.elem([0, 1] if self.m > 1 else [1])
 
     def elements(self):
-        """All p^{nm} elements (desk scale only)."""
-        return [WittElem(self, c)
-                for c in itertools.product(range(self.q), repeat=self.m)]
+        """All p^{nm} elements (desk scale only), packed slot by slot."""
+        B = self._slot or self._packing()
+        slots = [range(0, self.q << B * i, 1 << B * i) for i in range(self.m)]
+        return [_box(self, sum(c)) for c in itertools.product(*slots)]
 
     def lower_precision(self, drop):
         """The same ring with n reduced by `drop` p-adic digits."""
@@ -218,49 +231,66 @@ class WittRing:
                     coeffs[k - m + i] -= c * f[i]
         return [c % self.q for c in coeffs[:m]]
 
-    # -- Kronecker-packed arithmetic at m > 1 (see the module docstring) --
+    # -- the packed layout (see the module docstring) ---------------------
 
     def _packing(self):
-        """Build, once, the slot width b, the slot mask, the shifts of the
-        m low slots (top first) and, for k = m..2m-2, the shift of slot k
-        with the packed row x^k mod (f, q); returns b."""
+        """Build, once, the slot spacing B, the slot mask, the mask of the
+        m low slots, the shift of slot k with the packed row x^k mod (f, q)
+        for k = m..2m-2, and the constants of the two slot-parallel
+        reductions; returns B."""
         m, q = self.m, self.q
-        b = self._slot = (m * q * q * (1 + (m - 1) * q)).bit_length()
-        self._mask = (1 << b) - 1
-        self._shifts = tuple(range((m - 1) * b, -1, -b))
-        self._folds = tuple((k * b, self._pack(self._reduce([0] * k + [1])))
+        b = (m * q * q * (1 + (m - 1) * q)).bit_length()
+        B = self._slot = 2 * b + 2
+        ones = sum(1 << B * i for i in range(m))
+        self._mask = (1 << B) - 1
+        self._low = (1 << B * m) - 1
+        self._shift = s = b + q.bit_length()
+        self._recip = (1 << s) // q + 1
+        self._quot = ((1 << B - s) - 1) * ones
+        self._qs = q * ones
+        self._flags = ones << B - 1
+        self._folds = tuple((k * B, self._pack(self._reduce([0] * k + [1])))
                             for k in range(m, 2 * m - 1))
-        return b
+        return B
 
     def _pack(self, coeffs):
         """coeffs mod q as one packed int; builds the layout on first use."""
-        b, q, v = self._slot or self._packing(), self.q, 0
+        B, q, v = self._slot or self._packing(), self.q, 0
         for c in reversed(coeffs):
-            v = v << b | c % q
+            v = v << B | c % q
         return v
 
-    def _fold(self, w):
-        """A packed product whose low m slots hold it mod f: each high
-        slot is added to them times its packed row x^k mod (f, q)."""
+    def _unpack(self, v):
+        """The m slots of the reduced packed int v, as a tuple."""
+        B, mask, out = self._slot, self._mask, []
+        for _ in range(self.m):
+            out.append(v & mask)
+            v >>= B
+        return tuple(out)
+
+    def _mod_q(self, x):
+        """x, whose m slots are each below 2^b, with every slot reduced
+        mod q by one Barrett quotient."""
+        return x - self.q * (x * self._recip >> self._shift & self._quot)
+
+    def _mul_mod(self, w):
+        """The product w of two reduced packed ints, reduced mod (f, q):
+        each high slot is added to the low m times its packed row
+        x^k mod (f, q), then dropped, and the low slots are reduced as
+        _mod_q reduces them (inlined on the path of every product)."""
         mask = self._mask
         for s, row in self._folds:
             w += (w >> s & mask) * row
-        return w
+        w &= self._low
+        return w - self.q * (w * self._recip >> self._shift & self._quot)
 
-    def _unpack(self, w):
-        """The low m slots of w, each mod q, as a tuple."""
-        b, mask, q, out = self._slot, self._mask, self.q, []
-        for _ in range(self.m):
-            out.append((w & mask) % q)
-            w >>= b
-        return tuple(out)
-
-    def _repack(self, w):
-        """The low m slots of w, each mod q, packed again."""
-        b, mask, q, v = self._slot, self._mask, self.q, 0
-        for s in self._shifts:
-            v = v << b | (w >> s & mask) % q
-        return v
+    def _sub_q(self, x):
+        """x, whose m slots are each below 2q, with q subtracted from each
+        slot at or above q: adding 2^(B-1) - q sets the slot's flag bit
+        exactly there."""
+        flags = self._flags
+        high = (x + flags - self._qs) & flags
+        return x - (high >> (self._slot - 1)) * self.q
 
     # -- sigma -----------------------------------------------------------
 
@@ -299,7 +329,7 @@ class WittRing:
             pows = [self.one()]
             for _ in range(self.m - 1):
                 pows.append(pows[-1] * s)
-            self._sigma_cols = tuple(self._pack(pw.coeffs) for pw in pows)
+            self._sigma_cols = tuple(pw._v for pw in pows)
             self._sigma_mat = tuple(zip(*(pw.coeffs for pw in pows)))
         return self._sigma_mat
 
@@ -320,16 +350,18 @@ class WittRing:
         return self._gen_mats
 
     def sigma(self, a):
-        """The Frobenius lift, a -> M a with M from _sigma_matrix, as the
-        sum of a_j times the packed column j."""
+        """The Frobenius lift, a -> M a with M from _sigma_matrix: slot j
+        of a, read by shift and mask, times the packed column j, summed
+        and reduced mod q."""
         if self.m == 1:
             return a
         if self._sigma_mat is None:
             self._sigma_matrix()
-        q, v = self.q, 0
-        for c, col in zip(a.coeffs, self._sigma_cols):
-            v += c % q * col
-        return WittElem(self, self._unpack(v))
+        B, mask, x, v = self._slot, self._mask, a._v, 0
+        for col in self._sigma_cols:
+            v += (x & mask) * col
+            x >>= B
+        return _box(self, self._mod_q(v))
 
     def __eq__(self, other):
         return self is other or (isinstance(other, WittRing)
@@ -341,6 +373,27 @@ class WittRing:
 
     def __repr__(self):
         return f"WittRing(p={self.p}, n={self.n}, m={self.m})"
+
+
+# Size budgets of a ring, checked before any ring is built: a coefficient
+# mod q = p^n has at most n * bitlen(p) bits, an element has m of them and
+# the ring's matrices m^2.  Both are far above what the tests and the
+# benchmark use (1062 bits, m = 12) and keep a mistyped header from
+# exhausting memory.
+RING_BITS_BUDGET = 2 ** 13
+RING_DEGREE_BUDGET = 2 ** 8
+
+
+def check_ring_size(p, n, m):
+    """Refuse (InputError) a ring whose p^n or m is over its budget,
+    naming the key and the budget."""
+    if n * p.bit_length() > RING_BITS_BUDGET:
+        raise InputError(
+            f"ring too large: n={n} gives p^n of up to {n * p.bit_length()} "
+            f"bits, over the budget of {RING_BITS_BUDGET} bits")
+    if m > RING_DEGREE_BUDGET:
+        raise InputError(f"ring too large: m={m} is over the budget of "
+                         f"{RING_DEGREE_BUDGET}")
 
 
 # a WittRing holds O(m^2) ints beside its parameters, so many fit; a ring
@@ -358,6 +411,7 @@ def _witt_ring(p, n, m, f):
     gives the identical ring."""
     if n < 1 or m < 1:
         raise InputError("need n >= 1 and m >= 1")
+    check_ring_size(p, n, m)
     if not _is_prime(p):
         raise InputError(f"p must be prime, got {p}")
     q = p ** n
@@ -384,60 +438,77 @@ def _witt_ring(p, n, m, f):
 
 
 class WittElem:
-    __slots__ = ("ring", "coeffs")
+    """An element of a WittRing, held as its packed int _v with every slot
+    reduced mod q (at m = 1 the coefficient itself).  coeffs is unpacked
+    from _v on first read and then kept."""
+
+    __slots__ = ("ring", "_v", "_c")
 
     def __init__(self, ring, coeffs):
         self.ring = ring
-        self.coeffs = coeffs
+        self._v = ring._pack(coeffs)
+        self._c = None
+
+    @property
+    def coeffs(self):
+        c = self._c
+        if c is None:
+            c = self._c = self.ring._unpack(self._v)
+        return c
 
     def __add__(self, other):
-        q = self.ring.q
-        return WittElem(self.ring, tuple(
-            (a + b) % q for a, b in zip(self.coeffs, other.coeffs)))
+        r = self.ring
+        if r.m == 1:
+            return _box(r, (self._v + other._v) % r.q)
+        return _box(r, r._sub_q(self._v + other._v))
 
     def __sub__(self, other):
-        q = self.ring.q
-        return WittElem(self.ring, tuple(
-            (a - b) % q for a, b in zip(self.coeffs, other.coeffs)))
+        r = self.ring
+        if r.m == 1:
+            return _box(r, (self._v - other._v) % r.q)
+        return _box(r, r._sub_q(self._v + r._qs - other._v))
 
     def __neg__(self):
-        q = self.ring.q
-        return WittElem(self.ring, tuple((-a) % q for a in self.coeffs))
+        r = self.ring
+        if r.m == 1:
+            return _box(r, -self._v % r.q)
+        return _box(r, r._sub_q(r._qs - self._v))
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         r = self.ring
         if r.m == 1:
-            return WittElem(r, ((self.coeffs[0] * other.coeffs[0]) % r.q,))
-        return WittElem(r, r._unpack(r._fold(
-            r._pack(self.coeffs) * r._pack(other.coeffs))))
+            return _box(r, self._v * other._v % r.q)
+        return _box(r, r._mul_mod(self._v * other._v))
 
     __rmul__ = __mul__
 
     def scale(self, c):
-        q = self.ring.q
-        return WittElem(self.ring, tuple((a * c) % q for a in self.coeffs))
+        r = self.ring
+        if r.m == 1:
+            return _box(r, self._v * c % r.q)
+        return _box(r, r._mod_q(self._v * (c % r.q)))
 
     def __pow__(self, e):
-        """Square-and-multiply on the packed int, boxed once; a negative e
-        raises the inverse (NotAUnit for a non-unit)."""
+        """Square-and-multiply on the packed int; a negative e raises the
+        inverse (NotAUnit for a non-unit)."""
         r = self.ring
         if e < 0:
             return self.inv() ** -e
         if r.m == 1:
-            return WittElem(r, (pow(self.coeffs[0], e, r.q),))
-        acc, base = 1, r._pack(self.coeffs)
+            return _box(r, pow(self._v, e, r.q))
+        acc, base, mul_mod = 1, self._v, r._mul_mod
         while e:
             if e & 1:
-                acc = r._repack(r._fold(acc * base))
+                acc = mul_mod(acc * base)
             e >>= 1
             if e:
-                base = r._repack(r._fold(base * base))
-        return WittElem(r, r._unpack(acc))
+                base = mul_mod(base * base)
+        return _box(r, acc)
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not self._v
 
     def is_unit(self):
         return any(c % self.ring.p for c in self.coeffs)
@@ -458,14 +529,24 @@ class WittElem:
         return y
 
     def __eq__(self, other):
-        return (isinstance(other, WittElem) and self.ring == other.ring
-                and self.coeffs == other.coeffs)
+        return (isinstance(other, WittElem) and self._v == other._v
+                and self.ring == other.ring)
 
     def __hash__(self):
-        return hash((self.ring, self.coeffs))
+        return hash((self.ring, self._v))
 
     def __repr__(self):
         return f"WittElem{self.coeffs}"
+
+
+def _box(ring, v):
+    """The element of ring whose packed int is v, every slot reduced."""
+    e = _new(WittElem)
+    e.ring, e._v, e._c = ring, v, None
+    return e
+
+
+_new = object.__new__
 
 
 def _blockwise(rows, v, q):

@@ -19,7 +19,7 @@ from prismalab.cli import (
 from prismalab.decomposition import (
     SplitResult, fitting_conditions, split_phi_module,
 )
-from prismalab import errors, series_rings
+from prismalab import errors, series_rings, witt_base
 from prismalab.cyclo_suite import KERNEL_CELL_BUDGET
 from prismalab.errors import ParseError, UnknownCheck
 from prismalab.phi_modules import (
@@ -580,6 +580,73 @@ def test_check_length_of_u4000_fits_the_model_budget(tmp_path):
     assert res.exit_code == 0
     assert json.loads(res.output) == {"check": "length", "length": 4000,
                                       "status": "pass"}
+
+
+_HUGE = 10 ** 55
+
+
+@pytest.mark.parametrize("ring, module, detail", [
+    (f"p=2 n=1 m={_HUGE}", "g=1", f"m={_HUGE} is over the budget of 256"),
+    (f"p=2 n={_HUGE}", "g=1", "over the budget of 8192 bits"),
+    ("p=2 n=1", f"g=1 N={_HUGE}",
+     f"[module] N too large: g=1, N={_HUGE}, m=1 give model vectors of "
+     f"{_HUGE} cells, over the budget of 16777216 cells"),
+], ids=["m", "n", "N"])
+def test_check_refuses_huge_ring_and_model_sizes(tmp_path, monkeypatch,
+                                                 ring, module, detail):
+    # m=10^55 and N=10^55 exited 3 with an OverflowError, and n=10^55 ran
+    # out of memory computing p^n
+    def no_series(*args, **kwargs):
+        raise AssertionError("series built")
+
+    monkeypatch.setattr("prismalab.cli._series_elem", no_series)
+    size = witt_base._witt_ring.cache_info().currsize
+    text = (f"[ring]\n{ring}\n[module]\n{module}\n[phi]\n1\n"
+            "[check]\nname=length\n")
+    res = run(["check", _write(tmp_path, text), "--json"])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    rep = json.loads(res.output)
+    assert rep["error"] == "InputError" and detail in rep["detail"], rep
+    if module == "g=1":
+        assert witt_base._witt_ring.cache_info().currsize == size
+
+
+def _split_u_power_document(d):
+    return (f"[ring]\np=2 n=1\n[module]\ng=1 killed=1,{d}\nu^{d}\n"
+            "[phi]\n1\n[check]\nname=split\n")
+
+
+def test_check_split_refuses_an_oversized_nilpotent_part_early(
+        tmp_path, monkeypatch):
+    # the refusal came from M_nilp's model after M_mult's presentation was
+    # built: 11 s and 642 MB; its size is known once mult_section returns
+    def no_presentation(*args, **kwargs):
+        raise AssertionError("M_mult built")
+
+    monkeypatch.setattr("prismalab.decomposition.presentation_from_generators",
+                        no_presentation)
+    t0 = time.perf_counter()
+    res = run(["check", _write(tmp_path, _split_u_power_document(4000)),
+               "--json"])
+    assert time.perf_counter() - t0 < 2.0
+    assert res.exit_code == 2
+    assert json.loads(res.output) == {
+        "status": "error", "error": "InputError",
+        "detail": "model too large: g=1, N=4001, m=1 give 8002 relation "
+                  "rows of 4001 cells, over the budget of 16777216 cells"}
+
+
+def test_check_split_of_u1000_is_answered_unchanged(tmp_path):
+    t0 = time.perf_counter()
+    res = run(["check", _write(tmp_path, _split_u_power_document(1000)),
+               "--json"])
+    assert time.perf_counter() - t0 < 4.0
+    assert res.exit_code == 0
+    assert res.output == (
+        '{\n  "check": "split",\n  "exact": true,\n  "length": 1000,\n'
+        '  "mult_length": 1000,\n  "nilp_length": 0,\n'
+        '  "status": "pass"\n}\n')
 
 
 def _raise_internal(*args, **kwargs):

@@ -1,12 +1,14 @@
 import math
 import operator
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from prismalab import witt_base
 from prismalab.errors import NotAUnit, InputError
+from prismalab.series_rings import SeriesElem
 from prismalab.witt_base import (
     WittElem, WittRing, _is_prime, default_irreducible, is_irreducible_mod_p,
 )
@@ -290,8 +292,10 @@ def sweep_rings():
             if p ** (n * m) <= 4096]
 
 
+# the last two have a slot spacing over 64 bits
 REF_RINGS = [WittRing(2, 1, 12), WittRing(2, 12, 1), WittRing(61, 1, 2),
-             WittRing(2, 6, 2), WittRing(3, 1, 7), WittRing(5, 2, 3)]
+             WittRing(2, 6, 2), WittRing(3, 1, 7), WittRing(5, 2, 3),
+             WittRing(10 ** 12 + 39, 1, 2), WittRing(3, 20, 2)]
 
 
 def exponents(R):
@@ -303,6 +307,18 @@ def assert_matches_reference(a, b, e):
     assert (a * b).coeffs == ref_mul(a, b).coeffs
     assert (a ** e).coeffs == ref_pow(a, e).coeffs
     assert R.sigma(a).coeffs == ref_sigma(R, a).coeffs
+    # the additive operations and scale against boxed tuples mod q
+    boxed = lambda cs: tuple(c % R.q for c in cs)
+    pairs = list(zip(a.coeffs, b.coeffs))
+    assert (a + b).coeffs == boxed(x + y for x, y in pairs)
+    assert (a - b).coeffs == boxed(x - y for x, y in pairs)
+    assert (-a).coeffs == boxed(-x for x in a.coeffs)
+    for c in (e, -e):
+        assert a.scale(c).coeffs == boxed(x * c for x in a.coeffs)
+    # equality and hash follow the reduced coefficient tuple
+    twin = WittElem(R, boxed(a.coeffs))
+    assert a == twin and hash(a) == hash(twin)
+    assert (a == b) == (boxed(a.coeffs) == boxed(b.coeffs))
 
 
 @given(st.data())
@@ -323,14 +339,57 @@ def test_packed_arithmetic_reduces_unreduced_and_negative_input(data):
 
 
 def test_top_coefficients_fit_the_slot_width_on_every_sweep_ring():
-    # q - 1 in every slot maximises every slot of a product and of sigma
+    # q - 1 in every slot maximises every slot of a product and of sigma;
+    # slots at 0 and at q - 1 sit on both sides of the conditional
+    # subtract of +, - and unary -
     rings = sweep_rings()
     assert len(rings) == 115
     for p, n, m in rings:
         R = WittRing(p, n, m)
         top = R.elem([R.q - 1] * m)
+        mixed = R.elem([(R.q - 1) * (i % 2) for i in range(m)])
         for e in (0, 1, p, p ** m, 2 ** 20 + 1):
             assert_matches_reference(top, top, e)
+        for a in (top, mixed, R.zero()):
+            for b in (top, mixed, R.zero()):
+                assert_matches_reference(a, b, p)
+
+
+def test_barrett_reduces_slots_up_to_the_bound_on_every_sweep_ring():
+    # the folded slots of real products stay well below 2^b, so slots at
+    # 2^b - 1, the most _mod_q is proved for, are built directly
+    for R in REF_RINGS + [WittRing(*r) for r in sweep_rings()]:
+        B = R._slot or R._packing()
+        b = R._shift - R.q.bit_length()
+        xs = [((1 << b) - 1) >> (i % 3) for i in range(R.m)]
+        x = sum(c << B * i for i, c in enumerate(xs))
+        assert R._unpack(R._mod_q(x)) == tuple(c % R.q for c in xs)
+
+
+def sigma_power(x, k):
+    for _ in range(k):
+        x = x.ring.sigma(x)
+    return x
+
+
+@pytest.mark.parametrize("R", [WittRing(3, 2, 1), WittRing(3, 2, 2),
+                               WittRing(2, 1, 12), WittRing(3, 20, 2)])
+def test_every_construction_of_an_element_is_equal_and_hashes_equal(R):
+    rng = random.Random(R.m)
+    cs = tuple(rng.randrange(R.q) for _ in range(R.m))
+    x = R.elem(list(cs))
+    built = [
+        # from coefficients, reduced, unreduced and negative
+        x, WittElem(R, cs), WittElem(R, [c + 5 * R.q for c in cs]),
+        WittElem(R, tuple(c - R.q for c in cs)),
+        # packed results
+        x * R.one(), x + R.zero(), -(-x), sigma_power(x, R.m),
+        # a view of a series coefficient
+        SeriesElem(R, [R.zero(), WittElem(R, cs)]).coeffs[1],
+    ]
+    for y in built:
+        assert y == x and hash(y) == hash(x) and y.coeffs == cs
+    assert len(set(built)) == 1
 
 
 def test_negative_witt_power_is_a_power_of_the_inverse():
@@ -417,6 +476,21 @@ def test_invalid_rings_raise_on_every_call():
         with pytest.raises(InputError, match="irreducible"):
             WittRing(3, 1, 2, [0, 0, 1])
     assert witt_base._witt_ring.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("p,n,m,detail", [
+    (2, 10 ** 55, 1, f"n={10 ** 55} gives p^n of up to"),
+    (2, witt_base.RING_BITS_BUDGET // 2 + 1, 1, "over the budget of 8192"),
+    (2, 1, 10 ** 55, f"m={10 ** 55} is over the budget of 256"),
+    (3, 1, witt_base.RING_DEGREE_BUDGET + 1, "m=257 is over the budget"),
+])
+def test_oversized_rings_are_refused_before_they_are_built(p, n, m, detail):
+    # n=10^55 and m=10^55 ran out of memory computing p^n and p^m
+    size = witt_base._witt_ring.cache_info().currsize
+    with pytest.raises(InputError, match=re.escape(detail)):
+        WittRing(p, n, m)
+    assert witt_base._witt_ring.cache_info().currsize == size
+    assert WittRing(2, witt_base.RING_BITS_BUDGET // 2).n == 4096
 
 
 def test_ring_cache_is_bounded():
