@@ -27,13 +27,28 @@ from .witt_base import WittRing
 # a large bound would exhaust memory (or overflow an index) before the
 # solve.  2^22 cells is over 6000 times the largest default system of the
 # benchmark corpus (p = 2, n = 3: 629 cells) and is solved in a few seconds.
+# ideal_j_mingens holds its systems to the same budget.
 KERNEL_CELL_BUDGET = 2 ** 22
+
+# Every instance builds (u+1)^(p^n) and the Eisenstein polynomial of degree
+# p^(n-1) (p-1) before any check runs, at a cost that grows about tenfold
+# per doubling of p^n: 0.26 s at 2^10 and 2.3 s at 2^11 on one core of a
+# shared 2-core x86 host.  2^10 admits p = 2 up to n = 10, every p below
+# 1024 at n = 1, and over 100 times the largest p^n of the benchmark corpus
+# and the acceptance criteria (9, at p = 3, n = 2).
+CYCLO_DEGREE_BUDGET = 2 ** 10
 
 
 class CycloInstance:
     def __init__(self, p, n, B=None, D=None):
         if n < 1:
             raise InputError("level must be at least 1")
+        # p^n is computed only once n * log2|p| is known to be small
+        if (n * (abs(p).bit_length() - 1) >= CYCLO_DEGREE_BUDGET.bit_length()
+                or abs(p) ** n > CYCLO_DEGREE_BUDGET):
+            raise InputError(
+                f"cyclotomic instance too large: p={p}, n={n} give degree "
+                f"p^n over the budget of {CYCLO_DEGREE_BUDGET}")
         self.p = p
         self.n = n
         self.d = eisenstein_make(p, "cyclotomic", n)
@@ -150,14 +165,41 @@ def ideal_j_mingens(inst, check_stability=True):
 
     Computed at the dp-truncation D via Nakayama over (p, u, z_i), then
     re-verified at D + e; Unstable if the two disagree.  D is at least
-    2 p^n e, which CycloInstance enforces.
+    2 p^n e, which CycloInstance enforces.  Before any DpRing is built, a D
+    is refused whose largest system, the Howell form of J at D' (D + e when
+    re-verified), exceeds KERNEL_CELL_BUDGET: p^n I and the S-multiples of
+    each q_n-kernel vector, (1 + |K|) D' rows of D' cells.
     """
-    mu = _j_mingens_at(inst, inst.D)
+    p, n, D = inst.p, inst.n, inst.D
+    top = D + inst.e if check_stability else D
+    cells = top * top
+    if cells <= KERNEL_CELL_BUDGET:
+        cells *= 1 + _j_kernel_rows(inst, top)
+    if cells > KERNEL_CELL_BUDGET:
+        raise InputError(
+            f"[check] D={D} too large: at p={p}, n={n} the system of J at "
+            f"D={top} exceeds the budget of {KERNEL_CELL_BUDGET} cells")
+    mu = _j_mingens_at(inst, D)
     if check_stability:
-        mu2 = _j_mingens_at(inst, inst.D + inst.e)
+        mu2 = _j_mingens_at(inst, top)
         if mu2 != mu:
             raise Unstable(f"mu changed under D -> D+e: {mu} vs {mu2}")
     return mu
+
+
+def _j_kernel_rows(inst, D):
+    """An upper bound, from (p, n, D) alone, on the rows of the Howell basis
+    K of the q_n-kernel that _j_mingens_at takes at D: the D - p^n faithful
+    coordinates, and the exact count at n = 1 and odd p.  There q_1 = b_p
+    mod p (p | C(p, k) for 0 < k < p, and e(p)! = 1), and b_p b_i =
+    e(i+p)!/e(i)! b_{i+p} with distinct targets, so K is spanned by the b_i
+    (i < D - p) whose weight p divides, i.e. (e(i), e(i+p)] holds a
+    multiple of p."""
+    p, n, e = inst.p, inst.n, inst.e
+    faithful = D - p ** n
+    if n > 1 or p == 2:
+        return faithful
+    return sum((i + p) // e // p > i // e // p for i in range(faithful))
 
 
 def _j_mingens_at(inst, D):

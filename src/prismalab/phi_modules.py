@@ -481,10 +481,9 @@ def height_check(K):
     if g == 0:
         return True
     N = M.N
-    E = K.eis.series(W)
-    Eh = SeriesElem.from_ints(W, [1])
-    for _ in range(K.h):
-        Eh = (Eh * E).truncate(N)
+    # square-and-multiply mod u^N: truncation commutes with products, so
+    # this is E^h mod u^N exactly, in O(log h) products
+    Eh = K.eis.series(W).truncate(N) ** K.h
     mdl = M.model()
 
     def matmul(A, B):

@@ -535,21 +535,36 @@ class DpRing:
         row (t, a) is sigma(x)^a phi(b_t) v.  No DpElem is built: b_t v is
         the weighted shift sum_i T[t][i] y_i b_{t+i} of v = sum_i y_i b_i,
         T the product table, and phi(b_t) = _phi_fac[t] b_{pt} (0 if pt >= D).
+
+        A row costs the nonzero coordinates of its multiple, not D*m
+        products: gamma_j(E), phi_i(gamma_j(E)) mod p and FL basis vectors
+        are nearly monomial in the b_i.  Each vector is taken as D*m wide.
         """
         D, m, T = self.D, self.m, self._mul_table()
         k, fac = (self.p, self._phi_fac) if frob else (1, [1] * D)
         gen = self.ring._gen_matrices()[1 if frob else 0]
-        xs = [_multiples(v, gen, q) for v in vecs]
+        width = D * m * len(vecs)
+        # nz[a]: (position in the row, block i // m, value) of each nonzero
+        # coordinate of the a-th multiples, in increasing block order
+        nz = [[] for _ in range(m)]
+        for off, v in zip(range(0, width, D * m), vecs):
+            if any(v):
+                for a, x in enumerate(_multiples(v, gen, q)):
+                    nz[a] += [(off + i, i // m, y) for i, y in enumerate(x)
+                              if y]
+        for entries in nz:
+            entries.sort(key=lambda c: c[1])
         rows = []
         for t in range(D if tmax is None else tmax):
-            w = ([fac[t] * c for c in T[k * t] for _ in range(m)]
-                 if k * t < D else [])
-            pad = [0] * (D * m - len(w))
-            for a in range(m):
-                row = []
-                for x in xs:
-                    row += pad
-                    row += [c * y % q for c, y in zip(w, x[a])]
+            s = k * t
+            for entries in nz:
+                row = [0] * width
+                if s < D:
+                    Ts, f, shift = T[s], fac[t], s * m
+                    for j, b, y in entries:
+                        if b >= D - s:
+                            break
+                        row[shift + j] = f * Ts[b] * y % q
                 rows.append(row)
         return rows
 

@@ -20,7 +20,7 @@ from prismalab.decomposition import (
     SplitResult, fitting_conditions, split_phi_module,
 )
 from prismalab import errors, series_rings, witt_base
-from prismalab.cyclo_suite import KERNEL_CELL_BUDGET
+from prismalab.cyclo_suite import CYCLO_DEGREE_BUDGET, KERNEL_CELL_BUDGET
 from prismalab.errors import ParseError, UnknownCheck
 from prismalab.phi_modules import (
     FiniteModel, PhiModule, presentation_from_generators,
@@ -712,6 +712,43 @@ def test_check_mingens_refuses_a_small_D_before_any_ring(tmp_path, p, n, D,
     assert series_rings._dp_ring.cache_info().misses == built
 
 
+@pytest.mark.parametrize("check", [
+    "sharpness p=2 n=60", "kernel p=2 n=60", "mingens p=2 n=60",
+    "sharpness p=2 n=20", "kernel p=1000000000039 n=1",
+    f"sharpness p=2 n={10 ** 55}"])
+def test_cyclotomic_checks_refuse_a_degree_over_the_budget(tmp_path, check):
+    # each built (u+1)^(p^n) first and ran past 15 s
+    t0 = time.perf_counter()
+    res = run(["check", _write(tmp_path, f"[check]\nname={check}\n"),
+               "--json"])
+    assert time.perf_counter() - t0 < 1.0
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    rep = json.loads(res.output)
+    assert rep["error"] == "InputError"
+    p, n = (kv.split("=")[1] for kv in check.split()[1:])
+    assert (f"p={p}, n={n} give degree p^n over the budget of "
+            f"{CYCLO_DEGREE_BUDGET}") in rep["detail"], rep
+
+
+@pytest.mark.parametrize("D", [400, 10 ** 55])
+def test_check_mingens_refuses_a_D_over_the_budget_before_any_ring(tmp_path,
+                                                                  D):
+    # D=400 at p=2, n=1 reached 1.1 GB in 40 s, and D=10^55 never ended
+    text = f"[check]\nname=mingens p=2 n=1 D={D}\n"
+    built = series_rings._dp_ring.cache_info().misses
+    t0 = time.perf_counter()
+    res = run(["check", _write(tmp_path, text), "--json"])
+    assert time.perf_counter() - t0 < 1.0
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    rep = json.loads(res.output)
+    assert rep["error"] == "InputError"
+    assert rep["detail"].startswith(f"[check] D={D} too large"), rep
+    assert f"exceeds the budget of {KERNEL_CELL_BUDGET} cells" in rep["detail"]
+    assert series_rings._dp_ring.cache_info().misses == built
+
+
 @pytest.mark.parametrize("bound", [-1, 0, 1])
 def test_check_kernel_refuses_a_small_bound_before_the_solve(tmp_path, bound):
     # bound=1 was refused as "expected generator missing from the kernel"
@@ -749,6 +786,19 @@ def test_check_height_with_psi(tmp_path):
     res = run(["check", _write(tmp_path, text), "--json"])
     assert res.exit_code == 0
     assert json.loads(res.output)["height_ok"] is True
+
+
+def test_check_height_at_a_huge_height_is_answered(tmp_path):
+    # E^h was h truncated products: h=10^6 took seconds, h=10^55 never ended
+    text = ("[ring]\np=2 n=1\n[module]\ng=1\n[phi]\n2 + u\n[psi]\n1\n"
+            f"[check]\nname=height eis=2,1 h={_HUGE}\n")
+    t0 = time.perf_counter()
+    res = run(["check", _write(tmp_path, text), "--json"])
+    assert time.perf_counter() - t0 < 2.0
+    assert res.exit_code in (0, 1)
+    assert "Traceback" not in res.output
+    assert json.loads(res.output) == {"check": "height", "h": _HUGE,
+                                      "height_ok": False, "status": "fail"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import pytest
 
+from prismalab import cyclo_suite
 from prismalab.cyclo_suite import (
-    CycloInstance, h2_instance_module, h2_torsion_report,
-    ideal_j_mingens, ker_phi_minus_d, sharpness_report,
+    CYCLO_DEGREE_BUDGET, CycloInstance,
+    h2_instance_module, h2_torsion_report, ideal_j_mingens, ker_phi_minus_d,
+    sharpness_report,
 )
 from prismalab.errors import BoundaryContamination, InputError
-from prismalab.linalg_residue import howell_form, spans_equal
+from prismalab.linalg_residue import howell_form, kernel_solve, spans_equal
 from prismalab.series_rings import binomial_power_minus_one
 
 
@@ -111,3 +113,45 @@ def test_sharpness_table():
                                                 (2, 2)]
     assert all(r["equal"] for r in rows)
     assert rows[0]["alpha"] == 1 and rows[3]["alpha"] == 2
+
+
+def test_cyclotomic_degree_budget_admits_p2_up_to_n10():
+    # sharpness at p = 2, n = 7 is an open target, so its instance is built
+    for n in range(1, 11):
+        assert CycloInstance(2, n).q_n[-1] == 1
+    with pytest.raises(InputError, match=f"budget of {CYCLO_DEGREE_BUDGET}"):
+        CycloInstance(2, 11)
+    with pytest.raises(InputError, match=f"budget of {CYCLO_DEGREE_BUDGET}"):
+        CycloInstance(1031, 1)
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1),
+                                  (13, 1), (2, 2), (3, 2), (2, 3)])
+def test_j_system_budget_admits_the_default_D_and_its_recheck(monkeypatch,
+                                                              p, n):
+    inst = CycloInstance(p, n)
+    seen = []
+    monkeypatch.setattr(cyclo_suite, "_j_mingens_at",
+                        lambda inst, D: seen.append(D) or 1)
+    assert ideal_j_mingens(inst) == 1
+    assert seen == [inst.D, inst.D + inst.e]
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2),
+                                  (3, 2), (2, 3)])
+def test_j_kernel_rows_bound_the_kernel_that_mingens_takes(monkeypatch, p, n):
+    # exact at n = 1 and at p = 2
+    sizes = []
+
+    def recording(A, b, p, n):
+        K, sol = kernel_solve(A, b, p, n)
+        sizes.append(len(K))
+        return K, sol
+
+    monkeypatch.setattr(cyclo_suite, "kernel_solve", recording)
+    inst = CycloInstance(p, n)
+    for D in (inst.D, inst.D + 1, inst.D + inst.e, inst.D * 3 // 2):
+        sizes.clear()
+        cyclo_suite._j_mingens_at(inst, D)
+        bound = cyclo_suite._j_kernel_rows(inst, D)
+        assert bound == sizes[0] if (n == 1 or p == 2) else bound >= sizes[0]

@@ -662,6 +662,59 @@ def test_s_multiples_match_reference_dp_products(p, e, m, data):
                     == ref_ideal_rows(S, y, S.D - tmax))
 
 
+def ref_dense_s_multiples(S, vecs, q, tmax=None, frob=False):
+    """DpRing.s_multiples as the dense loop that took D*m products per
+    vector in every row."""
+    D, m, T = S.D, S.m, S._mul_table()
+    k, fac = (S.p, S._phi_fac) if frob else (1, [1] * D)
+    gen = S.ring._gen_matrices()[1 if frob else 0]
+    xs = [_multiples(v, gen, q) for v in vecs]
+    rows = []
+    for t in range(D if tmax is None else tmax):
+        w = ([fac[t] * c for c in T[k * t] for _ in range(m)]
+             if k * t < D else [])
+        pad = [0] * (D * m - len(w))
+        for a in range(m):
+            row = []
+            for x in xs:
+                row += pad
+                row += [c * y % q for c, y in zip(w, x[a])]
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("e", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_sparse_s_multiples_equal_the_dense_loop(p, e, m):
+    rng = random.Random(p * 100 + e * 10 + m)
+    E = eisenstein_make(p, "explicit", [p] + [0] * (e - 1) + [1])
+    for D in (None, p * e + 1, p * e + 2, p * e + 3):
+        S = DpRing(E, 3, m=m, D=D)
+
+        def single():
+            v = [0] * S.dim
+            v[rng.randrange(S.dim)] = rng.randrange(1, S.q)
+            return v
+
+        def sparse():
+            return [rng.randrange(S.q) if rng.random() < 0.2 else 0
+                    for _ in range(S.dim)]
+
+        zero = [0] * S.dim
+        # coordinates are reduced mod S.q only, so at q = p and p^2 they
+        # are not reduced mod q, as _j_mingens_at passes them
+        cases = [[single()], [zero], [sparse(), zero],
+                 [zero, single(), [rng.randrange(S.q) for _ in zero]]]
+        for vecs in cases:
+            for q in (p, p * p, S.q):
+                for frob in (False, True):
+                    for tmax in range(S.D + 1):
+                        assert (S.s_multiples(vecs, q, tmax, frob)
+                                == ref_dense_s_multiples(S, vecs, q, tmax,
+                                                         frob))
+
+
 # ---------------------------------------------------------------------------
 # one shared ring per parameter set
 # ---------------------------------------------------------------------------
