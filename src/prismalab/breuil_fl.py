@@ -13,9 +13,7 @@ from __future__ import annotations
 import math
 
 from .errors import BadRamification, Inconsistent, InputError
-from .linalg_residue import (
-    direct_sum_rows, howell_form, in_span, reduce_vector, span_length,
-)
+from .linalg_residue import howell_form, in_span, reduce_vector, span_length
 from .phi_modules import EtalePhiModule, etale_fixed_points
 from .series_rings import DpRing, eisenstein_make, int_poly_pow
 from .witt_base import _multiples
@@ -155,23 +153,6 @@ class BreuilModule:
             for i in range(self.r):
                 out[i] = out[i] + cj * self.nabla[i][j]
         return out
-
-    def direct_sum(self, other):
-        same = (self.S.p, self.S.e, self.S.D, self.S.m, self.S.n_int,
-                tuple(self.S.eis.int_coeffs)) == (
-                other.S.p, other.S.e, other.S.D, other.S.m, other.S.n_int,
-                tuple(other.S.eis.int_coeffs))
-        if not same or self.h != other.h:
-            raise InputError("summands must share the ring and level")
-        S = self.S
-        z = S.zero()
-        r1, r2 = self.r, other.r
-        fil = direct_sum_rows(self.fil_gens, other.fil_gens, r1, r2, z)
-        img = direct_sum_rows(self.phi_gens, other.phi_gens, r1, r2, z)
-        nab = None
-        if self.nabla is not None and other.nabla is not None:
-            nab = direct_sum_rows(self.nabla, other.nabla, r1, r2, z)
-        return BreuilModule(S, r1 + r2, self.h, fil, img, nabla=nab)
 
     def __repr__(self):
         return f"BreuilModule(r={self.r}, h={self.h}, over {self.S!r})"
@@ -355,19 +336,6 @@ class FLModule:
 
     def is_zero_in_module(self, v):
         return in_span(self.relation_rows(), self.vec(v), self.p, self.W.n)
-
-    def direct_sum(self, other):
-        same = ((self.W.p, self.W.n, self.W.m, self.W.f)
-                == (other.W.p, other.W.n, other.W.m, other.W.f))
-        if not same or self.h != other.h:
-            raise InputError("summands must share W and the level")
-        W = self.W
-        pad = lambda A, B: direct_sum_rows(A, B, self.g, other.g, W.zero())
-        fil = {i: pad(self.fil_gens(i), other.fil_gens(i))
-               for i in range(1, self.h + 1)}
-        phi = {i: pad(self.phi_images(i), other.phi_images(i))
-               for i in range(self.h + 1)}
-        return FLModule(W, self.divisors + other.divisors, self.h, fil, phi)
 
 
 def is_fl_module(M):

@@ -360,10 +360,9 @@ def _want(params, key, default=None):
 
 
 def _check_sharpness(doc, params):
-    inst = CycloInstance(_want(params, "p"), _want(params, "n"))
-    rep = h2_torsion_report(inst)
-    report = {k: rep[k] for k in ("p", "n", "e", "alpha", "bound", "sharp")}
-    return rep["sharp"], report
+    rep = h2_torsion_report(CycloInstance(_want(params, "p"),
+                                          _want(params, "n")))
+    return rep["sharp"], rep
 
 
 def _check_kernel(doc, params):

@@ -13,10 +13,7 @@ import time
 
 from .errors import BoundaryContamination, InputError, Unstable
 from .linalg_residue import howell_form, in_span, kernel_solve, span_length
-from .phi_modules import (
-    PhiModule, annihilator_alpha, boundary_structure_check,
-    check_ann_inclusion, u_torsion,
-)
+from .phi_modules import PhiModule, annihilator_alpha
 from .series_rings import (
     DpRing, SeriesElem, binomial_power_minus_one, cyclotomic_q,
     eisenstein_make, int_poly_mul,
@@ -138,40 +135,27 @@ def h2_instance_module(inst):
 
 
 def h2_torsion_report(inst):
-    """Torsion profile of the degree-2 module of the instance."""
-    p, n, e = inst.p, inst.n, inst.e
-    M = h2_instance_module(inst)
-    tors = u_torsion(M)
-    alpha = annihilator_alpha(M)
-    bound = e // (p - 1)  # e (i-1)/(p-1) at i = 2
-    ok2, data2 = check_ann_inclusion(M, 2, e)
-    report = {
-        "p": p, "n": n, "e": e,
-        "length": M.length(),
-        "whole_module_torsion": tors.length() == M.length(),
-        "alpha": alpha,
-        "bound": bound,
-        "sharp": alpha == bound,
-        "ann_inclusion": ok2,
-        "ann_inclusion_data": data2,
-    }
-    if n == 1:
-        report["boundary"] = boundary_structure_check(M, e=e, i=2)
-    return report
+    """alpha of the degree-2 module of the instance, from its annihilator
+    mod p, against the bound e (i-1)/(p-1) at i = 2."""
+    p, e = inst.p, inst.e
+    alpha = annihilator_alpha(h2_instance_module(inst))
+    bound = e // (p - 1)
+    return {"p": p, "n": inst.n, "e": e, "alpha": alpha, "bound": bound,
+            "sharp": alpha == bound}
 
 
-def ideal_j_mingens(inst, check_stability=True):
+def ideal_j_mingens(inst):
     """Minimal generator count of J = {x : p^n divides x q_n}.
 
     Computed at the dp-truncation D via Nakayama over (p, u, z_i), then
     re-verified at D + e; Unstable if the two disagree.  D is at least
     2 p^n e, which CycloInstance enforces.  Before any DpRing is built, a D
-    is refused whose largest system, the Howell form of J at D' (D + e when
-    re-verified), exceeds KERNEL_CELL_BUDGET: p^n I and the S-multiples of
-    each q_n-kernel vector, (1 + |K|) D' rows of D' cells.
+    is refused whose largest system, the Howell form of J at D + e, exceeds
+    KERNEL_CELL_BUDGET: p^n I and the S-multiples of each q_n-kernel
+    vector, (1 + |K|) (D + e) rows of D + e cells.
     """
     p, n, D = inst.p, inst.n, inst.D
-    top = D + inst.e if check_stability else D
+    top = D + inst.e
     cells = top * top
     if cells <= KERNEL_CELL_BUDGET:
         cells *= 1 + _j_kernel_rows(inst, top)
@@ -180,10 +164,9 @@ def ideal_j_mingens(inst, check_stability=True):
             f"[check] D={D} too large: at p={p}, n={n} the system of J at "
             f"D={top} exceeds the budget of {KERNEL_CELL_BUDGET} cells")
     mu = _j_mingens_at(inst, D)
-    if check_stability:
-        mu2 = _j_mingens_at(inst, top)
-        if mu2 != mu:
-            raise Unstable(f"mu changed under D -> D+e: {mu} vs {mu2}")
+    mu2 = _j_mingens_at(inst, top)
+    if mu2 != mu:
+        raise Unstable(f"mu changed under D -> D+e: {mu} vs {mu2}")
     return mu
 
 

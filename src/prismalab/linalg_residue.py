@@ -204,12 +204,3 @@ def kernel_solve(A, b, p, n):
     F = factor(A, p, n)
     sol = F.solve(b) if b is not None else None
     return F.kernel(), sol
-
-
-def direct_sum_rows(A, B, ga, gb, zero):
-    """The rows of A padded on the right by gb entries zero, then the rows
-    of B padded on the left by ga: generators of a direct sum of modules
-    on ga and gb coordinates, or the block-diagonal matrix diag(A, B)."""
-    return ([list(r) + [zero] * gb for r in A]
-            + [[zero] * ga + list(r) for r in B])
-

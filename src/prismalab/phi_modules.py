@@ -19,8 +19,7 @@ from .errors import (
     PrecisionTooLow,
 )
 from .linalg_residue import (
-    direct_sum_rows, factor, howell_form, in_span, kernel_solve,
-    span_length,
+    factor, howell_form, in_span, kernel_solve, span_length,
 )
 from .series_rings import SeriesElem, phi_apply
 from .witt_base import WittRing, _multiples, _semilinear_matrix
@@ -79,26 +78,6 @@ class PhiModule:
     def zero(cls, ring):
         return cls(ring, 0, [], [], killed_by=(0, 0), N=2)
 
-    def direct_sum(self, other):
-        if self.ring != other.ring:
-            raise InputError("summands over different rings")
-        W = self.ring
-        z = SeriesElem.from_ints(W, [])
-        g = self.g + other.g
-        rels = direct_sum_rows(self.relations, other.relations, self.g,
-                               other.g, z)
-        phi = direct_sum_rows(self.phi, other.phi, self.g, other.g, z)
-        kb = None
-        if self.killed_by is not None and other.killed_by is not None:
-            a = max(self.killed_by[0], other.killed_by[0])
-            b1, b2 = self.killed_by[1], other.killed_by[1]
-            kb = (a, None if b1 is None or b2 is None else max(b1, b2))
-        tb = None
-        if self.torsion_bound is not None and other.torsion_bound is not None:
-            tb = max(self.torsion_bound, other.torsion_bound)
-        return PhiModule(W, g, rels, phi, killed_by=kb, torsion_bound=tb,
-                         N=max(self.N, other.N), validate=False)
-
     # -- models -----------------------------------------------------------
 
     def model(self, N=None, nexp=None):
@@ -125,10 +104,10 @@ class PhiModule:
                     f"phi image of relation {r} leaves the relation span")
         if self.killed_by is not None:
             a, b = self.killed_by
-            W = self.ring
+            pa = pow(self.ring.p, a, mdl.q)  # a may be huge
             for i in range(self.g):
                 gi = mdl.gen_vec(i)
-                pv = [(x * W.p ** a) % mdl.q for x in gi]
+                pv = [(x * pa) % mdl.q for x in gi]
                 if not mdl.member(pv):
                     raise NotKilledByP(f"p^{a} does not kill generator {i}")
                 if b is not None:
@@ -354,18 +333,6 @@ def annihilator_alpha(M):
                for i in range(M.g)):
             return alpha
     raise Inconsistent("certified kill exponent fails in the model")
-
-
-def check_ann_inclusion(M, i, e):
-    """Whether E^{i-1} * Ann(M) lands in the Frobenius pullback of Ann(M).
-
-    Mod p this is the exponent inequality e(i-1) + alpha >= p*alpha; e is
-    the ramification index of the Eisenstein polynomial in play.
-    """
-    alpha = annihilator_alpha(M)
-    lhs = e * (i - 1) + alpha
-    rhs = M.ring.p * alpha
-    return lhs >= rhs, {"alpha": alpha, "lhs": lhs, "rhs": rhs}
 
 
 def _mod_u_data(M, mdl):

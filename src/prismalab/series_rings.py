@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 
 from .errors import (
     Inconsistent, InputError, InsufficientPrecision, NotDivisible,
@@ -375,33 +374,24 @@ def _rat_mod(num, den, p, q):
     return (p ** (a - b)) * num * pow(den, -1, q) % q
 
 
-def precision_slack():
-    raw = os.environ.get("PRISMALAB_PRECISION_SLACK", "0").strip()
-    if not raw.isdecimal():
-        raise InputError("PRISMALAB_PRECISION_SLACK must be an integer >= 0,"
-                         f" got {raw!r}")
-    return int(raw)
-
-
 class DpRing:
-    """Divided-power ring at u-degree bound D and p-precision n_int = n + h
-    (+ global slack), coordinates on the basis b_i = u^i / e(i)!.
+    """Divided-power ring at u-degree bound D and p-precision n_int = n + h,
+    coordinates on the basis b_i = u^i / e(i)!.
 
     DpRing(eis, n, m, f, D, h) returns the ring shared by every
-    construction with the same (eis.p, eis.int_coeffs, n, m, f, D, h,
-    slack), f resolved as WittRing resolves it, D resolved to its default
+    construction with the same (eis.p, eis.int_coeffs, n, m, f, D, h),
+    f resolved as WittRing resolves it, D resolved to its default
     and the DP_RING_CACHE most recently used being kept, so the product
     table, gamma_j(E), phi_i(gamma_j(E)) mod p, the Fil^r bases and their
     factors are built once, not once per call; a ring is immutable apart
     from those memos."""
 
     def __new__(cls, eis: EisensteinPoly, n, m=1, f=None, D=None, h=0):
-        slack = precision_slack()
         # f resolved before the lookup, so every spelling of one f (None
         # for the default included) takes one cache entry
-        f = WittRing(eis.p, n + h + slack, m, f).f
+        f = WittRing(eis.p, n + h, m, f).f
         return _dp_ring(eis.p, eis.int_coeffs, n, m, f,
-                        2 * eis.p * eis.e if D is None else D, h, slack)
+                        2 * eis.p * eis.e if D is None else D, h)
 
     # -- combinatorics ----------------------------------------------------
 
@@ -652,7 +642,7 @@ DP_RING_CACHE = 8
 
 
 @functools.lru_cache(maxsize=DP_RING_CACHE)
-def _dp_ring(p, int_coeffs, n, m, f, D, h, slack):
+def _dp_ring(p, int_coeffs, n, m, f, D, h):
     """Validate the parameters and build the ring; DpRing's miss path.
     An invalid key raises on every call, since lru_cache keeps no error."""
     S = object.__new__(DpRing)
@@ -661,7 +651,7 @@ def _dp_ring(p, int_coeffs, n, m, f, D, h, slack):
     S.e = eis.e
     S.n_user = n
     S.h = h
-    S.n_int = n + h + slack
+    S.n_int = n + h
     S.q = p ** S.n_int
     S.ring = WittRing(p, S.n_int, m, f)
     S.m = m

@@ -140,9 +140,7 @@ def test_src_has_no_dead_private_helpers():
 # public functions, methods and classes of src/prismalab that no module of
 # src, no benchmark script and no acceptance criterion reaches, each with
 # the reason it stays; a name that becomes reached must leave the list
-ALLOWED_UNREACHED = {
-    "direct_sum": "module builder of the tests",
-}
+ALLOWED_UNREACHED = {}
 
 
 def _is_click_command(node):

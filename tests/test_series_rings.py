@@ -743,28 +743,14 @@ def test_equal_parameters_give_the_identical_dp_ring():
     assert DpRing(E2, 1, m=2, h=1).fil_span(1) is S.fil_span(1)
 
 
-def test_slack_is_part_of_the_ring_key(monkeypatch):
-    E = eisenstein_make(5, "explicit", [5, 1])
-    monkeypatch.delenv("PRISMALAB_PRECISION_SLACK", raising=False)
-    S = DpRing(E, 1, h=1)
-    assert S.n_int == 2
-    monkeypatch.setenv("PRISMALAB_PRECISION_SLACK", "2")
-    T = DpRing(E, 1, h=1)
-    assert T is not S and T.n_int == 4 and T.q == 5 ** 4
-    assert T.ring.n == 4
-    monkeypatch.setenv("PRISMALAB_PRECISION_SLACK", "0")
-    assert DpRing(E, 1, h=1) is S
-
-
 def _phi_gamma_pairs(S):
     return [(j, i) for i in range(min(S.h, S.p - 1) + 1)
             for j in S.fil_gamma_indices(i)]
 
 
-def test_phi_gamma_matches_s_phi_div_on_cold_and_warm_rings(monkeypatch):
+def test_phi_gamma_matches_s_phi_div_on_cold_and_warm_rings():
     # every (j, i) with j in fil_gamma_indices(i), on a cold ring (memo
     # first) and on one whose gamma_j(E) and Fil^i factors are warm
-    monkeypatch.delenv("PRISMALAB_PRECISION_SLACK", raising=False)
     seen = 0
     for p, e, m in [(p, e, m) for p in (2, 3, 5) for e in (1, 2)
                     for m in (1, 2)]:
@@ -792,27 +778,23 @@ def test_phi_gamma_matches_s_phi_div_on_cold_and_warm_rings(monkeypatch):
         S.phi_gamma(1, 2)
 
 
-def test_phi_gamma_is_kept_per_h_and_slack(monkeypatch):
-    # rings that differ only in h or in the slack have separate memos,
-    # each equal to its own ring's s_phi_div
+def test_phi_gamma_is_kept_per_h():
+    # rings that differ only in h have separate memos, each equal to its
+    # own ring's s_phi_div
     E = eisenstein_make(5, "explicit", [5, 1])
-    monkeypatch.delenv("PRISMALAB_PRECISION_SLACK", raising=False)
     rings = [DpRing(E, 1, h=1), DpRing(E, 1, h=2)]
-    monkeypatch.setenv("PRISMALAB_PRECISION_SLACK", "2")
-    rings.append(DpRing(E, 1, h=1))
-    assert len({id(S) for S in rings}) == 3
+    assert len({id(S) for S in rings}) == 2
     vals = [S.phi_gamma(1, 1) for S in rings]
-    assert len({id(v) for v in vals}) == 3
+    assert len({id(v) for v in vals}) == 2
     for S, v in zip(rings, vals):
         assert v.ring is S
         ref = s_phi_div(S.gamma(1), 1).reduce_prec(1)
         assert (v.vec, v.prec) == (ref.vec, ref.prec)
-    monkeypatch.setenv("PRISMALAB_PRECISION_SLACK", "0")
     assert DpRing(E, 1, h=1).phi_gamma(1, 1) is vals[0]
     assert DpRing(E, 1, h=2).phi_gamma(1, 1) is vals[1]
 
 
-def test_invalid_dp_rings_raise_on_every_call(monkeypatch):
+def test_invalid_dp_rings_raise_on_every_call():
     E = eisenstein_make(3, "explicit", [3, 1])
     info = series_rings._dp_ring.cache_info
     before = info().currsize
@@ -822,10 +804,6 @@ def test_invalid_dp_rings_raise_on_every_call(monkeypatch):
         with pytest.raises(InputError, match="irreducible"):
             DpRing(E, 1, m=2, f=[0, 0, 1])
     assert info().currsize == before
-    monkeypatch.setenv("PRISMALAB_PRECISION_SLACK", "-1")
-    for _ in range(2):
-        with pytest.raises(InputError, match="PRISMALAB_PRECISION_SLACK"):
-            DpRing(E, 1)
 
 
 def test_dp_ring_cache_is_bounded():
