@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 
 from .errors import BoundaryContamination, InputError, Unstable
-from .linalg_residue import howell_form, in_span, kernel_solve, span_length
+from .linalg_residue import factor, howell_form, in_span, span_length
 from .phi_modules import PhiModule, annihilator_alpha
 from .series_rings import (
     DpRing, SeriesElem, binomial_power_minus_one, cyclotomic_q,
@@ -20,11 +20,11 @@ from .series_rings import (
 )
 from .witt_base import WittRing
 
-# The system of ker_phi_minus_d is dense, (p B + e + 1) x (B + 1) cells, so
-# a large bound would exhaust memory (or overflow an index) before the
-# solve.  2^22 cells is over 6000 times the largest default system of the
-# benchmark corpus (p = 2, n = 3: 629 cells) and is solved in a few seconds.
-# ideal_j_mingens holds its systems to the same budget.
+# The system of ker_phi_minus_d is dense, (B + e + 1) x ((B + e)//p + 1)
+# cells, so a large bound would exhaust memory (or overflow an index)
+# before the solve.  2^22 cells is over 18000 times the largest default
+# system of the benchmark corpus (p = 2, n = 3: 231 cells) and is solved in
+# a few seconds.  ideal_j_mingens holds its systems to the same budget.
 KERNEL_CELL_BUDGET = 2 ** 22
 
 # Every instance builds (u+1)^(p^n) and the Eisenstein polynomial of degree
@@ -94,23 +94,24 @@ def ker_phi_minus_d(inst, m):
         raise BoundaryContamination(
             f"bound {B} puts the generator g0 in the top degree band; "
             f"the least admissible bound is {least}")
-    nrows = p * B + e + 1
-    if nrows * (B + 1) > KERNEL_CELL_BUDGET:
+    # a row r > B + e of the system holds only the 1 of phi(u^j) at r = p j,
+    # so f_j = 0 for every j > J: solve for f_0..f_J on rows r <= B + e
+    nrows, J = B + e + 1, (B + e) // p
+    if nrows * (J + 1) > KERNEL_CELL_BUDGET:
         raise InputError(
             f"kernel system too large: bound {B} at p={p}, e={e} gives "
-            f"{nrows} x {B + 1} cells, over the budget of "
+            f"{nrows} x {J + 1} cells, over the budget of "
             f"{KERNEL_CELL_BUDGET} cells")
     q = p ** m
     cols = []
     d = list(inst.d.int_coeffs)
-    for j in range(B + 1):
+    for j in range(J + 1):
         col = [0] * nrows
         col[p * j] += 1
         for k, a in enumerate(d):
             col[j + k] = (col[j + k] - a) % q
         cols.append(col)
-    A = [[cols[c][r] for c in range(B + 1)] for r in range(nrows)]
-    gens, _ = kernel_solve(A, None, p, m)  # a Howell basis
+    gens = [g + [0] * (B - J) for g in factor(cols, p, m).kernel()]
     g0 = [c % q for c in inst.g0] + [0] * (B + 1 - len(inst.g0))
     g0span = howell_form([g0], p, m)
     for g in gens:
@@ -196,8 +197,7 @@ def _j_mingens_at(inst, D):
     # product with q_n stays below the degree bound are trusted, so every
     # kernel element is genuine rather than a truncation artifact
     faithful = D - dq
-    Asub = [list(r) for r in zip(*S.s_multiples([qn.vec], pn, faithful))]
-    K, _ = kernel_solve(Asub, None, p, n)
+    K = factor(S.s_multiples([qn.vec], pn, faithful), p, n).kernel()
     rows = [[pn * (j == i) for j in range(S.dim)] for i in range(S.dim)]
     for k in K:
         rows += S.s_multiples([list(k) + [0] * (S.dim - faithful)], q)

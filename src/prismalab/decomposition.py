@@ -63,7 +63,7 @@ def _stable_image(F, rel0, p, nexp):
 
 def _preimages(F, basis, rel, T, p, nexp):
     """For each x of basis, a y = sum c_k basis_k with F^T y = x modulo the
-    span of rel, from one factorization of [F^T basis | rel]."""
+    span of rel, from one factor of the vectors F^T basis_k and rel."""
     q = p ** nexp
     dim = len(F)
     FT = [row[:] for row in F]
@@ -71,7 +71,7 @@ def _preimages(F, basis, rel, T, p, nexp):
         FT = [[sum(FT[i][k] * F[k][j] for k in range(dim)) % q
                for j in range(dim)] for i in range(dim)]
     cols = [_mat_apply(FT, row, q) for row in basis] + list(rel)
-    fac = factor([[c[r] for c in cols] for r in range(dim)], p, nexp)
+    fac = factor(cols, p, nexp)
     out = []
     for x in basis:
         y = [0] * dim

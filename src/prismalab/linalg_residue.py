@@ -4,14 +4,14 @@ Howell normal form is the workhorse: it supports row-span membership and
 kernel computations over the chain ring Z/p^n.
 
 One elimination engine serves both: ``howell_form`` echelonizes the rows
-themselves, and ``factor`` echelonizes ``[A^T | I]`` once.  The resulting
-``Factored`` system answers any number of right-hand sides: ``solve(b)``
-reduces ``[b | 0]`` against the stored pivots (a nonzero left remainder
-means b is not attained), and ``kernel()`` is built on its first call from
-the right blocks of the rows whose left block vanished.  ``kernel_solve``
-is one factor with at most one solve.
+themselves, and ``factor`` echelonizes ``[v_j | e_j]`` for vectors v_j
+once.  The resulting ``Factored`` system answers any number of targets:
+``solve(b)`` reduces ``[b | 0]`` against the stored pivots to coefficients
+x with sum x_j v_j = b (a nonzero left remainder means there are none),
+and ``kernel()`` is built on its first call from the right blocks of the
+rows whose left block vanished: the relations sum x_j v_j = 0.
 
-Plain rows in, a Howell basis out: every function takes a matrix as a list
+Plain rows in, a Howell basis out: every function takes vectors as a list
 of rows of ints together with p and n, and ``howell_form`` returns the
 canonical Howell basis as a list of rows, none of them zero.  Empty in,
 empty out: no rows, or rows of width 0, give the empty basis, whose span
@@ -139,68 +139,55 @@ def spans_equal(H1, H2, p, n):
 
 
 class Factored:
-    """One elimination of ``[A^T | I]``, kept to serve many solves.
+    """One elimination of ``[v_j | e_j]``, kept to serve many solves.
 
-    A row ``[l | t]`` of the echelonized ``[A^T | I]`` has ``t A^T = l``:
+    A row ``[l | t]`` of the echelon form has ``sum_j t_j v_j = l``:
     ``solve`` reduces ``[b | 0]`` against the pivot rows, and ``kernel``
     reads the right blocks of the rows whose left block vanished.
     """
 
-    __slots__ = ("p", "n", "rows", "cols", "_pivots", "_dead", "_kernel")
+    __slots__ = ("p", "n", "length", "count", "_pivots", "_dead", "_kernel")
 
-    def __init__(self, p, n, rows, cols, pivots, dead):
-        self.p, self.n, self.rows, self.cols = p, n, rows, cols
+    def __init__(self, p, n, length, count, pivots, dead):
+        self.p, self.n, self.length, self.count = p, n, length, count
         self._pivots, self._dead, self._kernel = pivots, dead, None
 
     def solve(self, b):
-        """A particular x with A x = b; raises Inconsistent when b is not
-        attainable."""
-        if len(b) != self.rows:
-            raise InputError("right-hand side length must equal the row count")
-        q = self.p ** self.n
-        # [b | 0] minus the pivots it needs is [0 | -x] with A x = b
-        vec = [x % q for x in b] + [0] * self.cols
+        """Coefficients x with sum_j x_j v_j = b; raises Inconsistent when b
+        is not in their span (with no vectors: when b is not zero)."""
+        if self.count and len(b) != self.length:
+            raise InputError("target length must equal the vector length")
+        q, k = self.p ** self.n, len(b)
+        # [b | 0] minus the pivots it needs is [0 | -x]
+        vec = [x % q for x in b] + [0] * self.count
         for prow, col, _ in self._pivots:
             c = vec[col] // prow[col]
             if c:
                 _sub_tail(vec, prow[col:], c, col, q)
-        if any(vec[:self.rows]):
-            raise Inconsistent("no solution" if self.cols else
+        if any(vec[:k]):
+            raise Inconsistent("no solution" if self.count else
                                "empty system with nonzero right-hand side")
-        return [-x % q for x in vec[self.rows:]]
+        return [-x % q for x in vec[k:]]
 
     def kernel(self):
-        """Howell basis of ker A, computed on the first call."""
+        """Howell basis of the relations sum_j x_j v_j = 0, built once."""
         if self._kernel is None:
-            self._kernel = howell_form([r[self.rows:] for r in self._dead],
+            self._kernel = howell_form([r[self.length:] for r in self._dead],
                                        self.p, self.n)
             self._dead = None
         return self._kernel
 
 
-def factor(entries, p, n):
-    """Eliminate the rows entries over Z/p^n once, as a Factored system
-    whose kernel and solutions for any right-hand side read off the same
-    echelon form."""
+def factor(vectors, p, n):
+    """Eliminate the vectors over Z/p^n once, as a Factored system whose
+    relations and coefficients for any target read off the same echelon
+    form."""
     q = p ** n
-    rows = len(entries)
-    cols = len(entries[0]) if entries else 0
+    length, count = (len(vectors[0]) if vectors else 0), len(vectors)
     work = []
-    for j, col in enumerate(zip(*entries)):
-        r = [x % q for x in col] + [0] * cols
-        r[rows + j] = 1
+    for j, v in enumerate(vectors):
+        r = [x % q for x in v] + [0] * count
+        r[length + j] = 1
         work.append(r)
-    pivots, dead = _echelon(work, rows, p, n)
-    return Factored(p, n, rows, cols, pivots, dead)
-
-
-def kernel_solve(A, b, p, n):
-    """Solve A x = 0 (and optionally A x = b) over Z/p^n.
-
-    Returns (kernel_generators, particular_solution); the solution part is
-    None when b is None.  Raises Inconsistent when b is not attainable.
-    x is a column vector of length cols(A).
-    """
-    F = factor(A, p, n)
-    sol = F.solve(b) if b is not None else None
-    return F.kernel(), sol
+    pivots, dead = _echelon(work, length, p, n)
+    return Factored(p, n, length, count, pivots, dead)

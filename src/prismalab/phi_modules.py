@@ -14,12 +14,14 @@ helpers of witt_base.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .errors import (
     BoundTooSmall, IllFormedPhi, Inconsistent, InputError, NotKilledByP,
     PrecisionTooLow,
 )
 from .linalg_residue import (
-    factor, howell_form, in_span, kernel_solve, span_length,
+    factor, howell_form, in_span, span_length,
 )
 from .series_rings import SeriesElem, phi_apply
 from .witt_base import WittRing, _multiples, _semilinear_matrix
@@ -227,17 +229,18 @@ class FiniteModel:
         """Vectors of ker(u^b) on the module, computed at headroom N + b.
 
         Returns a Howell span in this model's coordinates that contains the
-        relation span.
+        relation span.  With the coordinates u^t, t < b, of every block
+        moved to the front, the Howell rows of the relations that vanish
+        there span the relations u^b x (Howell property); their tails are x.
         """
         big = FiniteModel(self.M, self.N + b, self.nexp)
-        bw, w, sh = big.N * self.m, self.N * self.m, b * self.m
-        # u^b sends unit c to unit c + sh, or to 0 past the end of its block
-        A = [[int(c == r - sh and r % bw >= sh) for c in range(big.dim)]
-             + [h[r] for h in big.H] for r in range(big.dim)]
-        K, _ = kernel_solve(A, None, self.p, self.nexp)
-        proj = [[a for base in range(0, big.dim, bw) for a in k[base:base + w]]
-                for k in K]
-        return howell_form(proj + list(self.H), self.p, self.nexp)
+        bw, sh = big.N * self.m, b * self.m
+        order = sorted(range(big.dim), key=lambda i: i % bw >= sh)
+        H = howell_form([[h[i] for i in order] for h in big.H],
+                        self.p, self.nexp)
+        k = big.dim - self.dim
+        tails = [r[k:] for r in H if not any(r[:k])]
+        return howell_form(tails + list(self.H), self.p, self.nexp)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +283,7 @@ def presentation_from_generators(M, mdl, gens, killed_by=None):
     # the layout (s*N + t)*m + a of to_column
     cols = [ms[a * N + t] for ms in kept for t in range(N) for a in range(m)]
     # relations: combinations of the generator multiples that die in M
-    F = factor(list(zip(*cols, *mdl.H)), mdl.p, mdl.nexp)
+    F = factor(cols + list(mdl.H), mdl.p, mdl.nexp)
     rels = [k[:len(cols)] for k in F.kernel()]
     rel_cols = [mdl.to_column(ms[0], g=r)
                 for ms in _minimal(rels, [], N, W, mdl.p, mdl.nexp)]
@@ -328,11 +331,15 @@ def annihilator_alpha(M):
     if b >= M.N:
         raise PrecisionTooLow("kill exponent not below the u-degree bound")
     mdl = M.model(nexp=1)
-    for alpha in range(b + 1):
-        if all(mdl.member(mdl.u_shift(mdl.gen_vec(i), alpha))
-               for i in range(M.g)):
-            return alpha
-    raise Inconsistent("certified kill exponent fails in the model")
+
+    def kills(alpha):
+        return all(mdl.member(mdl.u_shift(mdl.gen_vec(i), alpha))
+                   for i in range(M.g))
+
+    if not kills(b):
+        raise Inconsistent("certified kill exponent fails in the model")
+    # kills is monotone in alpha, so bisect for its least true value
+    return bisect_left(range(b), True, key=kills)
 
 
 def _mod_u_data(M, mdl):
@@ -519,11 +526,11 @@ def etale_fixed_points(V, t_max):
     p, m, d = V.p, V.m, V.d
     for t in range(1, t_max + 1):
         Y = WittRing(p, 1, t)._sigma_matrix()
-        A = [[a * b % p for a in frow for b in yrow]
-             for frow in V.F for yrow in Y]
-        for r, row in enumerate(A):
-            row[r] = (row[r] - 1) % p
-        K, _ = kernel_solve(A, None, p, 1)
+        cols = [[frow[j] * yrow[c] % p for frow in V.F for yrow in Y]
+                for j in range(m * d) for c in range(t)]
+        for i, col in enumerate(cols):
+            col[i] = (col[i] - 1) % p
+        K = factor(cols, p, 1).kernel()
         if len(K) == m * d:
             return t, K
     raise BoundTooSmall(

@@ -584,28 +584,23 @@ class DpRing:
         return self._fil[r]
 
     def _fil_factor(self, r, prec):
-        """[fil_span(r) | p^prec I], factored once per (r, prec)."""
+        """The fil_span(r) rows and p^prec e_i, factored once per (r, prec)."""
         F = self._fil_factors.get((r, prec))
         if F is None:
-            H = self.fil_span(r)
             pk = self.p ** prec
-            A = [[h[i] for h in H] + [pk if j == i else 0
-                                      for j in range(self.dim)]
-                 for i in range(self.dim)]
-            F = self._fil_factors[r, prec] = factor(A, self.p, self.n_int)
+            rows = self.fil_span(r) + [[pk * (j == i) for j in range(self.dim)]
+                                       for i in range(self.dim)]
+            F = self._fil_factors[r, prec] = factor(rows, self.p, self.n_int)
         return F
 
     def fil_lift(self, x, r):
         """An element of Fil^r (exact at n_int) congruent to x mod p^{x.prec};
         raises Inconsistent when x is not in Fil^r at that precision."""
-        H = self.fil_span(r)
-        sol = self._fil_factor(r, x.prec).solve(self.to_vec(x))
-        vec = [0] * self.dim
-        for c, row in zip(sol[:len(H)], H):
-            if c:
-                for i, a in enumerate(row):
-                    vec[i] = (vec[i] + c * a) % self.q
-        return self.from_vec(vec)
+        v = self.to_vec(x)
+        sol = self._fil_factor(r, x.prec).solve(v)
+        # v minus p^prec times the last coefficients lies in the Fil^r span
+        pk, k = self.p ** x.prec, len(self.fil_span(r))
+        return self.from_vec([a - pk * c for a, c in zip(v, sol[k:])])
 
     # -- Frobenius ----------------------------------------------------------
 

@@ -21,7 +21,7 @@ from prismalab.decomposition import (
     _mod_u_data, _stable_image, mult_section, split_phi_module,
 )
 from prismalab.errors import BoundTooSmall, IllFormedPhi
-from prismalab.linalg_residue import howell_form, kernel_solve, spans_equal
+from prismalab.linalg_residue import factor, howell_form, spans_equal
 from prismalab.phi_modules import (
     EtalePhiModule, PhiModule, etale_fixed_points, zp_shape,
 )
@@ -329,8 +329,7 @@ def test_criterion_7_residual():
     S = R.S
     up = S.from_int_poly([0] * S.p + [1])
     Amat = S.mult_matrix(up)
-    K, _ = kernel_solve([[a % S.p for a in row] for row in Amat],
-                        None, S.p, 1)
+    K = factor([list(c) for c in zip(*Amat)], S.p, 1).kernel()
     assert len(K) - S.p * S.m == info["torsion_per_rank"]
     assert info["total"] == info["dim_V"] * info["torsion_per_rank"]
 

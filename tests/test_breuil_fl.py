@@ -11,7 +11,7 @@ from prismalab.errors import (
     BadRamification, Inconsistent, InputError, PrismalabError,
 )
 from prismalab.linalg_residue import (
-    howell_form, kernel_solve, span_length, spans_equal,
+    factor, howell_form, span_length, spans_equal,
 )
 from prismalab.phi_modules import EtalePhiModule
 from prismalab.series_rings import (
@@ -314,8 +314,7 @@ def _breuil_syzygy_consistent(B):
                 tw = pb.scale_w(S.ring.sigma(xgen ** a))
                 cols.append((B.vec([mult * c for c in g]),
                              [tw * c for c in img]))
-    A = [[c[0][row] for c in cols] for row in range(B.dim)]
-    K, _ = kernel_solve(A, None, B.p, 1)
+    K = factor([c[0] for c in cols], B.p, 1).kernel()
     for k in K:
         acc = [S.zero() for _ in range(B.r)]
         for c, (_, val) in zip(k, cols):
@@ -338,9 +337,7 @@ def _fl_syzygy_consistent(M, gens, images):
             tw = W.sigma(xgen ** j)
             vals.append([c * tw for c in im])
     rel = M.relation_rows()
-    A = [[c[row] for c in cols] + [r[row] for r in rel]
-         for row in range(M.dim)]
-    K, _ = kernel_solve(A, None, M.p, W.n)
+    K = factor(cols + list(rel), M.p, W.n).kernel()
     for k in K:
         acc = [W.zero() for _ in range(M.g)]
         for c, val in zip(k[:len(cols)], vals):
@@ -817,7 +814,7 @@ def test_residual_higher_e_zero_branch():
     S = R.S
     up = S.from_int_poly([0] * S.p + [1])
     A = S.mult_matrix(up)
-    K, _ = kernel_solve([[a % S.p for a in row] for row in A], None, S.p, 1)
+    K = factor([list(c) for c in zip(*A)], S.p, 1).kernel()
     assert len(K) - S.p * S.m == info["torsion_per_rank"]
     with pytest.raises(BadRamification):
         unramified_realization(R, 4)

@@ -789,7 +789,7 @@ def test_check_kernel_refuses_a_small_bound_before_the_solve(tmp_path, bound):
 
 def _least_bound_over_budget(p, e):
     B = 1
-    while (p * B + e + 1) * (B + 1) <= KERNEL_CELL_BUDGET:
+    while (B + e + 1) * ((B + e) // p + 1) <= KERNEL_CELL_BUDGET:
         B += 1
     return B
 

@@ -7,7 +7,7 @@ from prismalab.cyclo_suite import (
     sharpness_report,
 )
 from prismalab.errors import BoundaryContamination, InputError
-from prismalab.linalg_residue import howell_form, kernel_solve, spans_equal
+from prismalab.linalg_residue import factor, howell_form, spans_equal
 from prismalab.phi_modules import boundary_structure_check, u_torsion
 from prismalab.series_rings import binomial_power_minus_one
 
@@ -149,12 +149,12 @@ def test_j_kernel_rows_bound_the_kernel_that_mingens_takes(monkeypatch, p, n):
     # exact at n = 1 and at p = 2
     sizes = []
 
-    def recording(A, b, p, n):
-        K, sol = kernel_solve(A, b, p, n)
-        sizes.append(len(K))
-        return K, sol
+    def recording(vectors, p, n):
+        F = factor(vectors, p, n)
+        sizes.append(len(F.kernel()))
+        return F
 
-    monkeypatch.setattr(cyclo_suite, "kernel_solve", recording)
+    monkeypatch.setattr(cyclo_suite, "factor", recording)
     inst = CycloInstance(p, n)
     for D in (inst.D, inst.D + 1, inst.D + inst.e, inst.D * 3 // 2):
         sizes.clear()

@@ -8,7 +8,7 @@ from prismalab.decomposition import (
     _ceil_log, fitting_conditions, mult_section, split_phi_module,
 )
 from prismalab.linalg_residue import (
-    howell_form, in_span, kernel_solve, span_length, spans_equal,
+    factor, howell_form, in_span, span_length, spans_equal,
 )
 from prismalab.phi_modules import PhiModule
 from prismalab.series_rings import SeriesElem, int_poly_pow
@@ -182,7 +182,7 @@ def _random_phi_map(rng, M, Mp):
             for hi, h in enumerate(H):
                 line[nf + ci * len(H) + hi] = (-h[r]) % mdlp.q
             rows.append(line)
-    K, _ = kernel_solve(rows, None, mdlp.p, mdlp.nexp)
+    K = factor([list(c) for c in zip(*rows)], mdlp.p, mdlp.nexp).kernel()
     if not K:
         return None
     f = [0] * nf

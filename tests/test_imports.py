@@ -1,8 +1,9 @@
 """Every name a module of src/prismalab imports is used in that module,
 every private helper it defines is used in src/prismalab, every public
 function and module-level class it defines is reached or on a short
-allow-list, and no module of src/prismalab or tests unpacks or indexes a
-howell_form."""
+allow-list, no module of src/prismalab or tests unpacks or indexes a
+howell_form, and no module of src/prismalab transposes the vectors it
+passes to factor."""
 
 import ast
 import pathlib
@@ -78,6 +79,83 @@ def test_the_guard_sees_an_unpacked_howell_form():
 def test_no_howell_form_is_unpacked():
     files = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     found = {f.name: unpacked_howell_forms(f.read_text()) for f in files}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def _transposes(node):
+    """node is zip(*...), list or tuple of a transposition, a sum with one,
+    a comprehension over one, or a comprehension whose rows index other
+    sequences by its own variable, as [[c[r] for c in cols] for r in R]."""
+    if isinstance(node, ast.BinOp):
+        return _transposes(node.left) or _transposes(node.right)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if node.func.id == "zip":
+            return any(isinstance(a, ast.Starred) for a in node.args)
+        return (node.func.id in ("list", "tuple") and bool(node.args)
+                and _transposes(node.args[0]))
+    if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+        own = {g.target.id for g in node.generators
+               if isinstance(g.target, ast.Name)}
+        return any(_transposes(g.iter) for g in node.generators) or any(
+            isinstance(sub, (ast.ListComp, ast.GeneratorExp))
+            and isinstance(sub.elt, ast.Subscript)
+            and isinstance(sub.elt.slice, ast.Name)
+            and sub.elt.slice.id in own
+            for sub in ast.walk(node.elt))
+    return False
+
+
+def transposed_factor_inputs(source):
+    """Lines of factor(...) calls whose vectors are a transposition, given
+    directly or as a name assigned in the same function.  factor takes the
+    vectors it combines; a matrix of equations belongs to no caller."""
+    tree = ast.parse(source)
+    lines = set()
+    for scope in [tree] + [n for n in ast.walk(tree)
+                           if isinstance(n, ast.FunctionDef)]:
+        body = [scope] if scope is not tree else [
+            stmt for stmt in tree.body
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef))]
+        nodes = [n for stmt in body for n in ast.walk(stmt)]
+        assigned = {}
+        for node in nodes:
+            if isinstance(node, ast.Assign):
+                for t in node.targets:
+                    if isinstance(t, ast.Name):
+                        assigned.setdefault(t.id, []).append(node.value)
+        for node in nodes:
+            if not (isinstance(node, ast.Call) and node.args and "factor" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None))):
+                continue
+            arg = node.args[0]
+            values = [arg] + (assigned.get(arg.id, [])
+                              if isinstance(arg, ast.Name) else [])
+            if any(_transposes(v) for v in values):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_the_guard_sees_a_transposed_factor_input():
+    source = ("factor(zip(*rows), p, n)\n"
+              "F = la.factor(list(zip(*cols, *H)), p, n)\n"
+              "factor([list(r) for r in zip(*A)], p, n)\n"
+              "factor([[c[r] for c in cols] for r in range(d)], p, n)\n"
+              "def f(cols, H):\n"
+              "    A = [[h[i] for h in H] + [0] for i in range(d)]\n"
+              "    return factor(A, p, n).kernel()\n"
+              "def g(cols, H):\n"
+              "    A = cols + list(H)\n"
+              "    factor(A, p, n)\n"
+              "    factor([[0] * d for c in cols], p, n)\n"
+              "    howell_form(list(zip(*A)), p, n)\n"
+              "    return self._fil_factor(list(zip(*A)), n)\n")
+    assert transposed_factor_inputs(source) == [1, 2, 3, 4, 7]
+
+
+def test_src_passes_factor_its_vectors():
+    files = sorted(SRC.glob("*.py"))
+    found = {f.name: transposed_factor_inputs(f.read_text()) for f in files}
     assert {k: v for k, v in found.items() if v} == {}
 
 

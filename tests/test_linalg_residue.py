@@ -7,15 +7,22 @@ from hypothesis import given, strategies as st
 from prismalab.errors import Inconsistent, InputError
 from prismalab import linalg_residue
 from prismalab.linalg_residue import (
-    _echelon, factor, howell_form, in_span, kernel_solve, reduce_vector,
-    span_length, spans_equal,
+    _echelon, factor, howell_form, in_span, reduce_vector, span_length,
+    spans_equal,
 )
 
 
+def columns(A):
+    """The columns of the matrix A (a list of rows): the vectors that A x
+    combines, as factor takes them."""
+    return [list(c) for c in zip(*A)]
+
+
 # ---------------------------------------------------------------------------
-# references: the separate pivot loops of howell_form and kernel_solve
-# that the shared elimination engine replaced, kept verbatim (full-width
-# row operations, an identity transform always carried)
+# references: the separate pivot loops of howell_form and of the kernel
+# and particular solution of A x = b that the shared elimination engine
+# replaced, kept verbatim (full-width row operations, an identity
+# transform always carried)
 # ---------------------------------------------------------------------------
 
 
@@ -218,12 +225,12 @@ def test_howell_span_preserved_brute_force():
 
 
 def test_kernel_zero_matrix():
-    K, _ = kernel_solve([[0, 0]], None, 2, 2)
+    K = factor([[0], [0]], 2, 2).kernel()
     assert brute_span(K, 4) == brute_span([[1, 0], [0, 1]], 4)
 
 
 def test_kernel_of_p_over_p_squared():
-    K, _ = kernel_solve([[2]], None, 2, 2)
+    K = factor([[2]], 2, 2).kernel()
     assert brute_span(K, 4) == {(0,), (2,)}
 
 
@@ -232,7 +239,7 @@ def test_kernel_brute_force_oracle_mod_9():
     p, n = 3, 2
     q = 9
     A = [[rng.randrange(q) for _ in range(5)] for _ in range(3)]
-    K, _ = kernel_solve(A, None, p, n)
+    K = factor(columns(A), p, n).kernel()
     true_kernel = set()
     for x in itertools.product(range(q), repeat=5):
         if all(sum(a * xi for a, xi in zip(row, x)) % q == 0 for row in A):
@@ -250,10 +257,10 @@ def test_kernel_brute_force_oracle_mod_9():
 def test_particular_solution_and_inconsistency():
     p, n = 2, 3
     A = [[1, 2], [0, 4]]
-    K, sol = kernel_solve(A, [3, 4], p, n)
+    sol = factor(columns(A), p, n).solve([3, 4])
     assert [(sum(a * s for a, s in zip(row, sol))) % 8 for row in A] == [3, 4]
     with pytest.raises(Inconsistent):
-        kernel_solve([[2]], [1], p, n)
+        factor([[2]], p, n).solve([1])
 
 
 def test_spans_equal():
@@ -299,27 +306,39 @@ def test_engine_matches_reference_loops(p, n):
             H_ref, _ = ref_howell_form(A, p, n)
             assert howell_form(A, p, n) == H_ref
             K_ref, _ = ref_kernel_solve(A, None, p, n)
-            assert kernel_solve(A, None, p, n) == (K_ref, None)
+            assert factor(columns(A), p, n).kernel() == K_ref
             x = [rng.randrange(q) for _ in range(cols)]
             attained = [sum(a * b for a, b in zip(r, x)) % q for r in A]
             for b in (attained, [rng.randrange(q) for _ in range(rows)]):
+                F = factor(columns(A), p, n)
                 try:
                     ref = ref_kernel_solve(A, b, p, n)
                 except Inconsistent:
                     with pytest.raises(Inconsistent):
-                        kernel_solve(A, b, p, n)
+                        F.solve(b)
                 else:
-                    assert kernel_solve(A, b, p, n) == ref
+                    assert (F.kernel(), F.solve(b)) == ref
 
 
-def test_kernel_solve_rejects_mismatched_right_hand_side():
-    with pytest.raises(InputError):
-        kernel_solve([[1, 0], [0, 1]], [1], 2, 1)
+def test_solve_takes_any_length_only_without_vectors():
+    # three vectors of length 2 fix the length of b at 2; no vectors fix
+    # none, and only a zero b is then in their span
+    F = factor([[1, 0], [0, 1], [1, 1]], 2, 1)
+    x = F.solve([1, 1])
+    assert [(x[0] + x[2]) % 2, (x[1] + x[2]) % 2] == [1, 1]
+    for b in ([1], [1, 0, 0]):
+        with pytest.raises(InputError):
+            F.solve(b)
+    E = factor([], 3, 2)
+    assert E.solve([]) == E.solve([0, 9, 0]) == [] and E.kernel() == []
+    with pytest.raises(Inconsistent, match="empty system"):
+        E.solve([0, 1])
 
 
 # ---------------------------------------------------------------------------
-# factor once, solve many: against kernel_solve as it was before factor,
-# kept verbatim (one elimination per call, the kernel always built)
+# factor once, solve many: against the kernel and particular solution of
+# A x = b as they were before factor, kept verbatim (one elimination per
+# call, the kernel always built)
 # ---------------------------------------------------------------------------
 
 
@@ -368,7 +387,7 @@ def test_factor_serves_every_right_hand_side_like_per_call_solves(p, n):
             A = _random_matrix(rng, rows, cols, p, n) if rows else []
             if trial == 0 and rows:
                 A = [[0] * cols for _ in range(rows)]
-            F = factor(A, p, n)
+            F = factor(columns(A), p, n)
             rhs = [[0] * rows]
             for _ in range(3):
                 x = [rng.randrange(q) for _ in range(cols)]
@@ -382,12 +401,13 @@ def test_factor_serves_every_right_hand_side_like_per_call_solves(p, n):
                     with pytest.raises(Inconsistent, match=str(exc)):
                         F.solve(b)
                     with pytest.raises(Inconsistent, match=str(exc)):
-                        kernel_solve(A, b, p, n)
+                        factor(columns(A), p, n).solve(b)
                 else:
                     attained += 1
                     assert F.solve(b) == sol_ref
                     assert F.kernel() == K_ref
-                    assert kernel_solve(A, b, p, n) == (K_ref, sol_ref)
+                    G = factor(columns(A), p, n)
+                    assert (G.solve(b), G.kernel()) == (sol_ref, K_ref)
             assert attained >= 4
             assert F.kernel() == kernel_solve_per_call(A, None, p, n)[0]
 
@@ -402,7 +422,7 @@ def test_factor_builds_the_kernel_once(monkeypatch):
 
     monkeypatch.setattr(linalg_residue, "howell_form", counting)
     A = [[1, 2, 3], [2, 4, 6]]
-    F = factor(A, 3, 2)
+    F = factor(columns(A), 3, 2)
     assert F.solve([1, 2]) == kernel_solve_per_call(A, [1, 2], 3, 2)[1]
     assert calls == []
     K = F.kernel()
@@ -476,7 +496,7 @@ def test_kernel_equals_brute_kernel_property(system):
     p, n, A = system
     q = p ** n
     cols = len(A[0])
-    K, _ = kernel_solve(A, None, p, n)
+    K = factor(columns(A), p, n).kernel()
     kernel = {x for x in itertools.product(range(q), repeat=cols)
               if not any(_apply(A, x, q))}
     assert (brute_span(K, q) if K else {(0,) * cols}) == kernel
@@ -496,9 +516,9 @@ def test_solve_matches_brute_image_property(system, data):
                                max_size=len(A)))
     image = {_apply(A, x, q)
              for x in itertools.product(range(q), repeat=cols)}
+    F = factor(columns(A), p, n)
     if tuple(b) in image:
-        _, sol = kernel_solve(A, b, p, n)
-        assert _apply(A, sol, q) == tuple(b)
+        assert _apply(A, F.solve(b), q) == tuple(b)
     else:
         with pytest.raises(Inconsistent):
-            kernel_solve(A, b, p, n)
+            F.solve(b)

@@ -6,16 +6,17 @@ from hypothesis import assume, given, strategies as st
 
 from prismalab import phi_modules
 from prismalab.errors import (
-    BoundTooSmall, IllFormedPhi, InputError, NotKilledByP, PrecisionTooLow,
+    BoundTooSmall, IllFormedPhi, Inconsistent, InputError, NotKilledByP,
+    PrecisionTooLow,
 )
 from prismalab.decomposition import split_phi_module
 from prismalab.phi_modules import (
-    EtalePhiModule, KisinModule, PhiModule, _minimal, _s_multiples,
-    annihilator_alpha, boundary_structure_check, etale_fixed_points,
+    EtalePhiModule, FiniteModel, KisinModule, PhiModule, _minimal,
+    _s_multiples, annihilator_alpha, boundary_structure_check, etale_fixed_points,
     height_check, presentation_from_generators, u_torsion, zp_shape,
 )
 from prismalab.linalg_residue import (
-    factor, howell_form, in_span, kernel_solve, span_length, spans_equal,
+    factor, howell_form, in_span, span_length, spans_equal,
 )
 from prismalab.series_rings import SeriesElem, eisenstein_make, phi_apply
 from prismalab.witt_base import WittRing, _multiples
@@ -92,6 +93,56 @@ def test_u_torsion_idempotent_and_additive():
             assert u_torsion(TA).length() == TA.length()
 
 
+def ref_submodule_kernel_of_u_power(mdl, b):
+    """ker(u^b) from the dense system it was first solved as: the kernel of
+    [u^b | H] at headroom N + b, each kernel vector cut back to u^N."""
+    big = FiniteModel(mdl.M, mdl.N + b, mdl.nexp)
+    bw, w, sh = big.N * mdl.m, mdl.N * mdl.m, b * mdl.m
+    # u^b sends unit c to unit c + sh, or to 0 past the end of its block
+    A = [[int(c == r - sh and r % bw >= sh) for c in range(big.dim)]
+         + [h[r] for h in big.H] for r in range(big.dim)]
+    K = factor([list(c) for c in zip(*A)], mdl.p, mdl.nexp).kernel()
+    proj = [[a for base in range(0, big.dim, bw) for a in k[base:base + w]]
+            for k in K]
+    return howell_form(proj + list(mdl.H), mdl.p, mdl.nexp)
+
+
+@st.composite
+def relation_modules(draw):
+    """A module of g <= 2 generators over W_n(F_{p^m}), p in {2, 3} and
+    n, m <= 2, with 0-3 relation columns whose entries are 0, p^k u^t or a
+    random series, cut at u^N for N <= 5; phi is the identity and is not
+    validated, since ker(u^b) reads only the relations."""
+    p = draw(st.sampled_from([2, 3]))
+    n, m, g = (draw(st.integers(1, 2)) for _ in range(3))
+    N = draw(st.integers(2, 5))
+    W = WittRing(p, n, m)
+    coeff = st.integers(0, W.q - 1)
+
+    def entry():
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            return S(W, [])
+        if kind == 1:
+            t = draw(st.integers(0, N - 1))
+            return S(W, [0] * t + [p ** draw(st.integers(0, n - 1))])
+        return SeriesElem.from_vec(W, draw(st.lists(
+            coeff, min_size=N * m, max_size=N * m)))
+
+    rels = [[entry() for _ in range(g)]
+            for _ in range(draw(st.integers(0, 3)))]
+    phi = [[S(W, [int(i == j)]) for j in range(g)] for i in range(g)]
+    return PhiModule(W, g, rels, phi, N=N, validate=False)
+
+
+@given(relation_modules(), st.integers(1, 4))
+def test_submodule_kernel_of_u_power_equals_dense_reference(M, b):
+    for nexp in range(1, M.ring.n + 1):
+        mdl = M.model(nexp=nexp)
+        assert (mdl.submodule_kernel_of_u_power(b)
+                == ref_submodule_kernel_of_u_power(mdl, b))
+
+
 def test_u_torsion_requires_certificate():
     W = WittRing(2, 2, 1)
     M = PhiModule(W, 1, [], [[S(W, [1])]], N=4)
@@ -116,6 +167,47 @@ def test_alpha_binomial_module_is_p_power():
     rel = [S(W, [0, 2, 1])]
     M = PhiModule(W, 1, [rel], [[S(W, [1])]], killed_by=(2, 3), N=6)
     assert annihilator_alpha(M) == 2
+
+
+def ref_annihilator_alpha(M):
+    """The least alpha <= b whose u^alpha kills every generator mod p, by
+    trying alpha = 0, 1, ..., b in turn."""
+    mdl, b = M.model(nexp=1), M.killed_by[1]
+    for alpha in range(b + 1):
+        if all(mdl.member(mdl.u_shift(mdl.gen_vec(i), alpha))
+               for i in range(M.g)):
+            return alpha
+    raise Inconsistent("certified kill exponent fails in the model")
+
+
+@given(relation_modules(), st.integers(0, 4))
+def test_alpha_bisection_equals_linear_scan(M, b):
+    # killed_by is not validated, so a b that fails must raise in both
+    M.killed_by = (M.ring.n, b)
+    if b >= M.N:
+        with pytest.raises(PrecisionTooLow):
+            annihilator_alpha(M)
+        return
+    try:
+        want = ref_annihilator_alpha(M)
+    except Inconsistent:
+        with pytest.raises(Inconsistent):
+            annihilator_alpha(M)
+    else:
+        assert annihilator_alpha(M) == want
+
+
+def test_alpha_bisects_over_the_kill_exponent(monkeypatch):
+    # b = 100: the scan made 101 member calls, the bisection makes one at
+    # b and at most ceil(log2(101)) = 7 more
+    W = WittRing(3, 1, 1)
+    M = quotient_module(W, u_exp=100)
+    calls = []
+    member = FiniteModel.member
+    monkeypatch.setattr(FiniteModel, "member",
+                        lambda self, v: calls.append(1) or member(self, v))
+    assert annihilator_alpha(M) == 100
+    assert len(calls) <= 8
 
 
 def test_alpha_brute_force_oracle_mod_p():
@@ -431,7 +523,7 @@ def ref_etale_fixed_points(V, t_max):
                                             Phi[r][colv] + w * y) % p
         A = [[(Phi[r][c] - (1 if r == c else 0)) % p for c in range(D)]
              for r in range(D)]
-        K, _ = kernel_solve(A, None, p, 1)
+        K = factor([list(c) for c in zip(*A)], p, 1).kernel()
         if len(K) == m * d:
             return t, K
     raise BoundTooSmall(
@@ -463,9 +555,7 @@ def ref_boundary_structure_check(M, e=None, i=None):
     surj = span_length(full, p, 1) == D if D else True
     inj = True
     if D:
-        A = [[phi_cols[c][r] for c in range(D)] + [h[r] for h in Hs]
-             for r in range(D)]
-        K, _ = kernel_solve(A, None, p, 1)
+        K = factor(phi_cols + Hs, p, 1).kernel()
         for k in K:
             x = [k[c] % p for c in range(D)]
             if any(x) and not (Hs and in_span(Hs, x, p, 1)):
@@ -506,22 +596,22 @@ def test_etale_invertibility_equals_reference(case):
         assert expected
 
 
-def _with_kernel_solves(fixed_points, V, t_max, namespace):
+def _with_factors(fixed_points, V, t_max, namespace):
     """fixed_points(V, t_max), or its BoundTooSmall message, with the
-    matrices Phi - I it passed to the kernel_solve of namespace."""
-    calls, solve = [], namespace["kernel_solve"]
+    columns of Phi - I it passed to the factor of namespace."""
+    calls, fac = [], namespace["factor"]
 
-    def recording(A, *args):
-        calls.append(A)
-        return solve(A, *args)
+    def recording(vectors, *args):
+        calls.append(vectors)
+        return fac(vectors, *args)
 
-    namespace["kernel_solve"] = recording
+    namespace["factor"] = recording
     try:
         out = fixed_points(V, t_max)
     except BoundTooSmall as exc:
         out = str(exc)
     finally:
-        namespace["kernel_solve"] = solve
+        namespace["factor"] = fac
     return out, calls
 
 
@@ -533,10 +623,9 @@ def test_etale_fixed_points_equal_reference(case, t_max):
     assume(ref_invertible_over_field(
         [[F.elem(a) for a in row] for row in A], F))
     V = EtalePhiModule(p, m, d, A)
-    assert (_with_kernel_solves(etale_fixed_points, V, t_max,
-                                vars(phi_modules))
-            == _with_kernel_solves(ref_etale_fixed_points, V, t_max,
-                                   globals()))
+    # the reference passes the transpose of its matrix Phi - I
+    assert (_with_factors(etale_fixed_points, V, t_max, vars(phi_modules))
+            == _with_factors(ref_etale_fixed_points, V, t_max, globals()))
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 2), st.integers(1, 2),
@@ -674,7 +763,7 @@ def ref_presentation(M, mdl, gens, killed_by=None):
         xs = _multiples(v, mdl.W._gen_matrices()[0], mdl.q)
         cols.extend(mdl.u_shift(w, t) for t in range(mdl.N) for w in xs)
     # relations: combinations of the generator multiples that die in M
-    F = factor(list(zip(*cols, *mdl.H)), mdl.p, mdl.nexp)
+    F = factor(cols + list(mdl.H), mdl.p, mdl.nexp)
     rel_cols = []
     for k in F.kernel():
         c = k[:len(cols)]

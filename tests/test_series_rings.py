@@ -9,7 +9,7 @@ from prismalab.errors import (
     NotEisenstein, NotInFiltration, PrecisionLoss,
 )
 from prismalab.breuil_fl import BreuilModule
-from prismalab.linalg_residue import howell_form, in_span, kernel_solve
+from prismalab.linalg_residue import factor, howell_form, in_span
 from prismalab import series_rings
 from prismalab.series_rings import (
     DpElem, DpRing, EisensteinPoly, SeriesElem, cyclotomic_q,
@@ -486,8 +486,7 @@ def ref_fil_lift(self, x, r):
         v = [0] * self.dim
         v[i] = pk
         aug.append(v)
-    A = [[aug[j][i] for j in range(len(aug))] for i in range(self.dim)]
-    _, sol = kernel_solve(A, self.to_vec(x), self.p, self.n_int)
+    sol = factor(aug, self.p, self.n_int).solve(self.to_vec(x))
     vec = [0] * self.dim
     for c, row in zip(sol[:ncols], H):
         if c:
