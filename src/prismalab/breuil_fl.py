@@ -6,6 +6,13 @@ ring S_1 with a filtration submodule Fil, the divided Frobenius phi_h
 given on its generators, and an optional connection.  The base change
 of an FL module into Breuil modules (fl_to_breuil) and the
 residual-module construction live here.
+
+Both phi_i on Fil^i and phi_h on Fil are semilinear maps given on
+generators, and each is posed as a linalg_residue.factor system: the
+generators' multiples are the vectors and their images under the map the
+images.  One elimination then evaluates the map (solve, which raises
+Inconsistent off the span) and decides that it is well defined (kernel,
+the images of the syzygies, must vanish modulo the relations).
 """
 
 from __future__ import annotations
@@ -13,37 +20,10 @@ from __future__ import annotations
 import math
 
 from .errors import BadRamification, Inconsistent, InputError
-from .linalg_residue import howell_form, in_span, reduce_vector, span_length
+from .linalg_residue import factor, howell_form, in_span, span_length
 from .phi_modules import EtalePhiModule, etale_fixed_points
 from .series_rings import DpRing, eisenstein_make, int_poly_pow
 from .witt_base import _multiples
-
-
-# ---------------------------------------------------------------------------
-# graphs of semilinear maps
-# ---------------------------------------------------------------------------
-
-
-def _graph_apply(H, d, targets, p, n, msg):
-    """Values at the flat vectors targets of the map with Howell graph rows
-    H = [source | image], the source being the first d entries: [target | 0]
-    is reduced against the rows with a nonzero source, the value is minus
-    the image block left, and a nonzero source left raises Inconsistent."""
-    q = p ** n
-    rows = [r for r in H if any(r[:d])]
-    out = []
-    for v in targets:
-        rem = reduce_vector(rows, v + [0] * d, p, n)
-        if any(rem[:d]):
-            raise Inconsistent(msg)
-        out.append([-x % q for x in rem[d:]])
-    return out
-
-
-def _graph_consistent(H, d, rel, p, n):
-    """The map is well defined: each graph row with a zero source block,
-    the image of a syzygy, has its image block in the span of rel."""
-    return all(in_span(rel, r[d:], p, n) for r in H if not any(r[:d]))
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +45,7 @@ class BreuilModule:
             raise InputError("phi images must align with Fil generators")
         self.p = S.p
         self.dim = r * S.dim
-        self._fil_H = None
+        self._fil = None
 
     # -- coordinates (mod p) ------------------------------------------------
 
@@ -85,31 +65,30 @@ class BreuilModule:
         return self.S.s_multiples([c.vec for c in v], self.p)
 
     def _fil_data(self):
-        """Howell form of the graph rows [x | phi_h(x)] of phi_h on Fil.
+        """The graph of phi_h on Fil as a factor system.
 
-        Each Fil generator g is expanded over the F_p-basis x^a b_t of S,
-        with image phi(x^a b_t) phi_h(g).  Over F_p this is the reduced
-        echelon form, so the rows with a nonzero source block have as
-        source blocks the reduced echelon basis of Fil.
+        Each Fil generator g is expanded over the F_p-basis x^a b_t of S:
+        the vectors are the x^a b_t g, with images phi(x^a b_t) phi_h(g).
         """
-        if self._fil_H is None:
-            S, p, rows = self.S, self.p, []
+        if self._fil is None:
+            S, p, src, dst = self.S, self.p, [], []
             for g, img in zip(self.fil_gens, self.phi_gens):
-                dst = S.s_multiples([c.vec for c in img], p, frob=True)
-                rows.extend(a + b for a, b in zip(self.s_multiples(g), dst))
-            self._fil_H = howell_form(rows, p, 1)
-        return self._fil_H
-
-    def fil_span(self):
-        d = self.dim
-        return [r[:d] for r in self._fil_data() if any(r[:d])]
+                src += self.s_multiples(g)
+                dst += S.s_multiples([c.vec for c in img], p, frob=True)
+            self._fil = factor(src, p, 1, images=dst)
+        return self._fil
 
     def fil_contains(self, v):
-        return in_span(self.fil_span(), self.vec(v), self.p, 1)
+        try:
+            self._fil_data().solve(self.vec(v))
+        except Inconsistent:
+            return False
+        return True
 
     def phi_h_consistent(self):
-        """phi_h is well defined; a free module has no relations."""
-        return _graph_consistent(self._fil_data(), self.dim, [], self.p, 1)
+        """phi_h is well defined: a free module has no relations, so every
+        syzygy of the Fil generators must map to zero."""
+        return not self._fil_data().kernel()
 
     def phi_h_generates(self):
         """The S-span of phi_h(Fil) is the whole module, decided on the
@@ -132,12 +111,9 @@ class BreuilModule:
         return span_length(howell_form(rows, p, 1), p, 1) == self.r * m
 
     def phi_h(self, v):
-        """phi_h of a vector in Fil, by reduction against the graph rows.
-
-        Raises Inconsistent when v is not in Fil.
-        """
-        [img] = _graph_apply(self._fil_data(), self.dim, [self.vec(v)],
-                             self.p, 1, "vector is not in Fil")
+        """phi_h of a vector in Fil; raises Inconsistent when v is not in
+        Fil."""
+        img = self._fil_data().solve(self.vec(v))
         k = self.S.dim
         return [self.S.from_vec(img[i * k:(i + 1) * k], prec=1)
                 for i in range(self.r)]
@@ -298,22 +274,20 @@ class FLModule:
         return howell_form(rows, self.p, self.W.n)
 
     def _graph(self, gens, images):
-        """Howell form of the graph rows [f | phi(f)] of a semilinear map.
+        """The graph of a semilinear map as a factor system.
 
-        Generator f is expanded over the W-basis x^j with image
-        sigma(x^j) phi(f), and the relations enter as rows [rel | 0].  By
-        the Howell property the rows with a zero source block span the
-        images of all syzygies, also at n > 1.
+        Generator f is expanded over the W-basis x^j: the vectors are the
+        x^j f, with images sigma(x^j) phi(f), and the relations, with
+        image 0.  The kernel spans the images of all syzygies.
         """
         W = self.W
         x, sx = W._gen_matrices()
-        zero = [0] * self.dim
-        rows = [list(r) + zero for r in self.relation_rows()]
+        src = list(self.relation_rows())
+        dst = [[0] * self.dim for _ in src]
         for f, im in zip(gens, images):
-            src = _multiples(self.vec(f), x, W.q)
-            dst = _multiples(self.vec(im), sx, W.q)
-            rows.extend(a + b for a, b in zip(src, dst))
-        return howell_form(rows, self.p, W.n)
+            src += _multiples(self.vec(f), x, W.q)
+            dst += _multiples(self.vec(im), sx, W.q)
+        return factor(src, self.p, W.n, images=dst)
 
     def semilinear_apply(self, gens, images, targets):
         """sigma-semilinear values at each of targets; raises Inconsistent
@@ -321,18 +295,17 @@ class FLModule:
 
         The map sends sum a_k f_k to sum sigma(a_k) phi(f_k).
         """
-        m = self.m
-        vals = _graph_apply(self._graph(gens, images), self.dim,
-                            [self.vec(v) for v in targets], self.p, self.W.n,
-                            "target is not in the span of the generators")
+        F, m = self._graph(gens, images), self.m
+        vals = [F.solve(self.vec(v)) for v in targets]
         return [[self.W.elem(val[t * m:(t + 1) * m]) for t in range(self.g)]
                 for val in vals]
 
     def semilinear_consistent(self, gens, images):
-        """Every syzygy of the gens maps into the relations: each graph
-        row with a zero source block has its image block in their span."""
-        return _graph_consistent(self._graph(gens, images), self.dim,
-                                 self.relation_rows(), self.p, self.W.n)
+        """Every syzygy of the gens maps into the relations: the kernel of
+        the graph lies in their span."""
+        rel = self.relation_rows()
+        return all(in_span(rel, k, self.p, self.W.n)
+                   for k in self._graph(gens, images).kernel())
 
     def is_zero_in_module(self, v):
         return in_span(self.relation_rows(), self.vec(v), self.p, self.W.n)

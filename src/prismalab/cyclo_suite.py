@@ -9,8 +9,6 @@ them is reproduced here with completeness certificates.
 
 from __future__ import annotations
 
-import time
-
 from .errors import BoundaryContamination, InputError, Unstable
 from .linalg_residue import factor, howell_form, in_span, span_length
 from .phi_modules import PhiModule, annihilator_alpha
@@ -220,12 +218,10 @@ def _j_mingens_at(inst, D):
 def sharpness_report(pairs=((2, 1), (3, 1), (5, 1), (2, 2))):
     rows = []
     for p, n in pairs:
-        t0 = time.perf_counter()
         rep = h2_torsion_report(CycloInstance(p, n))
         rows.append({
             "p": p, "n": n, "e": rep["e"], "i": 2,
             "alpha": rep["alpha"], "bound": rep["bound"],
             "equal": rep["sharp"],
-            "seconds": round(time.perf_counter() - t0, 4),
         })
     return rows

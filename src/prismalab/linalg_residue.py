@@ -4,12 +4,15 @@ Howell normal form is the workhorse: it supports row-span membership and
 kernel computations over the chain ring Z/p^n.
 
 One elimination engine serves both: ``howell_form`` echelonizes the rows
-themselves, and ``factor`` echelonizes ``[v_j | e_j]`` for vectors v_j
-once.  The resulting ``Factored`` system answers any number of targets:
-``solve(b)`` reduces ``[b | 0]`` against the stored pivots to coefficients
-x with sum x_j v_j = b (a nonzero left remainder means there are none),
-and ``kernel()`` is built on its first call from the right blocks of the
-rows whose left block vanished: the relations sum x_j v_j = 0.
+themselves, and ``factor`` echelonizes ``[v_j | w_j]`` once over their
+full width, for vectors v_j and their images w_j under a linear map (the
+unit vectors e_j by default).  The resulting ``Factored`` system answers
+any number of targets: ``solve(b)`` reduces ``[b | 0]`` against the pivots
+in the left block to the image of b, sum x_j w_j for any x with
+sum x_j v_j = b (the coefficients x themselves when w = e; a nonzero left
+remainder means b is not in the span), and ``kernel()`` is the Howell
+basis read from the pivots in the right block: the images sum x_j w_j of
+the relations sum x_j v_j = 0, which are the relations when w = e.
 
 Plain rows in, a Howell basis out: every function takes vectors as a list
 of rows of ints together with p and n, and ``howell_form`` returns the
@@ -87,13 +90,10 @@ def _echelon(rows, ncols, p, n):
     return pivots, dead
 
 
-def howell_form(rows, p, n):
-    """Howell basis of the row span of rows over Z/p^n, as a list of rows."""
+def _howell_basis(pivots, p, n):
+    """The pivot rows of an echelon form, each entry above a later pivot
+    reduced below it: the canonical Howell basis of their span."""
     q = p ** n
-    ncols = len(rows[0]) if rows else 0
-    pivots, _ = _echelon([[x % q for x in r] for r in rows], ncols, p, n)
-
-    # reduce entries above each pivot for canonicity
     for j, (prow, col, v) in enumerate(pivots):
         pv = p ** v
         tail = prow[col:]
@@ -101,6 +101,14 @@ def howell_form(rows, p, n):
             if r[col] >= pv:
                 _sub_tail(r, tail, r[col] // pv, col, q)
     return [r for r, _, _ in pivots]
+
+
+def howell_form(rows, p, n):
+    """Howell basis of the row span of rows over Z/p^n, as a list of rows."""
+    q = p ** n
+    ncols = len(rows[0]) if rows else 0
+    pivots, _ = _echelon([[x % q for x in r] for r in rows], ncols, p, n)
+    return _howell_basis(pivots, p, n)
 
 
 def pivot_info(H, p, n):
@@ -139,27 +147,34 @@ def spans_equal(H1, H2, p, n):
 
 
 class Factored:
-    """One elimination of ``[v_j | e_j]``, kept to serve many solves.
+    """One elimination of ``[v_j | w_j]``, kept to serve many solves.
 
-    A row ``[l | t]`` of the echelon form has ``sum_j t_j v_j = l``:
-    ``solve`` reduces ``[b | 0]`` against the pivot rows, and ``kernel``
-    reads the right blocks of the rows whose left block vanished.
+    A row ``[l | t]`` of the echelon form is ``sum_j x_j [v_j | w_j]`` for
+    some x: ``solve`` reduces ``[b | 0]`` against the pivots in the left
+    block, and ``kernel`` reads the pivots in the right block, whose left
+    block vanished.
     """
 
-    __slots__ = ("p", "n", "length", "count", "_pivots", "_dead", "_kernel")
+    __slots__ = ("p", "n", "length", "count", "width", "_pivots",
+                 "_syzygies", "_kernel")
 
-    def __init__(self, p, n, length, count, pivots, dead):
-        self.p, self.n, self.length, self.count = p, n, length, count
-        self._pivots, self._dead, self._kernel = pivots, dead, None
+    def __init__(self, p, n, length, count, width, pivots):
+        self.p, self.n = p, n
+        self.length, self.count, self.width = length, count, width
+        k = next((i for i, (_, col, _) in enumerate(pivots) if col >= length),
+                 len(pivots))
+        self._pivots, self._syzygies = pivots[:k], pivots[k:]
+        self._kernel = None
 
     def solve(self, b):
-        """Coefficients x with sum_j x_j v_j = b; raises Inconsistent when b
-        is not in their span (with no vectors: when b is not zero)."""
+        """The image sum_j x_j w_j of b = sum_j x_j v_j (the coefficients x
+        when w = e); raises Inconsistent when b is not in the span of the
+        vectors (with no vectors: when b is not zero)."""
         if self.count and len(b) != self.length:
             raise InputError("target length must equal the vector length")
         q, k = self.p ** self.n, len(b)
-        # [b | 0] minus the pivots it needs is [0 | -x]
-        vec = [x % q for x in b] + [0] * self.count
+        # [b | 0] minus the pivots it needs is [0 | -image]
+        vec = [x % q for x in b] + [0] * self.width
         for prow, col, _ in self._pivots:
             c = vec[col] // prow[col]
             if c:
@@ -170,24 +185,26 @@ class Factored:
         return [-x % q for x in vec[k:]]
 
     def kernel(self):
-        """Howell basis of the relations sum_j x_j v_j = 0, built once."""
+        """Howell basis of the images sum_j x_j w_j of the relations
+        sum_j x_j v_j = 0 (the relations when w = e), built once."""
         if self._kernel is None:
-            self._kernel = howell_form([r[self.length:] for r in self._dead],
-                                       self.p, self.n)
-            self._dead = None
+            k = self.length
+            self._kernel = [r[k:] for r in
+                            _howell_basis(self._syzygies, self.p, self.n)]
+            self._syzygies = None
         return self._kernel
 
 
-def factor(vectors, p, n):
-    """Eliminate the vectors over Z/p^n once, as a Factored system whose
-    relations and coefficients for any target read off the same echelon
-    form."""
+def factor(vectors, p, n, images=None):
+    """Eliminate the rows [v_j | w_j] over Z/p^n once, w_j the image of the
+    vector v_j (default: the unit vector e_j), as a Factored system whose
+    images of any target and kernel read off the same echelon form."""
     q = p ** n
     length, count = (len(vectors[0]) if vectors else 0), len(vectors)
-    work = []
-    for j, v in enumerate(vectors):
-        r = [x % q for x in v] + [0] * count
-        r[length + j] = 1
-        work.append(r)
-    pivots, dead = _echelon(work, length, p, n)
-    return Factored(p, n, length, count, pivots, dead)
+    if images is None:
+        images = [[0] * j + [1] + [0] * (count - 1 - j) for j in range(count)]
+    width = len(images[0]) if images else 0
+    work = [[x % q for x in v] + [x % q for x in w]
+            for v, w in zip(vectors, images, strict=True)]
+    pivots, _ = _echelon(work, length + width, p, n)
+    return Factored(p, n, length, count, width, pivots)

@@ -514,11 +514,6 @@ class DpRing:
         out.extend([0] * (self.dim - len(out)))
         return DpElem(self, tuple(out), prec or self.n_int)
 
-    def mult_matrix(self, y):
-        """Matrix of multiplication by y on the Z/p^{n_int}-basis
-        {x^s b_t}; columns indexed like to_vec."""
-        return [list(row) for row in zip(*self.s_multiples([y.vec], self.q))]
-
     def s_multiples(self, vecs, q, tmax=None, frob=False):
         """Rows x^a b_t v mod q (t < tmax, default D, and a < m) at index
         t*m + a, v the concatenation of the flat vectors vecs; with frob,

@@ -20,6 +20,9 @@ from prismalab.series_rings import (
 from prismalab.witt_base import WittRing, _witt_ring
 
 from direct_sums import direct_sum
+from graph_reference import (
+    _graph_apply, assert_factor_is_graph, fil_basis, fil_graph, fl_graph,
+)
 
 
 def dp_ring(p, h, e=1, D=None, m=1, f=None):
@@ -179,7 +182,7 @@ def test_fl_direct_sum_additive():
     # base change commutes with sums at the level of Fil spans
     Bsum = direct_sum(fl_to_breuil(unit_fl(W)),
                       fl_to_breuil(tate_fl(W)))
-    assert spans_equal(B.fil_span(), Bsum.fil_span(), B.p, 1)
+    assert spans_equal(fil_basis(B), fil_basis(Bsum), B.p, 1)
 
 
 def _random_invertible(rng, g, p):
@@ -415,6 +418,8 @@ def test_fl_graph_check_random_relations(p, m):
         images = [[rand() for _ in range(g)] for _ in range(k)]
         ok = M.semilinear_consistent(gens, images)
         assert ok == _fl_syzygy_consistent(M, gens, images)
+        assert_factor_is_graph(M._graph(gens, images),
+                               fl_graph(M, gens, images), M.dim, p, 2)
         verdicts.add(ok)
         if not ok:
             continue
@@ -431,6 +436,24 @@ def test_fl_graph_check_random_relations(p, m):
         for value, want in zip(got, wants):
             assert M.is_zero_in_module([x - y for x, y in zip(value, want)])
     assert verdicts == {True, False}
+
+
+def test_fl_graph_without_vectors():
+    # W_2 acting on Z/9 + Z/9 has no relation rows, so with no generators
+    # the graph has no vectors: the zero target maps to zero, as in the
+    # Howell-form reference, and a nonzero target is off the span
+    W = WittRing(3, 2, 1)
+    one, zero = W.one(), W.zero()
+    M = FLModule(W, [2, 2], 0, {}, {0: [[one, zero], [zero, one]]})
+    assert M.relation_rows() == []
+    F = M._graph([], [])
+    assert F.solve([0, 0]) == [] and F.kernel() == []
+    [ref] = _graph_apply(fl_graph(M, [], []), M.dim, [[0, 0]], 3, 2, "")
+    assert ref == [0, 0]
+    assert M.semilinear_apply([], [], [[zero, zero]]) == [[zero, zero]]
+    assert M.semilinear_consistent([], [])
+    with pytest.raises(Inconsistent):
+        M.semilinear_apply([], [], [[one, zero]])
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +516,9 @@ def test_fl_to_breuil_matches_all_rows_reference():
                                units=True)
             B, R = fl_to_breuil(M, eis, D), ref_fl_to_breuil(M, eis, D)
             case = (p, m, e, D, M.g, M.h)
-            assert B._fil_data() == R._fil_data(), case
+            H = fil_graph(B)
+            assert H == fil_graph(R), case
+            assert_factor_is_graph(B._fil_data(), H, B.dim, p, 1)
             got = [B.phi_h_consistent(), B.phi_h_generates(),
                    _outcome(is_breuil_module, B)]
             assert got == [R.phi_h_consistent(), R.phi_h_generates(),
@@ -736,13 +761,13 @@ def test_kisin_rank_one_unit_and_tate():
     ok, why = is_breuil_module(B)
     assert ok, why
     T = tate_breuil(S, 1)
-    assert spans_equal(B.fil_span(), T.fil_span(), p, 1)
+    assert spans_equal(fil_basis(B), fil_basis(T), p, 1)
     # phi(e) = E e: every element already maps into E M, so the
     # filtration is the whole module, with phi_1(1) = phi(E)/p = c1
     B = BreuilModule(S, 1, 1, [[S.one()]], [[S.c1().reduce_prec(1)]])
     ok, why = is_breuil_module(B)
     assert ok, why
-    assert span_length(B.fil_span(), p, 1) == B.dim
+    assert span_length(fil_basis(B), p, 1) == B.dim
 
 
 def test_kisin_rank_two():
@@ -813,8 +838,7 @@ def test_residual_higher_e_zero_branch():
     # top p coordinates which are killed by truncation alone
     S = R.S
     up = S.from_int_poly([0] * S.p + [1])
-    A = S.mult_matrix(up)
-    K = factor([list(c) for c in zip(*A)], S.p, 1).kernel()
+    K = factor(S.s_multiples([up.vec], S.q), S.p, 1).kernel()
     assert len(K) - S.p * S.m == info["torsion_per_rank"]
     with pytest.raises(BadRamification):
         unramified_realization(R, 4)

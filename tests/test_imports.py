@@ -3,7 +3,7 @@ every private helper it defines is used in src/prismalab, every public
 function and module-level class it defines is reached or on a short
 allow-list, no module of src/prismalab or tests unpacks or indexes a
 howell_form, and no module of src/prismalab transposes the vectors it
-passes to factor."""
+passes to factor or passes howell_form the graph rows of a map."""
 
 import ast
 import pathlib
@@ -105,12 +105,13 @@ def _transposes(node):
     return False
 
 
-def transposed_factor_inputs(source):
-    """Lines of factor(...) calls whose vectors are a transposition, given
-    directly or as a name assigned in the same function.  factor takes the
-    vectors it combines; a matrix of equations belongs to no caller."""
+def _first_arguments(source, callee):
+    """(line, values) per call of callee (a name or attribute) in source:
+    its first argument and, when that is a name, every value the same
+    function assigns to the name, adds to it with +=, or passes to its
+    .extend(...)."""
     tree = ast.parse(source)
-    lines = set()
+    out = []
     for scope in [tree] + [n for n in ast.walk(tree)
                            if isinstance(n, ast.FunctionDef)]:
         body = [scope] if scope is not tree else [
@@ -123,17 +124,33 @@ def transposed_factor_inputs(source):
                 for t in node.targets:
                     if isinstance(t, ast.Name):
                         assigned.setdefault(t.id, []).append(node.value)
+            elif isinstance(node, ast.AugAssign) \
+                    and isinstance(node.target, ast.Name):
+                assigned.setdefault(node.target.id, []).append(node.value)
+            elif isinstance(node, ast.Call) and node.args \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "extend" \
+                    and isinstance(node.func.value, ast.Name):
+                assigned.setdefault(node.func.value.id, []).append(
+                    node.args[0])
         for node in nodes:
-            if not (isinstance(node, ast.Call) and node.args and "factor" in (
+            if not (isinstance(node, ast.Call) and node.args and callee in (
                     getattr(node.func, "id", None),
                     getattr(node.func, "attr", None))):
                 continue
             arg = node.args[0]
-            values = [arg] + (assigned.get(arg.id, [])
-                              if isinstance(arg, ast.Name) else [])
-            if any(_transposes(v) for v in values):
-                lines.add(node.lineno)
-    return sorted(lines)
+            out.append((node.lineno, [arg] + (
+                assigned.get(arg.id, []) if isinstance(arg, ast.Name)
+                else [])))
+    return out
+
+
+def transposed_factor_inputs(source):
+    """Lines of factor(...) calls whose vectors are a transposition, given
+    directly or as a name assigned in the same function.  factor takes the
+    vectors it combines; a matrix of equations belongs to no caller."""
+    return sorted({line for line, values in _first_arguments(source, "factor")
+                   if any(_transposes(v) for v in values)})
 
 
 def test_the_guard_sees_a_transposed_factor_input():
@@ -156,6 +173,52 @@ def test_the_guard_sees_a_transposed_factor_input():
 def test_src_passes_factor_its_vectors():
     files = sorted(SRC.glob("*.py"))
     found = {f.name: transposed_factor_inputs(f.read_text()) for f in files}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def _concatenates_blocks(node):
+    """node holds a comprehension a + b for a, b in zip(...): rows made of
+    two blocks."""
+    return any(isinstance(sub, (ast.ListComp, ast.GeneratorExp))
+               and isinstance(sub.elt, ast.BinOp)
+               and isinstance(sub.elt.op, ast.Add)
+               and any(isinstance(g.iter, ast.Call)
+                       and getattr(g.iter.func, "id", None) == "zip"
+                       for g in sub.generators)
+               for sub in ast.walk(node))
+
+
+def graph_rows_to_howell(source):
+    """Lines of howell_form(...) calls whose rows concatenate two blocks,
+    given directly or as a name the same function assigns or extends.  The
+    graph [source | image] of a map is a factor system with images: one
+    elimination gives its values and the images of its syzygies."""
+    return sorted({line for line, values
+                   in _first_arguments(source, "howell_form")
+                   if any(_concatenates_blocks(v) for v in values)})
+
+
+def test_the_guard_sees_graph_rows_passed_to_howell_form():
+    source = ("howell_form([a + b for a, b in zip(src, dst)], p, n)\n"
+              "def f(gens):\n"
+              "    rows = [list(r) + zero for r in rel]\n"
+              "    for g in gens:\n"
+              "        rows.extend(a + b for a, b in zip(g, g))\n"
+              "    return la.howell_form(rows, p, n)\n"
+              "def g(src, dst):\n"
+              "    rows = [a + b for a, b in zip(src, dst)]\n"
+              "    return howell_form(rows, p, n)\n"
+              "def h(u, v, rows):\n"
+              "    rows += [[(a + b) % q for a, b in zip(u, v)]]\n"
+              "    howell_form(rows, p, n)\n"
+              "    factor(src, p, n, images=[a + b for a, b in zip(u, v)])\n"
+              "    howell_form([list(r) for r in rows], p, n)\n")
+    assert graph_rows_to_howell(source) == [1, 6, 9]
+
+
+def test_src_poses_graphs_as_factor_systems():
+    files = sorted(SRC.glob("*.py"))
+    found = {f.name: graph_rows_to_howell(f.read_text()) for f in files}
     assert {k: v for k, v in found.items() if v} == {}
 
 

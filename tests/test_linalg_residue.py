@@ -11,6 +11,8 @@ from prismalab.linalg_residue import (
     spans_equal,
 )
 
+from graph_reference import _graph_apply, _graph_consistent
+
 
 def columns(A):
     """The columns of the matrix A (a list of rows): the vectors that A x
@@ -414,19 +416,20 @@ def test_factor_serves_every_right_hand_side_like_per_call_solves(p, n):
 
 def test_factor_builds_the_kernel_once(monkeypatch):
     calls = []
-    real = linalg_residue.howell_form
+    real = linalg_residue._howell_basis
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(linalg_residue, "howell_form", counting)
     A = [[1, 2, 3], [2, 4, 6]]
+    K_ref, sol_ref = kernel_solve_per_call(A, [1, 2], 3, 2)
+    monkeypatch.setattr(linalg_residue, "_howell_basis", counting)
     F = factor(columns(A), 3, 2)
-    assert F.solve([1, 2]) == kernel_solve_per_call(A, [1, 2], 3, 2)[1]
+    assert F.solve([1, 2]) == sol_ref
     assert calls == []
     K = F.kernel()
-    assert K == kernel_solve_per_call(A, None, 3, 2)[0] and calls == [1]
+    assert K == K_ref and calls == [1]
     F.solve([2, 4])
     assert F.kernel() is K and calls == [1]
 
@@ -435,6 +438,83 @@ def test_factor_rejects_mismatched_right_hand_side():
     F = factor([[1, 0], [0, 1]], 2, 1)
     with pytest.raises(InputError):
         F.solve([1])
+
+
+# ---------------------------------------------------------------------------
+# graphs of maps: factor with images against the Howell form of the rows
+# [source | image], read as before the graphs became factor systems
+# ---------------------------------------------------------------------------
+
+
+def _check_graph(p, n, d, src, dst, rel, targets):
+    """factor(src, images=dst) against the Howell graph of [src | dst],
+    sources and images d wide, relations rel: equal kernels and
+    consistency verdicts, and at each target the reference value modulo
+    the kernel (exactly when it is empty), or Inconsistent from both.
+    With no vectors solve gives [] where the reference gives zero."""
+    q = p ** n
+    H = howell_form([s + t for s, t in zip(src, dst)], p, n)
+    F = factor(src, p, n, images=dst)
+    K = F.kernel()
+    assert K == [r[d:] for r in H if not any(r[:d])]
+    assert (all(in_span(rel, k, p, n) for k in K)
+            == _graph_consistent(H, d, rel, p, n))
+    reached = 0
+    for b in targets:
+        try:
+            [ref] = _graph_apply(H, d, [b], p, n, "off the span")
+        except Inconsistent:
+            with pytest.raises(Inconsistent):
+                F.solve(b)
+            continue
+        reached += 1
+        got = F.solve(b)
+        if not src:
+            assert got == [] and ref == [0] * d
+            continue
+        assert in_span(K, [(a - c) % q for a, c in zip(got, ref)], p, n)
+        assert got == ref or K
+    return reached
+
+
+@st.composite
+def graph_systems(draw):
+    """(p, n, d, src, dst, rel, targets) at p in {2, 3}, n <= 3: up to five
+    vectors of length d <= 3, the first of them relation rows with image 0
+    and the others with random images, rel the Howell basis of the
+    relation rows, and targets in and off the span."""
+    p, n = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
+                                 (3, 3)]))
+    q, d = p ** n, draw(st.integers(0, 3))
+    entry = st.one_of(st.just(0), st.sampled_from([p ** k for k in range(n)]),
+                      st.integers(0, q - 1))
+    vec = st.lists(entry, min_size=d, max_size=d)
+    src = draw(st.lists(vec, max_size=5))
+    j = draw(st.integers(0, len(src)))
+    dst = [[0] * d for _ in src[:j]] + draw(
+        st.lists(vec, min_size=len(src) - j, max_size=len(src) - j))
+    x = draw(st.lists(st.integers(0, q - 1), min_size=len(src),
+                      max_size=len(src)))
+    inside = [sum(c * v[i] for c, v in zip(x, src)) % q for i in range(d)]
+    return (p, n, d, src, dst, howell_form(src[:j], p, n),
+            [inside, draw(vec)])
+
+
+@given(graph_systems())
+def test_graph_factor_matches_howell_graph_reference_property(system):
+    assert _check_graph(*system) >= 1
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 2)])
+def test_graph_factor_on_empty_and_zero_systems(p, n):
+    targets = [[0, 0], [1, 0]]
+    zeros = [[0, 0]] * 3
+    for src, dst, rel in [([], [], []), (zeros, zeros, []),
+                          (zeros, [[1, 0], [0, 0], [0, p]], [[0, 1]]),
+                          (zeros[:2], [[0, 0], [p, 0]], [])]:
+        assert _check_graph(p, n, 2, src, dst, rel, targets) == 1
+    F = factor([], p, n, images=[])
+    assert F.solve([0, 0]) == [] and F.kernel() == []
 
 
 # ---------------------------------------------------------------------------

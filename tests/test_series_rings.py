@@ -17,6 +17,8 @@ from prismalab.series_rings import (
 )
 from prismalab.witt_base import WittElem, WittRing, _multiples
 
+from graph_reference import assert_factor_is_graph, fil_graph
+
 
 W22 = WittRing(2, 2, 1)
 W31 = WittRing(3, 1, 1)
@@ -579,7 +581,7 @@ def ref_s_multiples(B, v):
 
 
 def ref_fil_data(B):
-    """The graph rows of BreuilModule._fil_data as a loop of DpElem
+    """The graph rows [x | phi_h(x)] of phi_h on Fil as a loop of DpElem
     products, before the Howell form."""
     S, p = B.S, B.p
     x, sx = S.ring._gen_matrices()
@@ -594,7 +596,8 @@ def ref_fil_data(B):
 
 
 def ref_mult_matrix(S, y):
-    """DpRing.mult_matrix as a loop of DpElem products."""
+    """The matrix of multiplication by y on the basis {x^s b_t}, columns
+    indexed like to_vec, as a loop of DpElem products."""
     x = S.ring._gen_matrices()[0]
     cols = []
     for t in range(S.D):
@@ -651,9 +654,12 @@ def test_s_multiples_match_reference_dp_products(p, e, m, data):
     rows = [a + b for a, b in zip(
         src, S.s_multiples([c.vec for c in img], p, frob=True))]
     assert rows == ref_fil_data(B)
-    assert B._fil_data() == howell_form(rows, p, 1)
+    H = howell_form(rows, p, 1)
+    assert fil_graph(B) == H
+    assert_factor_is_graph(B._fil_data(), H, B.dim, p, 1)
     for y in g:
-        assert S.mult_matrix(y) == ref_mult_matrix(S, y)
+        assert ([list(c) for c in zip(*S.s_multiples([y.vec], q))]
+                == ref_mult_matrix(S, y))
         for tmax in range(S.D + 1):
             got = S.s_multiples([y.vec], q, tmax)
             assert len(got) == tmax * S.m
