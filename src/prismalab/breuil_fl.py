@@ -13,6 +13,9 @@ generators' multiples are the vectors and their images under the map the
 images.  One elimination then evaluates the map (solve, which raises
 Inconsistent off the span) and decides that it is well defined (kernel,
 the images of the syzygies, must vanish modulo the relations).
+is_fl_module factors the graph G_i of each phi_i once and reads the
+chain axiom, well-definedness and phi_i = p phi_{i+1} on Fil^{i+1} from
+it; only generation takes a span of its own.
 """
 
 from __future__ import annotations
@@ -211,11 +214,10 @@ class FLModule:
 
     fil[i] (1 <= i <= h) lists generator vectors of Fil^i; Fil^0 is the
     whole module.  phi[i] lists the phi_i images of those generators
-    (phi[0] is indexed by the standard basis).  Optional projectors witness
-    each Fil^{i+1} as a summand of Fil^i.
+    (phi[0] is indexed by the standard basis).
     """
 
-    def __init__(self, W, divisors, h, fil, phi, projectors=None):
+    def __init__(self, W, divisors, h, fil, phi):
         self.W = W
         self.divisors = list(divisors)
         self.g = len(self.divisors)
@@ -224,7 +226,6 @@ class FLModule:
                     for i in range(1, h + 1)}
         self.phi = {i: [tuple(v) for v in phi.get(i, [])]
                     for i in range(h + 1)}
-        self.projectors = projectors
         if len(self.phi.get(0, [])) != self.g:
             raise InputError("phi_0 must be given on the standard basis")
         for i in range(1, h + 1):
@@ -265,9 +266,9 @@ class FLModule:
             self._rel = howell_form(rows, self.p, self.W.n)
         return self._rel
 
-    def w_span(self, gens, extra_rows=()):
+    def w_span(self, gens):
         """Howell span of the W-module generated by gens (mod relations)."""
-        rows = list(extra_rows) + list(self.relation_rows())
+        rows = list(self.relation_rows())
         x = self.W._gen_matrices()[0]
         for v in gens:
             rows.extend(_multiples(self.vec(v), x, self.W.q))
@@ -289,61 +290,37 @@ class FLModule:
             dst += _multiples(self.vec(im), sx, W.q)
         return factor(src, self.p, W.n, images=dst)
 
-    def semilinear_apply(self, gens, images, targets):
-        """sigma-semilinear values at each of targets; raises Inconsistent
-        when a target is not in the W-span of gens.
-
-        The map sends sum a_k f_k to sum sigma(a_k) phi(f_k).
-        """
-        F, m = self._graph(gens, images), self.m
-        vals = [F.solve(self.vec(v)) for v in targets]
-        return [[self.W.elem(val[t * m:(t + 1) * m]) for t in range(self.g)]
-                for val in vals]
-
-    def semilinear_consistent(self, gens, images):
-        """Every syzygy of the gens maps into the relations: the kernel of
-        the graph lies in their span."""
-        rel = self.relation_rows()
-        return all(in_span(rel, k, self.p, self.W.n)
-                   for k in self._graph(gens, images).kernel())
-
-    def is_zero_in_module(self, v):
-        return in_span(self.relation_rows(), self.vec(v), self.p, self.W.n)
-
 
 def is_fl_module(M):
-    """The three category axioms; returns (ok, failing axiom)."""
-    # axiom 1: decreasing chain (with projector witnesses when supplied)
-    for i in range(1, M.h + 1):
-        Hi = M.w_span(M.fil_gens(i - 1))
-        for v in M.fil_gens(i):
-            if not in_span(Hi, M.vec(v), M.p, M.W.n):
-                return False, "axiom1-chain"
-    if M.projectors is not None:
-        for i, P in M.projectors.items():
-            Hn = M.w_span(M.fil_gens(i + 1))
-            apply_p = lambda v: [sum((P[a][b] * v[b] for b in range(M.g)),
-                                     M.W.zero()) for a in range(M.g)]
-            for v in M.fil_gens(i):
-                if not in_span(Hn, M.vec(apply_p(v)), M.p, M.W.n):
-                    return False, "axiom1-projector"
-            for v in M.fil_gens(i + 1):
-                if not M.is_zero_in_module(
-                        [a - b for a, b in zip(apply_p(v), v)]):
-                    return False, "axiom1-projector"
-    # well-definedness of each phi_i
-    for i in range(M.h + 1):
-        if not M.semilinear_consistent(M.fil_gens(i), M.phi_images(i)):
-            return False, "phi-not-well-defined"
-    # axiom 2: phi_i restricted to Fil^{i+1} equals p phi_{i+1}
+    """The three category axioms; returns (ok, failing axiom).
+
+    Each phi_i is read from one factor system, its graph G_i on Fil^i
+    (FLModule._graph).  Axiom 1, Fil^{i+1} inside Fil^i: G_i solves each
+    generator of Fil^{i+1}.  phi_i is well defined: the kernel of G_i, the
+    images of the syzygies, lies in the relations.  Axiom 2: G_i's value
+    at a generator of Fil^{i+1} is p times its phi_{i+1} image modulo the
+    relations.  Axiom 3, that the images generate, is one span.
+    """
+    rel, p, n = M.relation_rows(), M.p, M.W.n
+    G = [M._graph(M.fil_gens(i), M.phi_images(i)) for i in range(M.h + 1)]
+    # axiom 1: decreasing chain
     for i in range(M.h):
-        if not M.fil_gens(i + 1):
-            continue
-        vals = M.semilinear_apply(M.fil_gens(i), M.phi_images(i),
-                                  M.fil_gens(i + 1))
-        for via_i, im in zip(vals, M.phi_images(i + 1)):
-            diff = [a - b.scale(M.p) for a, b in zip(via_i, im)]
-            if not M.is_zero_in_module(diff):
+        for v in M.fil_gens(i + 1):
+            try:
+                G[i].solve(M.vec(v))
+            except Inconsistent:
+                return False, "axiom1-chain"
+    # well-definedness of each phi_i
+    for Gi in G:
+        if not all(in_span(rel, k, p, n) for k in Gi.kernel()):
+            return False, "phi-not-well-defined"
+    # axiom 2: phi_i restricted to Fil^{i+1} equals p phi_{i+1}; a graph
+    # with no vectors has no image block, and solves only zero
+    for i in range(M.h):
+        for v, im in zip(M.fil_gens(i + 1), M.phi_images(i + 1)):
+            via_i = G[i].solve(M.vec(v)) or [0] * M.dim
+            if not in_span(rel, [a - p * b for a, b in zip(via_i, M.vec(im))],
+                           p, n):
                 return False, "axiom2"
     # axiom 3: the phi images generate the module (their lifts plus the
     # relation rows must span the whole lattice)
@@ -351,7 +328,7 @@ def is_fl_module(M):
     for i in range(M.h + 1):
         gens.extend(M.phi_images(i))
     H = M.w_span(gens)
-    if span_length(H, M.p, M.W.n) != M.dim * M.W.n:
+    if span_length(H, p, n) != M.dim * n:
         return False, "axiom3"
     return True, None
 

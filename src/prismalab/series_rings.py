@@ -91,10 +91,6 @@ class SeriesElem:
         W, m, v = self.ring, self.ring.m, self.vec
         return tuple(WittElem(W, v[k:k + m]) for k in range(0, len(v), m))
 
-    def coeff(self, i):
-        cs = self.coeffs
-        return cs[i] if i < len(cs) else self.ring.zero()
-
     def degree(self):
         return len(self.vec) // self.ring.m - 1
 
@@ -774,13 +770,9 @@ class DpElem:
             acc = acc + term
         return acc.scale_w(ai)
 
-    def eq(self, other):
-        d = self - other
-        return d.is_zero()
-
     def __eq__(self, other):
         return (isinstance(other, DpElem) and self.ring is other.ring
-                and self.eq(other))
+                and (self - other).is_zero())
 
     def __repr__(self):
         parts = [f"{list(c.coeffs)}*b{i}"

@@ -2,10 +2,17 @@
 [source | image], as prismalab read them before each graph became a
 linalg_residue.factor system.  Kept verbatim as the references that
 factor's solve and kernel are compared against.
+
+ref_is_fl_module is the FL axiom check as it was before it read every
+axiom but generation from one graph per filtration level: a span per
+level for the chain, then a graph for well-definedness and another for
+axiom 2.
 """
 
 from prismalab.errors import Inconsistent
-from prismalab.linalg_residue import howell_form, in_span, reduce_vector
+from prismalab.linalg_residue import (
+    howell_form, in_span, reduce_vector, span_length,
+)
 from prismalab.witt_base import _multiples
 
 
@@ -73,3 +80,62 @@ def assert_factor_is_graph(F, H, d, p, n):
         if any(r[:d]):
             diff = [(a - b) % q for a, b in zip(F.solve(r[:d]), r[d:])]
             assert in_span(K, diff, p, n)
+
+
+def _semilinear_apply(M, gens, images, targets):
+    """sigma-semilinear values at each of targets; raises Inconsistent
+    when a target is not in the W-span of gens.
+
+    The map sends sum a_k f_k to sum sigma(a_k) phi(f_k).
+    """
+    F, m = M._graph(gens, images), M.m
+    vals = [F.solve(M.vec(v)) for v in targets]
+    return [[M.W.elem(val[t * m:(t + 1) * m]) for t in range(M.g)]
+            for val in vals]
+
+
+def _semilinear_consistent(M, gens, images):
+    """Every syzygy of the gens maps into the relations: the kernel of
+    the graph lies in their span."""
+    rel = M.relation_rows()
+    return all(in_span(rel, k, M.p, M.W.n)
+               for k in M._graph(gens, images).kernel())
+
+
+def _is_zero_in_module(M, v):
+    return in_span(M.relation_rows(), M.vec(v), M.p, M.W.n)
+
+
+def ref_is_fl_module(M):
+    """The three category axioms; returns (ok, failing axiom).  Verbatim
+    but for the projector witnesses, which FLModule no longer takes, and
+    the three deleted FLModule methods, now the functions above."""
+    # axiom 1: decreasing chain
+    for i in range(1, M.h + 1):
+        Hi = M.w_span(M.fil_gens(i - 1))
+        for v in M.fil_gens(i):
+            if not in_span(Hi, M.vec(v), M.p, M.W.n):
+                return False, "axiom1-chain"
+    # well-definedness of each phi_i
+    for i in range(M.h + 1):
+        if not _semilinear_consistent(M, M.fil_gens(i), M.phi_images(i)):
+            return False, "phi-not-well-defined"
+    # axiom 2: phi_i restricted to Fil^{i+1} equals p phi_{i+1}
+    for i in range(M.h):
+        if not M.fil_gens(i + 1):
+            continue
+        vals = _semilinear_apply(M, M.fil_gens(i), M.phi_images(i),
+                                 M.fil_gens(i + 1))
+        for via_i, im in zip(vals, M.phi_images(i + 1)):
+            diff = [a - b.scale(M.p) for a, b in zip(via_i, im)]
+            if not _is_zero_in_module(M, diff):
+                return False, "axiom2"
+    # axiom 3: the phi images generate the module (their lifts plus the
+    # relation rows must span the whole lattice)
+    gens = []
+    for i in range(M.h + 1):
+        gens.extend(M.phi_images(i))
+    H = M.w_span(gens)
+    if span_length(H, M.p, M.W.n) != M.dim * M.W.n:
+        return False, "axiom3"
+    return True, None

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from prismalab import breuil_fl as bf
 from prismalab.breuil_fl import (
     BreuilModule, FLModule, fl_criterion, fl_to_breuil, is_breuil_module,
     is_fl_module, residual_module, unramified_realization,
@@ -11,7 +12,7 @@ from prismalab.errors import (
     BadRamification, Inconsistent, InputError, PrismalabError,
 )
 from prismalab.linalg_residue import (
-    factor, howell_form, span_length, spans_equal,
+    factor, howell_form, in_span, span_length, spans_equal,
 )
 from prismalab.phi_modules import EtalePhiModule
 from prismalab.series_rings import (
@@ -22,6 +23,7 @@ from prismalab.witt_base import WittRing, _witt_ring
 from direct_sums import direct_sum
 from graph_reference import (
     _graph_apply, assert_factor_is_graph, fil_basis, fil_graph, fl_graph,
+    ref_is_fl_module,
 )
 
 
@@ -284,17 +286,136 @@ def test_cold_and_warm_rings_give_the_same_answers():
             for S, t in zip(cold, tables)] == tables
 
 
-def test_fl_projector_witnesses():
-    W = WittRing(3, 1, 1)
-    one, zero = W.one(), W.zero()
-    M = direct_sum(tate_fl(W), unit_fl(W))
-    # projector onto the first coordinate witnesses Fil^1 inside Fil^0
-    M.projectors = {0: [[one, zero], [zero, zero]]}
-    ok, why = is_fl_module(M)
-    assert ok, why
-    # a wrong projector (onto the second coordinate) is rejected
-    M.projectors = {0: [[zero, zero], [zero, one]]}
-    assert is_fl_module(M) == (False, "axiom1-projector")
+def _torsion_fl(rng, n, m, plant=None):
+    """Random FL module over W_n(F_{p^m}) on the sum of the W/p^{c_t},
+    0 <= c_t <= n, so that relation rows enter (a zero summand at c_t = 0).
+
+    e_t sits at level l_t, and phi_i(e_t) = p^{l_t - i} col_t, for columns
+    of an automorphism that mixes only summands of one divisor.  Each Fil^i
+    with i >= 1 also gets redundant generators: a W-combination of two of
+    its basis vectors, or zero, with the matching image.  plant breaks one
+    axiom on a summand with c_t >= 1 (None when there is none to break):
+    "chain" adds to Fil^i an e_t from below Fil^{i-1}, "well-defined" a
+    generator a e_t (possibly zero in the module) whose image is off by a
+    unit vector, "axiom2" gives phi_i(e_t) the value of phi_{l_t}(e_t) at
+    some i < l_t, "axiom3" sends e_t to zero at every level, and "noise"
+    adds a random vector to a random image.
+    """
+    p = rng.choice([2, 3])
+    W = WittRing(p, n, m)
+    g, h = rng.randrange(1, 4), rng.randrange(1, 4)
+    c = [rng.randrange(n + 1) for _ in range(g)]
+    lv = [rng.randrange(h + 1) for _ in range(g)]
+    live = [t for t in range(g) if c[t]]
+    rand = lambda: W.elem([rng.randrange(W.q) for _ in range(m)])
+    basis = lambda t: [W.one() if s == t else W.zero() for s in range(g)]
+    col = [basis(t) for t in range(g)]
+    for _ in range(2 * g):
+        s, t = rng.randrange(g), rng.randrange(g)
+        if s != t and c[s] == c[t]:
+            a = rand()
+            col[t] = [x + a * y for x, y in zip(col[t], col[s])]
+    img = {(i, t): [x.scale(p ** (lv[t] - i)) for x in col[t]]
+           for t in range(g) for i in range(lv[t] + 1)}
+    if plant in ("chain", "well-defined", "axiom2", "axiom3") and not live:
+        return None
+    if plant == "axiom2":
+        t = rng.choice(live)
+        if not lv[t]:
+            return None
+        img[rng.randrange(lv[t]), t] = list(col[t])
+    if plant == "axiom3":
+        t = rng.choice(live)
+        for i in range(lv[t] + 1):
+            img[i, t] = [W.zero()] * g
+    if plant == "noise":
+        img[rng.choice(list(img))] = [rand() for _ in range(g)]
+    fil = {i: [basis(t) for t in range(g) if lv[t] >= i]
+           for i in range(1, h + 1)}
+    phi = {i: [img[i, t] for t in range(g) if lv[t] >= i]
+           for i in range(h + 1)}
+    comb = lambda a, u, b, v: [x * a + y * b for x, y in zip(u, v)]
+    for i in range(1, h + 1):
+        ts = [t for t in range(g) if lv[t] >= i]
+        if ts and rng.random() < 0.7:
+            s, t, a, b = rng.choice(ts), rng.choice(ts), rand(), rand()
+            fil[i].append(comb(a, basis(s), b, basis(t)))
+            phi[i].append(comb(W.sigma(a), img[i, s], W.sigma(b), img[i, t]))
+        if rng.random() < 0.2:
+            fil[i].append([W.zero()] * g)
+            phi[i].append([W.zero()] * g)
+    if plant == "chain":
+        cands = [(i, t) for i in range(2, h + 1) for t in live
+                 if lv[t] <= i - 2]
+        if not cands:
+            return None
+        i, t = rng.choice(cands)
+        fil[i].append(basis(t))
+        phi[i].append([rand() for _ in range(g)])
+    if plant == "well-defined":
+        cands = [(i, t) for i in range(1, h + 1) for t in range(g)
+                 if lv[t] >= i]
+        if not cands:
+            return None
+        i, t = rng.choice(cands)
+        a = rng.choice([rand(), W.elem([p ** c[t]])])
+        fil[i].append([x * a for x in basis(t)])
+        phi[i].append([x * W.sigma(a) + y
+                       for x, y in zip(img[i, t], basis(rng.choice(live)))])
+    return FLModule(W, c, h, fil, phi)
+
+
+PLANTS = {None: None, "chain": "axiom1-chain",
+          "well-defined": "phi-not-well-defined", "axiom2": "axiom2",
+          "axiom3": "axiom3", "noise": None}
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_is_fl_module_matches_three_pass_reference(n, m):
+    # one graph per level gives the verdicts of the reference's chain
+    # spans and two graph passes, on modules with relations; each planted
+    # failure gives its own label, and an unplanted module is FL
+    rng = random.Random(500 + 10 * n + m)
+    seen = set()
+    for _ in range(10):
+        for plant, label in PLANTS.items():
+            M = _torsion_fl(rng, n, m, plant)
+            if M is None:
+                continue
+            got = is_fl_module(M)
+            assert got == ref_is_fl_module(M), (plant, M.divisors, M.h)
+            if plant != "noise":
+                assert got == (label is None, label), plant
+            seen.add(got[1])
+    assert seen == set(PLANTS.values())
+
+
+def test_is_fl_module_factors_each_graph_once(monkeypatch):
+    # h + 1 graphs, one per phi_i; the only Howell forms are the relation
+    # rows, built once per module, and the span of axiom 3
+    calls = []
+
+    def spy(name):
+        fn = getattr(bf, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(bf, name, counted)
+    spy("factor")
+    spy("howell_form")
+    rng = random.Random(600)
+    done = 0
+    while done < 12:
+        M = _torsion_fl(rng, rng.choice([1, 2]), rng.choice([1, 2]))
+        calls.clear()
+        assert is_fl_module(M) == (True, None)
+        assert calls.count("factor") == M.h + 1
+        assert calls.count("howell_form") == 2
+        calls.clear()
+        assert is_fl_module(M) == (True, None)
+        assert calls == ["factor"] * (M.h + 1) + ["howell_form"]
+        done += 1
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +467,17 @@ def _fl_syzygy_consistent(M, gens, images):
         for c, val in zip(k[:len(cols)], vals):
             if c:
                 acc = [a + v.scale(c) for a, v in zip(acc, val)]
-        if not M.is_zero_in_module(acc):
+        if not in_span(rel, M.vec(acc), M.p, W.n):
             return False
     return True
+
+
+def _graph_well_defined(M, gens, images):
+    """The kernel of the graph of the map, the images of the syzygies,
+    lies in the relations of M."""
+    rel = M.relation_rows()
+    return all(in_span(rel, k, M.p, M.W.n)
+               for k in M._graph(gens, images).kernel())
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -365,7 +494,7 @@ def test_graph_check_matches_syzygy_reference(p):
             continue
         for i in range(M.h + 1):
             gens, images = M.fil_gens(i), M.phi_images(i)
-            assert (M.semilinear_consistent(gens, images)
+            assert (_graph_well_defined(M, gens, images)
                     == _fl_syzygy_consistent(M, gens, images))
         B = fl_to_breuil(M)
         ok = B.phi_h_consistent()
@@ -391,19 +520,20 @@ def test_fl_graph_check_with_relations():
         ([e(3, 0), e(1, 0)], [e(1, 0), e(1, 0)], False),
     ]
     for gens, images, expect in cases:
-        assert M.semilinear_consistent(gens, images) is expect
+        assert _graph_well_defined(M, gens, images) is expect
         assert _fl_syzygy_consistent(M, gens, images) is expect
     # phi(3 e1) = 3 e1 is only defined on 3 W e1 + W e2
     with pytest.raises(Inconsistent):
-        M.semilinear_apply([e(3, 0), e(0, 1)], [e(3, 0), e(0, 1)],
-                           [e(1, 0)])
+        M._graph([e(3, 0), e(0, 1)], [e(3, 0), e(0, 1)]).solve(
+            M.vec(e(1, 0)))
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (3, 1)])
 def test_fl_graph_check_random_relations(p, m):
     # random gens and images over W_2(F_{p^m}) with summands W/p: the
-    # verdict matches the syzygy reference, and on consistent maps
-    # semilinear_apply is sum sigma(a_k) phi(f_k) modulo the relations
+    # verdict matches the syzygy reference, and on consistent maps the
+    # graph solves sum a_k f_k to sum sigma(a_k) phi(f_k) modulo the
+    # relations
     rng = random.Random(300 + p)
     W = WittRing(p, 2, m)
     rand = lambda: W.elem([p ** rng.randrange(3) * rng.randrange(W.q)
@@ -416,10 +546,10 @@ def test_fl_graph_check_random_relations(p, m):
         k = rng.randrange(1, 4)
         gens = [[rand() for _ in range(g)] for _ in range(k)]
         images = [[rand() for _ in range(g)] for _ in range(k)]
-        ok = M.semilinear_consistent(gens, images)
+        F = M._graph(gens, images)
+        ok = _graph_well_defined(M, gens, images)
         assert ok == _fl_syzygy_consistent(M, gens, images)
-        assert_factor_is_graph(M._graph(gens, images),
-                               fl_graph(M, gens, images), M.dim, p, 2)
+        assert_factor_is_graph(F, fl_graph(M, gens, images), M.dim, p, 2)
         verdicts.add(ok)
         if not ok:
             continue
@@ -431,10 +561,11 @@ def test_fl_graph_check_random_relations(p, m):
             wants.append([sum((W.sigma(ak) * im[t]
                                for ak, im in zip(a, images)), W.zero())
                           for t in range(g)])
-        got = M.semilinear_apply(gens, images, targets)
+        got = [F.solve(M.vec(v)) for v in targets]
         assert len(got) == 2
         for value, want in zip(got, wants):
-            assert M.is_zero_in_module([x - y for x, y in zip(value, want)])
+            assert in_span(M.relation_rows(),
+                           [x - y for x, y in zip(value, M.vec(want))], p, 2)
     assert verdicts == {True, False}
 
 
@@ -450,10 +581,10 @@ def test_fl_graph_without_vectors():
     assert F.solve([0, 0]) == [] and F.kernel() == []
     [ref] = _graph_apply(fl_graph(M, [], []), M.dim, [[0, 0]], 3, 2, "")
     assert ref == [0, 0]
-    assert M.semilinear_apply([], [], [[zero, zero]]) == [[zero, zero]]
-    assert M.semilinear_consistent([], [])
+    assert F.solve(M.vec([zero, zero])) == []
+    assert _graph_well_defined(M, [], [])
     with pytest.raises(Inconsistent):
-        M.semilinear_apply([], [], [[one, zero]])
+        F.solve(M.vec([one, zero]))
 
 
 # ---------------------------------------------------------------------------

@@ -233,25 +233,27 @@ def _functions(sources):
 
 
 def _loaded(sources):
-    """The names some expression of sources loads, as a name or as an
-    attribute; an import alone does not count."""
-    used = set()
+    """(names, attributes): the names some expression of sources loads as
+    a name, and those it loads as an attribute (x.name); an import alone
+    does not count."""
+    names, attrs = set(), set()
     for text in sources.values():
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute) \
                     and isinstance(node.ctx, ast.Load):
-                used.add(node.attr)
-    return used
+                attrs.add(node.attr)
+    return names, attrs
 
 
 def dead_helpers(sources):
     """(file, line, name) of each _-prefixed, non-dunder function or method
     defined in sources whose name no expression in sources loads."""
-    used = _loaded(sources)
+    names, attrs = _loaded(sources)
     return sorted((f, line, node.name) for f, line, node in _functions(sources)
-                  if node.name.startswith("_") and node.name not in used)
+                  if node.name.startswith("_")
+                  and node.name not in names | attrs)
 
 
 def test_the_guard_sees_a_dead_helper():
@@ -295,16 +297,30 @@ def _classes(sources):
             for node in ast.parse(text).body if isinstance(node, ast.ClassDef)]
 
 
+def _methods(sources):
+    """(file, line) of each function defined directly in a class body."""
+    return {(fname, node.lineno) for fname, text in sources.items()
+            for cls in ast.walk(ast.parse(text))
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
 def unreached_public(defined, readers):
     """(file, line, name) of each public, non-dunder function or method and
     each public module-level class defined in defined (file name -> text)
-    whose name no expression in readers loads; a click command
+    that no expression in readers loads: a method only as an attribute
+    (x.name), since a local variable of the same name does not call it, and
+    anything else as a name or an attribute.  A click command
     (@group.command(...)) counts as reached."""
-    used = _loaded(readers)
+    names, attrs = _loaded(readers)
+    methods = _methods(defined)
+    reached = lambda f, line, name: name in attrs or (
+        (f, line) not in methods and name in names)
     return sorted((f, line, node.name)
                   for f, line, node in _functions(defined) + _classes(defined)
                   if not node.name.startswith("_")
-                  and node.name not in used and not _is_click_command(node))
+                  and not reached(f, line, node.name)
+                  and not _is_click_command(node))
 
 
 def test_the_guard_sees_unreached_public_code():
@@ -318,7 +334,9 @@ def test_the_guard_sees_unreached_public_code():
                  "    def __eq__(self, o): return True\n"
                  "    def method(self): pass\n"
                  "    def dead_method(self): pass\n"
-                 "    def _private(self): pass\n"),
+                 "    def _private(self): pass\n"
+                 "    def shadowed(self): pass\n"
+                 "def by_attribute(): pass\n"),
         "errors.py": ("class Base(Exception): pass\n"
                       "class Raised(Base): pass\n"
                       "class Orphan(Base): pass\n"
@@ -329,10 +347,11 @@ def test_the_guard_sees_unreached_public_code():
     }
     readers = dict(defined, **{
         "bench.py": "from a import unreached\ncalled()\nC().method()\n",
-        "test.py": "main()\ndead_method = 0\nOrphan = 0\nf()\n"})
+        "test.py": ("main()\ndead_method = 0\nOrphan = 0\nf()\n"
+                    "shadowed = 1\nprint(shadowed)\na.by_attribute()\n")})
     assert unreached_public(defined, readers) == [
         ("a.py", 7, "unreached"), ("a.py", 11, "dead_method"),
-        ("errors.py", 3, "Orphan")]
+        ("a.py", 13, "shadowed"), ("errors.py", 3, "Orphan")]
 
 
 def test_src_public_code_is_reached_or_allowed():
