@@ -11,11 +11,10 @@ sum a_i x^i (0 <= a_i < q) is the int sum a_i 2^{B i}, with slot spacing
 B = 2b + 2, where b is the bit length of m q^2 (1 + (m - 1) q); coeffs is
 unpacked from it on first read and then kept.  A product's slots are below
 m q^2; folding its m - 1 high slots into the low m with the packed rows
-x^k mod (f, q) keeps each below 2^b, as does sigma's sum of the slots a_j,
-read by shift and mask, times the packed columns sigma(x)^j, so no slot
-carries.  Every slot x < 2^b is then reduced at once by Barrett's
-quotient t = floor(x R / 2^s), with s = b + bitlen(q) and
-R = floor(2^s / q) + 1, as x - q t:
+x^k mod (f, q) keeps each below 2^b, as does sigma's sum of the slots a_j
+times the packed columns sigma(x)^j, so no slot carries.  Every slot
+x < 2^b is then reduced at once by Barrett's quotient t = floor(x R / 2^s),
+with s = b + bitlen(q) and R = floor(2^s / q) + 1, as x - q t:
   - t = floor(x / q) exactly, since R = 2^s/q + d with 0 < d <= 1 and
     x q < 2^s, so x d / 2^s < 1/q adds less than the fraction's gap to 1;
   - x R <= (2^b - 1)(2^{b+1} + 1) < 2^{2b+1}, as q >= 2^{s-b-1}: it fits
@@ -24,10 +23,23 @@ R = floor(2^s / q) + 1, as x - q t:
   - t < 2^{B-s}, so (x R >> s) masked to B - s bits per slot is t.
 A sum of two reduced elements has slots below 2q; adding 2^(B-1) - q to
 every slot sets a slot's top bit exactly where it is >= q, and q is
-subtracted there.  - and unary - add q in every slot first.  At m = 1 the
-packed int is the coefficient and the arithmetic is plain int arithmetic
-mod q.  A ring builds B, the rows, the columns and the constants on first
-use.
+subtracted there.  - adds q in every slot first.  At m = 1 the packed int
+is the coefficient and the arithmetic is plain int arithmetic mod q.  A
+ring builds B, the rows, the columns and the constants on first use.
+
+sigma's sum is taken by table lookup (the "four Russians" matrix-vector
+product of Arlazarov, Dinic, Kronrod and Faradzev, 1970) wherever
+q <= SIGMA_TABLE_SIZE = 256.  The m slots are cut into runs of k
+consecutive slots, k the largest k <= m with q^k <= 256 (the last run may
+be shorter), and a ring builds, with sigma's matrix, one dict per run that
+maps the run's packed bits sum a_j 2^{B (j - start)} to
+sum a_j sigma(x)^j over the run, unreduced.  A table holds q^k <= 256
+entries, and a ring at most 256 ceil(m / k).  sigma adds one lookup per
+run: the sum of the runs' sums is, term for term, the integer
+sum a_j sigma(x)^j, so its slots keep the bound above and _mod_q reduces
+it as before.  Above q = 256 even a one-slot table needs q entries (3^20
+at p = 3, n = 20), so there sigma multiplies each slot a_j, read by shift
+and mask, by its column.
 
 The linearization of sigma-semilinear maps lives here too: a ring builds
 the matrices of x and sigma(x) on first use, _multiples gives the x^a or
@@ -168,6 +180,10 @@ def default_irreducible(p, m):
 # ---------------------------------------------------------------------------
 
 
+# the most entries of one of sigma's lookup tables (module docstring)
+SIGMA_TABLE_SIZE = 256
+
+
 class WittRing:
     """(Z/p^n)[x]/(f) with cached Frobenius lift.
 
@@ -178,8 +194,9 @@ class WittRing:
     apart from them."""
 
     __slots__ = ("p", "n", "m", "f", "q", "_sigma_gen", "_sigma_mat",
-                 "_sigma_cols", "_gen_mats", "_slot", "_mask", "_low",
-                 "_folds", "_shift", "_recip", "_quot", "_qs", "_flags")
+                 "_sigma_cols", "_sigma_tabs", "_sigma_run", "_gen_mats",
+                 "_slot", "_mask", "_low", "_folds", "_shift", "_recip",
+                 "_quot", "_qs", "_flags")
 
     def __new__(cls, p, n, m=1, f=None):
         return _witt_ring(p, n, m, None if f is None else tuple(f))
@@ -262,6 +279,8 @@ class WittRing:
 
     def _unpack(self, v):
         """The m slots of the reduced packed int v, as a tuple."""
+        if self.m == 1:
+            return (v,)
         B, mask, out = self._slot, self._mask, []
         for _ in range(self.m):
             out.append(v & mask)
@@ -323,13 +342,31 @@ class WittRing:
 
     def _sigma_matrix(self):
         """The m x m matrix M over Z/p^n whose column j is sigma(x^j) =
-        sigma(x)^j, as a tuple of rows, and its packed columns (built once)."""
+        sigma(x)^j, as a tuple of rows, built once with what sigma reads:
+        the packed columns and, at m > 1 and q <= SIGMA_TABLE_SIZE, one
+        table per run of k slots (k the largest k <= m with
+        q^k <= SIGMA_TABLE_SIZE) mapping the run's packed bits to the sum
+        of its slots a_j times the packed columns sigma(x)^j, unreduced."""
         if self._sigma_mat is None:
-            s = self.sigma_gen()
+            m, q, s = self.m, self.q, self.sigma_gen()
             pows = [self.one()]
-            for _ in range(self.m - 1):
+            for _ in range(m - 1):
                 pows.append(pows[-1] * s)
-            self._sigma_cols = tuple(pw._v for pw in pows)
+            cols = self._sigma_cols = tuple(pw._v for pw in pows)
+            if m > 1 and q <= SIGMA_TABLE_SIZE:
+                k, B = 1, self._slot
+                while k < m and q ** (k + 1) <= SIGMA_TABLE_SIZE:
+                    k += 1
+                tabs = []
+                for start in range(0, m, k):
+                    tab = {0: 0}
+                    for j in range(start, min(start + k, m)):
+                        at, col = B * (j - start), cols[j]
+                        tab = {key + (a << at): val + a * col
+                               for key, val in tab.items() for a in range(q)}
+                    tabs.append(tab)
+                self._sigma_tabs = tuple(tabs)
+                self._sigma_run = (B * k, (1 << B * k) - 1)
             self._sigma_mat = tuple(zip(*(pw.coeffs for pw in pows)))
         return self._sigma_mat
 
@@ -350,17 +387,26 @@ class WittRing:
         return self._gen_mats
 
     def sigma(self, a):
-        """The Frobenius lift, a -> M a with M from _sigma_matrix: slot j
-        of a, read by shift and mask, times the packed column j, summed
-        and reduced mod q."""
+        """The Frobenius lift, a -> M a with M from _sigma_matrix: the sum
+        over the slots a_j of a of a_j times the packed column j, reduced
+        mod q.  At q <= SIGMA_TABLE_SIZE the sum is one table lookup per
+        run of slots, each keyed by the run's bits read by shift and mask;
+        above, each slot is read and multiplied by its column."""
         if self.m == 1:
             return a
         if self._sigma_mat is None:
             self._sigma_matrix()
-        B, mask, x, v = self._slot, self._mask, a._v, 0
-        for col in self._sigma_cols:
-            v += (x & mask) * col
-            x >>= B
+        x, v, tabs = a._v, 0, self._sigma_tabs
+        if tabs:
+            run, mask = self._sigma_run
+            for tab in tabs:
+                v += tab[x & mask]
+                x >>= run
+        else:
+            B, mask = self._slot, self._mask
+            for col in self._sigma_cols:
+                v += (x & mask) * col
+                x >>= B
         return _box(self, self._mod_q(v))
 
     def __eq__(self, other):
@@ -432,7 +478,7 @@ def _witt_ring(p, n, m, f):
     if len(_fp_gcd(fbar, _fp_deriv(fbar, p), p)) - 1 >= 1:
         raise NonSeparable("f has repeated roots mod p")
     W.f = tuple(f)
-    W._sigma_gen = W._sigma_mat = W._gen_mats = None
+    W._sigma_gen = W._sigma_mat = W._sigma_tabs = W._gen_mats = None
     W._slot = None
     return W
 
@@ -468,12 +514,6 @@ class WittElem:
             return _box(r, (self._v - other._v) % r.q)
         return _box(r, r._sub_q(self._v + r._qs - other._v))
 
-    def __neg__(self):
-        r = self.ring
-        if r.m == 1:
-            return _box(r, -self._v % r.q)
-        return _box(r, r._sub_q(r._qs - self._v))
-
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
@@ -491,20 +531,23 @@ class WittElem:
         return _box(r, r._mod_q(self._v * (c % r.q)))
 
     def __pow__(self, e):
-        """Square-and-multiply on the packed int; a negative e raises the
+        """Left-to-right square-and-multiply on the packed int, starting
+        from the base: e >= 1 takes bitlen(e) - 1 squarings and
+        popcount(e) - 1 products by the base.  A negative e raises the
         inverse (NotAUnit for a non-unit)."""
         r = self.ring
         if e < 0:
             return self.inv() ** -e
         if r.m == 1:
             return _box(r, pow(self._v, e, r.q))
-        acc, base, mul_mod = 1, self._v, r._mul_mod
-        while e:
-            if e & 1:
+        if not e:
+            return _box(r, 1)
+        acc = base = self._v
+        mul_mod = r._mul_mod
+        for bit in bin(e)[3:]:
+            acc = mul_mod(acc * acc)
+            if bit == "1":
                 acc = mul_mod(acc * base)
-            e >>= 1
-            if e:
-                base = mul_mod(base * base)
         return _box(r, acc)
 
     def is_zero(self):

@@ -270,7 +270,7 @@ def _solve_field(cols, target, W):
     v = list(target) + [W.zero()] * len(cols)
     red = _f_reduce(v, ech, piv)
     assert all(x.is_zero() for x in red[:r]), "target outside the span"
-    return [-x for x in red[r:]]
+    return [W.zero() - x for x in red[r:]]
 
 
 def _f_stable(apply, rows, W):

@@ -99,7 +99,9 @@ class BoxedSeries:
         return BoxedSeries(self.ring, cs, N, exact)
 
     def __neg__(self):
-        return BoxedSeries(self.ring, [-c for c in self.coeffs], self.N, self.exact)
+        zero = self.ring.zero()
+        return BoxedSeries(self.ring, [zero - c for c in self.coeffs],
+                           self.N, self.exact)
 
     def __mul__(self, other):
         if isinstance(other, (int, WittElem)):

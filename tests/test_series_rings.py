@@ -275,7 +275,9 @@ class BoxedDp:
                        min(self.prec, other.prec))
 
     def __neg__(self):
-        return BoxedDp(self.ring, tuple(-a for a in self.coords), self.prec)
+        zero = self.ring.ring.zero()
+        return BoxedDp(self.ring, tuple(zero - a for a in self.coords),
+                       self.prec)
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -292,9 +292,11 @@ def sweep_rings():
             if p ** (n * m) <= 4096]
 
 
-# the last two have a slot spacing over 64 bits
+# q = 256 gives sigma tables one slot wide and q = 257 none; the last two
+# have a slot spacing over 64 bits
 REF_RINGS = [WittRing(2, 1, 12), WittRing(2, 12, 1), WittRing(61, 1, 2),
              WittRing(2, 6, 2), WittRing(3, 1, 7), WittRing(5, 2, 3),
+             WittRing(2, 8, 2), WittRing(257, 1, 2),
              WittRing(10 ** 12 + 39, 1, 2), WittRing(3, 20, 2)]
 
 
@@ -312,7 +314,6 @@ def assert_matches_reference(a, b, e):
     pairs = list(zip(a.coeffs, b.coeffs))
     assert (a + b).coeffs == boxed(x + y for x, y in pairs)
     assert (a - b).coeffs == boxed(x - y for x, y in pairs)
-    assert (-a).coeffs == boxed(-x for x in a.coeffs)
     for c in (e, -e):
         assert a.scale(c).coeffs == boxed(x * c for x in a.coeffs)
     # equality and hash follow the reduced coefficient tuple
@@ -341,7 +342,7 @@ def test_packed_arithmetic_reduces_unreduced_and_negative_input(data):
 def test_top_coefficients_fit_the_slot_width_on_every_sweep_ring():
     # q - 1 in every slot maximises every slot of a product and of sigma;
     # slots at 0 and at q - 1 sit on both sides of the conditional
-    # subtract of +, - and unary -
+    # subtract of + and -
     rings = sweep_rings()
     assert len(rings) == 115
     for p, n, m in rings:
@@ -366,6 +367,47 @@ def test_barrett_reduces_slots_up_to_the_bound_on_every_sweep_ring():
         assert R._unpack(R._mod_q(x)) == tuple(c % R.q for c in xs)
 
 
+# rings whose last run of sigma-table slots is short: 8 + 4, 5 + 2, 4 + 2
+# and 3 + 2 slots
+@pytest.mark.parametrize("p,n,m,sizes", [
+    (2, 1, 12, [256, 16]), (3, 1, 7, [243, 9]), (2, 2, 6, [256, 16]),
+    (5, 1, 5, [125, 25])])
+def test_sigma_tables_match_reference_on_every_element(p, n, m, sizes):
+    R = WittRing(p, n, m)
+    R._sigma_matrix()
+    assert [len(t) for t in R._sigma_tabs] == sizes
+    for a in R.elements():
+        assert R.sigma(a) == ref_sigma(R, a)
+
+
+def test_sigma_tables_are_bounded_on_every_ring():
+    for R in REF_RINGS + [WittRing(*r) for r in sweep_rings()]:
+        R._sigma_matrix()
+        if R.m == 1 or R.q > witt_base.SIGMA_TABLE_SIZE:
+            assert not R._sigma_tabs
+        else:
+            assert R._sigma_tabs
+            assert max(map(len, R._sigma_tabs)) <= 256
+    edges = {(R.q, R.m): R for R in REF_RINGS}
+    assert edges[257, 2]._sigma_tabs is None
+    assert [len(t) for t in edges[256, 2]._sigma_tabs] == [256, 256]
+
+
+@pytest.mark.parametrize("R", [WittRing(2, 1, 12), WittRing(3, 2, 2),
+                               WittRing(3, 20, 2)])
+def test_witt_power_makes_one_product_per_square_and_set_bit(R, monkeypatch):
+    calls = []
+    mul_mod = WittRing._mul_mod
+    monkeypatch.setattr(WittRing, "_mul_mod",
+                        lambda self, w: calls.append(w) or mul_mod(self, w))
+    x = R.elem([2, 1])
+    for e in (1, 2, 3, 5, 8, 13, R.p, R.p ** R.m, 2 ** 20 + 1):
+        calls.clear()
+        y = x ** e
+        assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1, e
+        assert y == ref_pow(x, e)
+
+
 def sigma_power(x, k):
     for _ in range(k):
         x = x.ring.sigma(x)
@@ -383,7 +425,8 @@ def test_every_construction_of_an_element_is_equal_and_hashes_equal(R):
         x, WittElem(R, cs), WittElem(R, [c + 5 * R.q for c in cs]),
         WittElem(R, tuple(c - R.q for c in cs)),
         # packed results
-        x * R.one(), x + R.zero(), -(-x), sigma_power(x, R.m),
+        x * R.one(), x + R.zero(), R.zero() - (R.zero() - x),
+        sigma_power(x, R.m),
         # a view of a series coefficient
         SeriesElem(R, [R.zero(), WittElem(R, cs)]).coeffs[1],
     ]
