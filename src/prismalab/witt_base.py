@@ -29,17 +29,23 @@ ring builds B, the rows, the columns and the constants on first use.
 
 sigma's sum is taken by table lookup (the "four Russians" matrix-vector
 product of Arlazarov, Dinic, Kronrod and Faradzev, 1970) wherever
-q <= SIGMA_TABLE_SIZE = 256.  The m slots are cut into runs of k
-consecutive slots, k the largest k <= m with q^k <= 256 (the last run may
-be shorter), and a ring builds, with sigma's matrix, one dict per run that
-maps the run's packed bits sum a_j 2^{B (j - start)} to
-sum a_j sigma(x)^j over the run, unreduced.  A table holds q^k <= 256
-entries, and a ring at most 256 ceil(m / k).  sigma adds one lookup per
-run: the sum of the runs' sums is, term for term, the integer
-sum a_j sigma(x)^j, so its slots keep the bound above and _mod_q reduces
-it as before.  Above q = 256 even a one-slot table needs q entries (3^20
-at p = 3, n = 20), so there sigma multiplies each slot a_j, read by shift
-and mask, by its column.
+q <= SIGMA_TABLE_SIZE = 256 and the tables fit SIGMA_TABLE_BITS.  The m
+slots are cut into runs of k consecutive slots, k the largest k <= m with
+q^k <= 256 (the last run may be shorter), and a ring builds, with sigma's
+matrix, one dict per run that maps the run's packed bits
+sum a_j 2^{B (j - start)} to sum a_j sigma(x)^j over the run, unreduced.
+A table holds q^k <= 256 entries, and a ring at most 256 ceil(m / k), each
+an m B-bit packed value; the tables are built only where their entries
+times m B stay within SIGMA_TABLE_BITS = 2^18 bits.  With the dicts that
+is under 100 KB a ring, as tracemalloc reads it on CPython 3.11: 80 KB at
+(p, n, m) = (2, 8, 4), 1024 entries of 232 bits, and 90 KB at (179, 1, 5).
+So the WITT_RING_CACHE rings hold at most about 50 MB of tables.  sigma
+adds one lookup per run: the sum of the runs' sums is, term for term, the
+integer sum a_j sigma(x)^j, so its slots keep the bound above and _mod_q
+reduces it as before.  Above q = 256 even a one-slot table needs q entries
+(3^20 at p = 3, n = 20), so there, and for a ring whose tables would pass
+SIGMA_TABLE_BITS, sigma multiplies each slot a_j, read by shift and mask,
+by its column.
 
 The linearization of sigma-semilinear maps lives here too: a ring builds
 the matrices of x and sigma(x) on first use, _multiples gives the x^a or
@@ -180,10 +186,6 @@ def default_irreducible(p, m):
 # ---------------------------------------------------------------------------
 
 
-# the most entries of one of sigma's lookup tables (module docstring)
-SIGMA_TABLE_SIZE = 256
-
-
 class WittRing:
     """(Z/p^n)[x]/(f) with cached Frobenius lift.
 
@@ -279,8 +281,6 @@ class WittRing:
 
     def _unpack(self, v):
         """The m slots of the reduced packed int v, as a tuple."""
-        if self.m == 1:
-            return (v,)
         B, mask, out = self._slot, self._mask, []
         for _ in range(self.m):
             out.append(v & mask)
@@ -346,7 +346,8 @@ class WittRing:
         the packed columns and, at m > 1 and q <= SIGMA_TABLE_SIZE, one
         table per run of k slots (k the largest k <= m with
         q^k <= SIGMA_TABLE_SIZE) mapping the run's packed bits to the sum
-        of its slots a_j times the packed columns sigma(x)^j, unreduced."""
+        of its slots a_j times the packed columns sigma(x)^j, unreduced,
+        if the tables' packed values fit SIGMA_TABLE_BITS."""
         if self._sigma_mat is None:
             m, q, s = self.m, self.q, self.sigma_gen()
             pows = [self.one()]
@@ -357,16 +358,20 @@ class WittRing:
                 k, B = 1, self._slot
                 while k < m and q ** (k + 1) <= SIGMA_TABLE_SIZE:
                     k += 1
-                tabs = []
-                for start in range(0, m, k):
-                    tab = {0: 0}
-                    for j in range(start, min(start + k, m)):
-                        at, col = B * (j - start), cols[j]
-                        tab = {key + (a << at): val + a * col
-                               for key, val in tab.items() for a in range(q)}
-                    tabs.append(tab)
-                self._sigma_tabs = tuple(tabs)
-                self._sigma_run = (B * k, (1 << B * k) - 1)
+                starts = range(0, m, k)
+                size = sum(q ** min(k, m - start) for start in starts)
+                if size * m * B <= SIGMA_TABLE_BITS:
+                    tabs = []
+                    for start in starts:
+                        tab = {0: 0}
+                        for j in range(start, min(start + k, m)):
+                            at, col = B * (j - start), cols[j]
+                            tab = {key + (a << at): val + a * col
+                                   for key, val in tab.items()
+                                   for a in range(q)}
+                        tabs.append(tab)
+                    self._sigma_tabs = tuple(tabs)
+                    self._sigma_run = (B * k, (1 << B * k) - 1)
             self._sigma_mat = tuple(zip(*(pw.coeffs for pw in pows)))
         return self._sigma_mat
 
@@ -389,9 +394,10 @@ class WittRing:
     def sigma(self, a):
         """The Frobenius lift, a -> M a with M from _sigma_matrix: the sum
         over the slots a_j of a of a_j times the packed column j, reduced
-        mod q.  At q <= SIGMA_TABLE_SIZE the sum is one table lookup per
-        run of slots, each keyed by the run's bits read by shift and mask;
-        above, each slot is read and multiplied by its column."""
+        mod q.  Where _sigma_matrix built tables the sum is one table
+        lookup per run of slots, each keyed by the run's bits read by shift
+        and mask; elsewhere each slot is read and multiplied by its
+        column."""
         if self.m == 1:
             return a
         if self._sigma_mat is None:
@@ -429,6 +435,15 @@ class WittRing:
 RING_BITS_BUDGET = 2 ** 13
 RING_DEGREE_BUDGET = 2 ** 8
 
+# The most entries of one of sigma's lookup tables, and the most bits of
+# packed values (entries times m B) the tables of one ring may hold; a ring
+# with q over the first, or whose tables would pass the second, takes
+# sigma's column path (module docstring).  The largest tables of the
+# witt_sweep rings, at (p, n, m) = (2, 1, 12), hold 272 entries of 288 bits,
+# 78,336 bits in all.
+SIGMA_TABLE_SIZE = 2 ** 8
+SIGMA_TABLE_BITS = 2 ** 18
+
 
 def check_ring_size(p, n, m):
     """Refuse (InputError) a ring whose p^n or m is over its budget,
@@ -442,7 +457,8 @@ def check_ring_size(p, n, m):
                          f"{RING_DEGREE_BUDGET}")
 
 
-# a WittRing holds O(m^2) ints beside its parameters, so many fit; a ring
+# a WittRing holds O(m^2) ints beside its parameters and sigma's tables,
+# whose packed values are capped at SIGMA_TABLE_BITS, so many fit; a ring
 # reached through an unresolved f (f=None) takes two entries, that key and
 # the resolved one, so 512 entries keep at least 256 rings
 WITT_RING_CACHE = 512

@@ -388,9 +388,25 @@ def test_sigma_tables_are_bounded_on_every_ring():
         else:
             assert R._sigma_tabs
             assert max(map(len, R._sigma_tabs)) <= 256
+            entries = sum(map(len, R._sigma_tabs))
+            assert entries * R.m * R._slot <= witt_base.SIGMA_TABLE_BITS
     edges = {(R.q, R.m): R for R in REF_RINGS}
     assert edges[257, 2]._sigma_tabs is None
     assert [len(t) for t in edges[256, 2]._sigma_tabs] == [256, 256]
+
+
+# (2, 8, 4): 1024 entries of 4 * 58 bits, just within SIGMA_TABLE_BITS;
+# (2, 6, 12): 768 entries of 12 * 54 bits, over it, so no tables
+@pytest.mark.parametrize("p,n,m,tables", [(2, 8, 4, 4), (2, 6, 12, 0)])
+def test_sigma_tables_keep_to_the_bit_budget(p, n, m, tables):
+    R = WittRing(p, n, m)
+    R._sigma_matrix()
+    assert len(R._sigma_tabs or ()) == tables
+    rng = random.Random(7)
+    for _ in range(200):
+        a = R.elem([rng.randrange(R.q) for _ in range(m)])
+        assert R.sigma(a) == ref_sigma(R, a)
+        assert sigma_power(a, m) == a
 
 
 @pytest.mark.parametrize("R", [WittRing(2, 1, 12), WittRing(3, 2, 2),
