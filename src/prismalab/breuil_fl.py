@@ -25,8 +25,8 @@ import math
 from .errors import BadRamification, Inconsistent, InputError
 from .linalg_residue import factor, howell_form, in_span, span_length
 from .phi_modules import EtalePhiModule, etale_fixed_points
-from .series_rings import DpRing, eisenstein_make, int_poly_pow
-from .witt_base import _multiples
+from .series_rings import DpRing, eisenstein_make
+from .witt_base import _multiples, int_poly_pow
 
 
 # ---------------------------------------------------------------------------

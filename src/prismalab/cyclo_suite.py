@@ -14,9 +14,9 @@ from .linalg_residue import factor, howell_form, in_span, span_length
 from .phi_modules import PhiModule, annihilator_alpha
 from .series_rings import (
     DpRing, SeriesElem, binomial_power_minus_one, cyclotomic_q,
-    eisenstein_make, int_poly_mul,
+    eisenstein_make,
 )
-from .witt_base import WittRing
+from .witt_base import WittRing, int_poly_mul
 
 # The system of ker_phi_minus_d is dense, (B + e + 1) x ((B + e)//p + 1)
 # cells, so a large bound would exhaust memory (or overflow an index)

@@ -18,6 +18,7 @@ from .linalg_residue import (
 from .phi_modules import (
     PhiModule, _mod_u_data, check_model_size, presentation_from_generators,
 )
+from .witt_base import _blockwise
 
 
 def _ceil_log(b, p):
@@ -43,10 +44,6 @@ class SplitResult:
 # ---------------------------------------------------------------------------
 
 
-def _mat_apply(A, v, q):
-    return [sum(a * b for a, b in zip(row, v)) % q for row in A]
-
-
 def _stable_image(F, rel0, p, nexp):
     """Howell span of the stabilized image of the linearized Frobenius."""
     q = p ** nexp
@@ -55,7 +52,7 @@ def _stable_image(F, rel0, p, nexp):
         [[F[r][c] for r in range(dim)] for c in range(dim)] + rel0, p, nexp)
     while True:
         nxt = howell_form(
-            [_mat_apply(F, row, q) for row in cur] + rel0, p, nexp)
+            [_blockwise(F, row, q) for row in cur] + rel0, p, nexp)
         if spans_equal(cur, nxt, p, nexp):
             return cur
         cur = nxt
@@ -70,7 +67,7 @@ def _preimages(F, basis, rel, T, p, nexp):
     for _ in range(T - 1):
         FT = [[sum(FT[i][k] * F[k][j] for k in range(dim)) % q
                for j in range(dim)] for i in range(dim)]
-    cols = [_mat_apply(FT, row, q) for row in basis] + list(rel)
+    cols = [_blockwise(FT, row, q) for row in basis] + list(rel)
     fac = factor(cols, p, nexp)
     out = []
     for x in basis:

@@ -18,13 +18,17 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 from .errors import (
     Inconsistent, InputError, InsufficientPrecision, NotDivisible,
     NotEisenstein, NotInFiltration, PrecisionLoss,
 )
 from .linalg_residue import factor, howell_form
-from .witt_base import WittElem, WittRing, _blockwise, _is_prime, _multiples
+from .witt_base import (
+    WittElem, WittRing, _blockwise, _is_prime, _multiples, _power,
+    int_poly_divmod, int_poly_pow,
+)
 
 # ---------------------------------------------------------------------------
 # truncated series over W_n(F_{p^m})
@@ -154,14 +158,9 @@ class SeriesElem:
     def __pow__(self, k):
         if k < 0:
             raise InputError(f"negative exponent {k}")
-        acc = SeriesElem(self.ring, [1], self.N, self.exact)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return acc
+        if not k:
+            return SeriesElem(self.ring, [1], self.N, self.exact)
+        return _power(self, k, operator.mul)
 
     def __eq__(self, other):
         return (isinstance(other, SeriesElem)
@@ -240,46 +239,9 @@ def phi_apply(x: SeriesElem, bound=None) -> SeriesElem:
 
 
 # ---------------------------------------------------------------------------
-# integer polynomial helpers (exact lifts, low degree first)
+# integer polynomial helpers (exact lifts, low degree first; products,
+# powers and division are witt_base's)
 # ---------------------------------------------------------------------------
-
-
-def int_poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def int_poly_pow(a, k):
-    acc = [1]
-    base = list(a)
-    while k:
-        if k & 1:
-            acc = int_poly_mul(acc, base)
-        base = int_poly_mul(base, base)
-        k >>= 1
-    return acc
-
-
-def int_poly_divmod(a, b):
-    """Exact division over Z by a monic polynomial b."""
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    db = len(b) - 1
-    q = [0] * max(1, len(a) - db)
-    while len(a) - 1 >= db and a:
-        c = a[-1]
-        d = len(a) - 1 - db
-        q[d] = c
-        for i in range(db + 1):
-            a[d + i] -= c * b[i]
-        while a and a[-1] == 0:
-            a.pop()
-    return q, a
 
 
 def binomial_power_minus_one(k):
@@ -719,14 +681,7 @@ class DpElem:
     def __pow__(self, k):
         if k < 0:
             raise InputError(f"negative exponent {k}")
-        acc = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        return _power(self, k, operator.mul) if k else self.ring.one()
 
     def is_zero(self):
         pk = self.ring.p ** self.prec

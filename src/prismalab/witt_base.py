@@ -51,6 +51,21 @@ The linearization of sigma-semilinear maps lives here too: a ring builds
 the matrices of x and sigma(x) on first use, _multiples gives the x^a or
 sigma(x)^a multiples of a flat vector, and _semilinear_matrix a map's
 matrix.
+
+The polynomial kit, on coefficient lists low degree first, is the one
+home of polynomial arithmetic: int_poly_mul, int_poly_pow and
+int_poly_divmod over Z (the exact lifts of series_rings, breuil_fl and
+cyclo_suite), and the _fp_* helpers over F_p, where a product is
+int_poly_mul followed by one reduction in _fp_divmod.  Every power but
+WittElem's packed one is _power, left-to-right square-and-multiply from
+the base.  is_irreducible_mod_p is Ben-Or's test (FOCS 1981; Gao and
+Panario, "Tests and constructions of irreducible polynomials over finite
+fields", 1997): f of degree m is irreducible iff gcd(f, x^(p^j) - x) = 1
+for j = 1..m//2, since a reducible f has an irreducible factor of degree
+d <= m/2, and that factor divides x^(p^d) - x.  Both the user's f and
+default_irreducible's lexicographic search take it, and a random reducible
+f usually fails at a small j.  No separability check follows it: F_p is
+perfect, so an irreducible f has distinct roots.
 """
 
 from __future__ import annotations
@@ -62,8 +77,19 @@ import operator
 from .errors import NonSeparable, NotAUnit, InputError
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_p (coefficient lists, low degree first)
+# the polynomial kit: coefficient lists, low degree first, over Z and F_p
 # ---------------------------------------------------------------------------
+
+
+def _power(x, e, mul):
+    """x^e for e >= 1 by left-to-right square-and-multiply from the base:
+    bitlen(e) - 1 squarings and popcount(e) - 1 products by x."""
+    acc = x
+    for bit in bin(e)[3:]:
+        acc = mul(acc, acc)
+        if bit == "1":
+            acc = mul(acc, x)
+    return acc
 
 
 def _fp_trim(a):
@@ -72,15 +98,45 @@ def _fp_trim(a):
     return a
 
 
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
+def int_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def int_poly_pow(a, k):
+    return _power(list(a), k, int_poly_mul) if k else [1]
+
+
+def int_poly_divmod(a, b):
+    """Exact division over Z by a monic polynomial b."""
+    a = _fp_trim(list(a))
+    db = len(b) - 1
+    q = [0] * max(1, len(a) - db)
+    while len(a) - 1 >= db and a:
+        c = a[-1]
+        d = len(a) - 1 - db
+        q[d] = c
+        for i in range(db + 1):
+            a[d + i] -= c * b[i]
+        _fp_trim(a)
+    return q, a
+
+
+def _fp_divmod(a, b, p):
+    """Quotient and remainder of a by b over F_p: a is reduced mod p here,
+    b must be reduced with a nonzero leading coefficient."""
+    a = [c % p for c in a]
+    q = [0] * max(1, len(a) - len(b) + 1)
+    inv_lead = pow(b[-1], -1, p)
+    while _fp_trim(a) and len(a) >= len(b):
+        d = len(a) - len(b)
+        c = q[d] = a[-1] * inv_lead % p
+        a[d:] = [(x - c * y) % p for x, y in zip(a[d:], b)]
+    return _fp_trim(q), a
 
 
 def _fp_mod(a, f, p):
@@ -88,46 +144,44 @@ def _fp_mod(a, f, p):
 
 
 def _fp_powmod(a, e, f, p):
-    r = [1]
-    a = _fp_mod(list(a), f, p)
-    while e:
-        if e & 1:
-            r = _fp_mod(_fp_mul(r, a, p), f, p)
-        a = _fp_mod(_fp_mul(a, a, p), f, p)
-        e >>= 1
-    return r
+    return _power(_fp_mod(a, f, p), e,
+                  lambda x, y: _fp_mod(int_poly_mul(x, y), f, p))
 
 
 def _fp_gcd(a, b, p):
-    a, b = list(a), list(b)
     while b:
-        a = _fp_mod(a, b, p)
-        a, b = b, a
+        a, b = b, _fp_mod(a, b, p)
     return a
 
 
-def _fp_deriv(a, p):
-    return _fp_trim([(i * c) % p for i, c in enumerate(a)][1:])
+def _fp_invmod(a, f, p):
+    """Inverse of a modulo (f, p) by the extended Euclidean algorithm."""
+    r0, r1 = f, a
+    s0, s1 = [], [1]
+    while r1:
+        q, rem = _fp_divmod(r0, r1, p)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _fp_trim([(x - y) % p for x, y in itertools.zip_longest(
+            s0, int_poly_mul(q, s1), fillvalue=0)])
+    # r0 = gcd, a constant since f is irreducible
+    c = pow(r0[0], -1, p)
+    return [(c * x) % p for x in s0]
 
 
 def is_irreducible_mod_p(f, p):
-    """Irreducibility of a monic polynomial over F_p."""
+    """Irreducibility of a monic polynomial over F_p by Ben-Or's test
+    (module docstring): h = x^(p^j) mod f, and gcd(f, h - x) = 1, for
+    j = 1..m//2."""
     fbar = _fp_trim([c % p for c in f])
     m = len(fbar) - 1
     if m < 1:
         return False
-
-    def x_power_minus_x(j):
-        xq = _fp_powmod([0, 1], p ** j, fbar, p)
-        diff = list(xq) + [0, 0]
-        diff[1] = (diff[1] - 1) % p
-        return _fp_mod(_fp_trim(diff), fbar, p)
-
-    if x_power_minus_x(m):
-        return False
-    for r in (d for d in range(2, m + 1) if m % d == 0 and _is_prime(d)):
-        g = _fp_gcd(fbar, x_power_minus_x(m // r), p)
-        if len(g) - 1 >= 1:
+    h = [0, 1]
+    for _ in range(m // 2):
+        h = _fp_powmod(h, p, fbar, p)
+        h_minus_x = h + [0, 0]
+        h_minus_x[1] -= 1
+        if len(_fp_gcd(h_minus_x, fbar, p)) > 1:
             return False
     return True
 
@@ -168,8 +222,10 @@ def default_irreducible(p, m):
     """Lexicographically smallest monic irreducible of degree m over F_p."""
     if m == 1:
         return [0, 1]
-    # enumerate lower-coefficient vectors
+    # enumerate lower-coefficient vectors, skipping the f with f(0) = 0
     for code in range(p ** m):
+        if not code % p:
+            continue
         coeffs = []
         c = code
         for _ in range(m):
@@ -490,9 +546,6 @@ def _witt_ring(p, n, m, f):
         raise InputError("f must be monic of degree m")
     if not is_irreducible_mod_p(f, p):
         raise InputError("f must be irreducible mod p")
-    fbar = _fp_trim([c % p for c in f])
-    if len(_fp_gcd(fbar, _fp_deriv(fbar, p), p)) - 1 >= 1:
-        raise NonSeparable("f has repeated roots mod p")
     W.f = tuple(f)
     W._sigma_gen = W._sigma_mat = W._sigma_tabs = W._gen_mats = None
     W._slot = None
@@ -635,31 +688,3 @@ def _semilinear_matrix(images, W):
     sx = W._gen_matrices()[1]
     cols = [c for im in images for c in _multiples(im, sx, W.q)]
     return [list(r) for r in zip(*cols)]
-
-
-def _fp_invmod(a, f, p):
-    """Inverse of a modulo (f, p) by the extended Euclidean algorithm."""
-    r0, r1 = list(f), list(a)
-    s0, s1 = [], [1]
-    while _fp_trim(list(r1)):
-        q, rem = _fp_divmod(r0, r1, p)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _fp_trim([(x - y) % p for x, y in itertools.zip_longest(
-            s0, _fp_mul(q, s1, p), fillvalue=0)])
-    # r0 = gcd, a constant since f is irreducible
-    c = pow(r0[0], -1, p)
-    return [(c * x) % p for x in s0]
-
-
-def _fp_divmod(a, b, p):
-    a = list(a)
-    q = [0] * max(1, len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], -1, p)
-    while _fp_trim(a) and len(a) >= len(b):
-        d = len(a) - len(b)
-        c = (a[-1] * inv_lead) % p
-        q[d] = c
-        for i in range(len(b)):
-            a[d + i] = (a[d + i] - c * b[i]) % p
-    return _fp_trim(q), a
-

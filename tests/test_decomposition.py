@@ -12,7 +12,7 @@ from prismalab.linalg_residue import (
 )
 from prismalab.phi_modules import PhiModule
 from prismalab.series_rings import SeriesElem, int_poly_pow
-from prismalab.witt_base import WittRing
+from prismalab.witt_base import WittRing, _blockwise
 
 
 def series(W, ints, N=None):
@@ -39,6 +39,18 @@ def test_ceil_log_is_exact_in_integers():
         for b in range(1, 700):
             k = _ceil_log(b, p)
             assert p ** k >= b and (k == 0 or p ** (k - 1) < b), (b, p)
+
+
+def test_one_block_applies_the_whole_matrix():
+    # the Fitting core applies its dim x dim Frobenius matrix to a vector as
+    # _blockwise with one block of width dim
+    rng = random.Random(5)
+    for q in (2, 9, 125):
+        for dim in (1, 2, 5):
+            F = [[rng.randrange(q) for _ in range(dim)] for _ in range(dim)]
+            for v in ([0] * dim, [rng.randrange(q) for _ in range(dim)]):
+                assert _blockwise(F, v, q) == [
+                    sum(a * b for a, b in zip(row, v)) % q for row in F]
 
 
 # ---------------------------------------------------------------------------

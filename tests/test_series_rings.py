@@ -133,6 +133,30 @@ def test_negative_dp_power_is_refused():
         S.one() ** -1
 
 
+def test_dp_square_is_one_graded_product(monkeypatch):
+    S = DpRing(eisenstein_make(3, "explicit", [3, 1]), n=2, h=2, D=12)
+    x = S.c1()
+    calls = []
+    product = series_rings._graded_product
+    monkeypatch.setattr(series_rings, "_graded_product",
+                        lambda *a: calls.append(1) or product(*a))
+    y = x ** 2
+    assert len(calls) == 1
+    assert y == x * x
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (2, 2)])
+def test_powers_are_repeated_products(p, m):
+    W = WittRing(p, 2, m)
+    S = DpRing(eisenstein_make(p, "explicit", [p, 1]), n=2, m=m, D=8, h=2)
+    for x, acc in [(SeriesElem.from_ints(W, [1, 2, 3], 9),
+                    SeriesElem(W, [1], 9, False)),
+                   (S.c1() + S.from_int_poly([0, 1]), S.one())]:
+        for k in range(7):
+            assert x ** k == acc
+            acc = acc * x
+
+
 def test_dp_structure_constants_are_integers():
     for p, e in [(2, 1), (2, 2), (3, 2), (5, 4)]:
         E = eisenstein_make(p, "explicit", [p] + [0] * (e - 1) + [1])

@@ -1,7 +1,9 @@
+import itertools
 import math
 import operator
 import random
 import re
+import time
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -82,6 +84,110 @@ def test_default_irreducible_small_fields():
         f = default_irreducible(p, m)
         assert len(f) == m + 1 and f[-1] == 1
         assert is_irreducible_mod_p(f, p)
+
+
+# ---------------------------------------------------------------------------
+# Ben-Or's test against trial division
+# ---------------------------------------------------------------------------
+
+
+def monic_polys(p, d):
+    """Every monic polynomial of degree d over F_p, low degree first, in
+    the order of the code sum c_i p^i of its lower coefficients."""
+    for high_first in itertools.product(range(p), repeat=d):
+        yield list(reversed(high_first)) + [1]
+
+
+def remainder_mod_monic(f, g, p):
+    r = list(f)
+    for k in range(len(r) - len(g), -1, -1):
+        c = r[k + len(g) - 1] % p
+        if c:
+            for i, gi in enumerate(g):
+                r[k + i] -= c * gi
+    return [c % p for c in r[:len(g) - 1]]
+
+
+def irreducible_by_trial_division(f, p):
+    """f monic of degree m >= 1 has no monic factor of degree 1..m//2."""
+    m = len(f) - 1
+    return all(any(remainder_mod_monic(f, g, p))
+               for d in range(1, m // 2 + 1) for g in monic_polys(p, d))
+
+
+def primes_below(bound):
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for k in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = bytes(len(range(k * k, bound, k)))
+    return [k for k in range(bound) if sieve[k]]
+
+
+def degrees_within(bound, m_min):
+    """(p, m) for every prime p and every m >= m_min with p^m <= bound."""
+    return [(p, m) for p in primes_below(bound + 1)
+            for m in range(m_min, bound.bit_length())
+            if p ** m <= bound]
+
+
+def test_irreducibility_matches_trial_division_exhaustive():
+    # every monic f of degree m >= 2 with p^m <= 2^12 (a degree-1 f is
+    # irreducible at every p, checked at the small primes)
+    cases = degrees_within(2 ** 12, 2) + [(p, 1) for p in (2, 3, 5, 7)]
+    count = 0
+    for p, m in cases:
+        for f in monic_polys(p, m):
+            assert is_irreducible_mod_p(f, p) == \
+                irreducible_by_trial_division(f, p), (p, f)
+            count += 1
+    assert count == 42092
+
+
+def test_default_irreducible_is_the_first_by_trial_division():
+    cases = degrees_within(2 ** 16, 1)
+    assert len(cases) == 6542 + 93
+    for p, m in cases:
+        first = next(f for f in monic_polys(p, m)
+                     if irreducible_by_trial_division(f, p))
+        assert default_irreducible(p, m) == first, (p, m)
+
+
+def poly(p, m, terms):
+    f = [0] * (m + 1)
+    for i, c in terms:
+        f[i] = c
+    return f
+
+
+# as found by the search with Rabin's test, which Ben-Or's replaced
+@pytest.mark.parametrize("p,m,f", [
+    (2, 32, poly(2, 32, [(0, 1), (2, 1), (3, 1), (7, 1), (32, 1)])),
+    (2, 64, poly(2, 64, [(0, 1), (1, 1), (3, 1), (4, 1), (64, 1)])),
+    (3, 32, poly(3, 32, [(0, 1), (1, 2), (2, 2), (3, 1), (32, 1)])),
+    (3, 64, poly(3, 64, [(0, 2), (3, 1), (64, 1)])),
+    (2, 128, poly(2, 128, [(0, 1), (1, 1), (2, 1), (7, 1), (128, 1)])),
+])
+def test_default_irreducible_frozen_at_large_degree(p, m, f):
+    assert default_irreducible(p, m) == f
+
+
+def test_ring_at_degree_128_builds_in_seconds():
+    # with Rabin's test the search alone took 10.5-11 s on a shared 2-core
+    # Xeon; Ben-Or's takes 0.2-0.3 s there
+    witt_base._witt_ring.cache_clear()
+    t0 = time.perf_counter()
+    R = WittRing(2, 1, 128)
+    assert time.perf_counter() - t0 < 3
+    assert R.f == tuple(default_irreducible(2, 128))
+
+
+def test_power_makes_one_product_per_square_and_set_bit():
+    for e in range(1, 65):
+        calls = []
+        mul = lambda a, b: calls.append(1) or a * b
+        assert witt_base._power(3, e, mul) == 3 ** e
+        assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1, e
 
 
 def test_ring_cardinality():
