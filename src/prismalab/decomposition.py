@@ -147,9 +147,10 @@ def split_phi_module(M, rng=None):
     # M_nilp's model is now known; refuse it before M_mult is built
     check_model_size(M.g, M.N, M.ring.m, len(M.relations) + len(images))
     mdl = M.model()
-    M_mult = presentation_from_generators(M, mdl, images,
-                                          killed_by=M.killed_by)
     cols = [tuple(mdl.to_column(v)) for v in images]
+    M_mult = presentation_from_generators(
+        M, mdl, images, [r for col in cols for r in mdl.column_rows(col)],
+        killed_by=M.killed_by)
     if cols:
         M_nilp = PhiModule(M.ring, M.g, M.relations + cols, M.phi,
                            killed_by=M.killed_by, N=M.N, validate=False)

@@ -18,7 +18,9 @@ Plain rows in, a Howell basis out: every function takes vectors as a list
 of rows of ints together with p and n, and ``howell_form`` returns the
 canonical Howell basis as a list of rows, none of them zero.  Empty in,
 empty out: no rows, or rows of width 0, give the empty basis, whose span
-has length 0 and holds only the zero vector.
+has length 0 and holds only the zero vector.  ``howell_form`` and
+``Factored.kernel()`` give Howell bases in pivot order (each row is zero
+before its pivot, and the pivots increase), as the span functions take.
 """
 
 from __future__ import annotations
@@ -112,20 +114,23 @@ def howell_form(rows, p, n):
 
 
 def pivot_info(H, p, n):
-    """(column, valuation) per Howell row."""
-    out = []
+    """(column, valuation) per row of a Howell basis H in pivot order."""
+    out, col = [], 0
     for r in H:
-        col = next(i for i, x in enumerate(r) if x)
+        while not r[col]:
+            col += 1
         out.append((col, _val(r[col], p, n)))
     return out
 
 
 def reduce_vector(H, vec, p, n):
-    """Canonical remainder of vec against a Howell basis H."""
+    """Canonical remainder of vec against a Howell basis H in pivot order."""
     q = p ** n
     vec = [x % q for x in vec]
+    col = 0
     for r in H:
-        col = next(j for j, x in enumerate(r) if x)
+        while not r[col]:
+            col += 1
         c = vec[col] // r[col]
         if c:
             _sub_tail(vec, r[col:], c, col, q)
@@ -133,11 +138,12 @@ def reduce_vector(H, vec, p, n):
 
 
 def in_span(H, vec, p, n):
+    """vec lies in the span of a Howell basis H in pivot order."""
     return not any(reduce_vector(H, vec, p, n))
 
 
 def span_length(H, p, n):
-    """Length over Z/p of the row span (sum of n - v over pivots)."""
+    """Z/p-length of the span of a Howell basis H in pivot order."""
     return sum(n - v for _, v in pivot_info(H, p, n))
 
 

@@ -127,8 +127,6 @@ class PhiModule:
 
 def _u_shift(v, k, N, m):
     """u^k times the flat vector v, in blocks of N*m entries cut at u^N."""
-    if k == 0:
-        return list(v)
     if k >= N:
         return [0] * len(v)
     w, pad = N * m, [0] * (k * m)
@@ -150,11 +148,10 @@ def _s_multiples(v, N, W, q):
 class FiniteModel:
     """Z/p^nexp expansion of a module on the basis u^t x^j gen_s, t < N."""
 
-    def __init__(self, M, N, nexp=None):
+    def __init__(self, M, N, nexp):
         self.M = M
         self.N = N
         W = M.ring
-        nexp = W.n if nexp is None else nexp
         if nexp < W.n:
             W = W.lower_precision(W.n - nexp)
         self.W = W
@@ -183,10 +180,10 @@ class FiniteModel:
             v += [0] * (w - len(x))
         return v + [0] * (self.dim - len(v))
 
-    def to_column(self, v, g=None, N=None):
+    def to_column(self, v, g=None):
         """Inverse of vec: coordinates back to series columns."""
         g = self.M.g if g is None else g
-        w, q = (self.N if N is None else N) * self.m, self.q
+        w, q = self.N * self.m, self.q
         return [SeriesElem.from_vec(self.W, [a % q for a in v[k:k + w]])
                 for k in range(0, g * w, w)]
 
@@ -248,45 +245,41 @@ class FiniteModel:
 # ---------------------------------------------------------------------------
 
 
-def _minimal(vecs, rel, N, W, p, nexp):
+def _minimal(vecs, Y, rel, N, W, p, nexp):
     """The S-multiples of each vector of vecs (flat, in blocks of N*m over
-    W) that is not in the span of rel, (p, u) times the S-multiples of all
-    of vecs, and the S-multiples of the vectors kept before it.  With Y the
-    span of all and X that of the kept ones and rel, X + (p, u)Y = Y, so
-    Y = X + (p, u)^k Y = X since u^N and p^nexp are zero (Nakayama)."""
+    W) not in the span of rel, (p, u)Y and the vectors kept before it, where
+    Y spans with the S-module rel the S-module that vecs and rel generate.
+    With X the span of the kept ones and rel, X + (p, u)Y = Y, so Y = X
+    since u^N and p^nexp are zero (Nakayama)."""
     q = p ** nexp
-    mults = [_s_multiples(v, N, W, q) for v in vecs]
-    base = list(rel)
-    for ms in mults:
-        base.extend(x for k, x in enumerate(ms) if k % N)
-        if nexp > 1:
-            base.extend([(a * p) % q for a in x] for x in ms[::N])
-    H = howell_form(base, p, nexp)
+    H = howell_form(list(rel) + [[(a * p) % q for a in y] for y in Y]
+                    + [_u_shift(y, 1, N, W.m) for y in Y], p, nexp)
     kept = []
-    for v, ms in zip(vecs, mults):
+    for v in vecs:
         if not in_span(H, v, p, nexp):
-            kept.append(ms)
-            H = howell_form(H + ms[::N], p, nexp)
+            kept.append(_s_multiples(v, N, W, q))
+            H = howell_form(H + kept[-1][::N], p, nexp)
     return kept
 
 
-def presentation_from_generators(M, mdl, gens, killed_by=None):
+def presentation_from_generators(M, mdl, gens, Y, killed_by=None):
     """Minimal PhiModule presentation of the submodule spanned by the
-    coordinate vectors gens.  p and u are nilpotent on it and on its module
-    of relations, so by Nakayama's lemma a set generates iff it does modulo
-    (p, u); _minimal keeps a basis over F_{p^m} of each quotient."""
+    coordinate vectors gens, which the rows Y span modulo the relations.
+    p and u are nilpotent on it and on its module of relations, so by
+    Nakayama's lemma a set generates iff it does modulo (p, u); _minimal
+    keeps a basis over F_{p^m} of each quotient."""
     W, N = mdl.W, mdl.N
-    kept = _minimal(gens, mdl.H, N, W, mdl.p, mdl.nexp)
+    kept = _minimal(gens, Y, mdl.H, N, W, mdl.p, mdl.nexp)
     if not kept:
         return PhiModule.zero(W)
     r, m = len(kept), W.m
     # the layout (s*N + t)*m + a of to_column
     cols = [ms[a * N + t] for ms in kept for t in range(N) for a in range(m)]
-    # relations: combinations of the generator multiples that die in M
+    # relations, an S-module: combinations of generator multiples dying in M
     F = factor(cols + list(mdl.H), mdl.p, mdl.nexp)
     rels = [k[:len(cols)] for k in F.kernel()]
     rel_cols = [mdl.to_column(ms[0], g=r)
-                for ms in _minimal(rels, [], N, W, mdl.p, mdl.nexp)]
+                for ms in _minimal(rels, rels, [], N, W, mdl.p, mdl.nexp)]
     phi_cols = [mdl.to_column(F.solve(mdl.phi_vec(ms[0]))[:len(cols)], g=r)
                 for ms in kept]
     return PhiModule(W, r, rel_cols, list(zip(*phi_cols)),
@@ -307,18 +300,18 @@ def _require_torsion_bound(M):
     return M.torsion_bound
 
 
-def u_torsion(M, nexp=None):
+def u_torsion(M):
     """The u-power torsion submodule with its induced phi."""
     if M.g == 0:
         return M
     b = _require_torsion_bound(M)
-    mdl = M.model(nexp=nexp)
+    mdl = M.model()
     if b == 0:
         return PhiModule.zero(mdl.W)
+    # ker(u^b): an S-module that holds the relations
     T = mdl.submodule_kernel_of_u_power(b)
-    gens = [row for row in T if not mdl.member(row)]
     a = M.killed_by[0] if M.killed_by is not None else M.ring.n
-    return presentation_from_generators(M, mdl, gens, killed_by=(a, b))
+    return presentation_from_generators(M, mdl, T, T, killed_by=(a, b))
 
 
 def annihilator_alpha(M):

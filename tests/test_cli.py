@@ -23,7 +23,7 @@ from prismalab import errors, series_rings, witt_base
 from prismalab.cyclo_suite import CYCLO_DEGREE_BUDGET, KERNEL_CELL_BUDGET
 from prismalab.errors import ParseError, UnknownCheck
 from prismalab.phi_modules import (
-    FiniteModel, PhiModule, presentation_from_generators,
+    FiniteModel, PhiModule, _s_multiples, presentation_from_generators,
 )
 
 SPLIT_DOC = """\
@@ -273,7 +273,9 @@ def _nilpotent_part_as_mult(M, rng=None):
     phi-bar is nilpotent, returned as the multiplicative part."""
     mdl = M.model()
     v = mdl.gen_vec(1)
-    M_mult = presentation_from_generators(M, mdl, [v], killed_by=M.killed_by)
+    M_mult = presentation_from_generators(
+        M, mdl, [v], _s_multiples(v, mdl.N, mdl.W, mdl.q),
+        killed_by=M.killed_by)
     M_nilp = PhiModule(M.ring, M.g, M.relations + [tuple(mdl.to_column(v))],
                        M.phi, killed_by=M.killed_by, N=M.N)
     return SplitResult(M_mult, M_nilp, section=[])
@@ -673,6 +675,32 @@ def test_check_split_of_u1000_is_answered_unchanged(tmp_path):
         '{\n  "check": "split",\n  "exact": true,\n  "length": 1000,\n'
         '  "mult_length": 1000,\n  "nilp_length": 0,\n'
         '  "status": "pass"\n}\n')
+
+
+def _arity_module_check(N, name):
+    """The arity module, S/(u^2) over F_4 of length 4, cut at u^N."""
+    doc = parse_document(_ARITY_MODULE.replace("N=4", f"N={N}")
+                         + f"[check]\nname={name}\n")
+    t0 = time.perf_counter()
+    rep = run_check(doc, None)
+    return rep, time.perf_counter() - t0
+
+
+def test_u_torsion_of_the_arity_module_at_N400_is_answered():
+    # presenting the relation kernel expanded each of its ~2N rows into
+    # all N*m S-multiples first: exit 3 on MemoryError under 3 GB
+    rep, seconds = _arity_module_check(400, "u_torsion")
+    assert seconds < 10.0
+    assert rep == {"check": "u_torsion", "status": "pass", "length": 4,
+                   "torsion_length": 4}
+
+
+def test_split_of_the_arity_module_at_N200_is_answered():
+    # 12-15 s at 1 GB when every candidate was expanded into S-multiples
+    rep, seconds = _arity_module_check(200, "split")
+    assert seconds < 8.0
+    assert rep == {"check": "split", "status": "pass", "exact": True,
+                   "length": 4, "mult_length": 4, "nilp_length": 0}
 
 
 def _raise_internal(*args, **kwargs):

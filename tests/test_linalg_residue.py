@@ -217,13 +217,20 @@ def test_howell_span_preserved_brute_force():
     p, n = 2, 3
     q = 8
     A = [[rng.randrange(q) for _ in range(3)] for _ in range(3)]
-    H = howell_form(A, p, n)
-    assert brute_span(A, q) == brute_span(H, q)
-    # membership agrees with brute force on 50 random vectors
-    span = brute_span(A, q)
-    for _ in range(50):
-        v = [rng.randrange(q) for _ in range(3)]
-        assert in_span(H, v, p, n) == (tuple(v) in span)
+    # a Howell basis with pivots at columns 1, 3 and 4: a leading zero
+    # column and a skipped one, which the pivot walk must step over
+    gapped = [[0, 1, 5, 0, 3, 0], [0, 0, 0, 2, 2, 4], [0, 0, 0, 0, 4, 0]]
+    assert howell_form(gapped, p, n) == gapped
+    for A in (A, gapped):
+        H = howell_form(A, p, n)
+        assert brute_span(A, q) == brute_span(H, q)
+        # membership agrees with brute force on 50 random vectors
+        span = brute_span(A, q)
+        for _ in range(50):
+            v = [rng.randrange(q) for _ in range(len(A[0]))]
+            assert in_span(H, v, p, n) == (tuple(v) in span)
+        assert all(in_span(H, v, p, n) for v in span)
+        assert len(span) == p ** span_length(H, p, n)
 
 
 def test_kernel_zero_matrix():

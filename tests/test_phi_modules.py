@@ -778,6 +778,28 @@ def ref_presentation(M, mdl, gens, killed_by=None):
                      N=mdl.N, validate=False)
 
 
+def ref_minimal(vecs, rel, N, W, p, nexp):
+    """The S-multiples of each vector of vecs (flat, in blocks of N*m over
+    W) that is not in the span of rel, (p, u) times the S-multiples of all
+    of vecs, and the S-multiples of the vectors kept before it.  With Y the
+    span of all and X that of the kept ones and rel, X + (p, u)Y = Y, so
+    Y = X + (p, u)^k Y = X since u^N and p^nexp are zero (Nakayama)."""
+    q = p ** nexp
+    mults = [_s_multiples(v, N, W, q) for v in vecs]
+    base = list(rel)
+    for ms in mults:
+        base.extend(x for k, x in enumerate(ms) if k % N)
+        if nexp > 1:
+            base.extend([(a * p) % q for a in x] for x in ms[::N])
+    H = howell_form(base, p, nexp)
+    kept = []
+    for v, ms in zip(vecs, mults):
+        if not in_span(H, v, p, nexp):
+            kept.append(ms)
+            H = howell_form(H + ms[::N], p, nexp)
+    return kept
+
+
 def _mod_pu_length(rows, base, mdl):
     """Length of (Y + base) / ((p, u)Y + base), Y the S-span of rows in
     blocks of mdl.N * m: the F_p-dimension of Y/(p, u)Y modulo base."""
@@ -844,7 +866,8 @@ def test_minimal_presentation_equals_reference(case):
     M, gens = case
     mdl = M.model()
     p, nexp, N, W = mdl.p, mdl.nexp, mdl.N, mdl.W
-    new = presentation_from_generators(M, mdl, gens, killed_by=M.killed_by)
+    Y = [x for v in gens for x in _s_multiples(v, N, W, mdl.q)]
+    new = presentation_from_generators(M, mdl, gens, Y, killed_by=M.killed_by)
     ref = ref_presentation(M, mdl, gens, killed_by=M.killed_by)
     new._validate()
     assert new.length() == ref.length()
@@ -854,7 +877,7 @@ def test_minimal_presentation_equals_reference(case):
     assert ((split_new.M_mult.length(), split_new.M_nilp.length())
             == (split_ref.M_mult.length(), split_ref.M_nilp.length()))
     # the kept generators span what all of them span ...
-    kept = [ms[0] for ms in _minimal(gens, mdl.H, N, W, p, nexp)]
+    kept = [ms[0] for ms in _minimal(gens, Y, mdl.H, N, W, p, nexp)]
     assert len(kept) == new.g
 
     def span(vs):
@@ -866,6 +889,67 @@ def test_minimal_presentation_equals_reference(case):
     assert new.g * W.m == _mod_pu_length(gens, mdl.H, mdl)
     rels = [new.model().vec(col) for col in new.relations]
     assert len(rels) * W.m == _mod_pu_length(rels, [], new.model())
+
+
+@given(submodule_cases())
+def test_minimal_keeps_the_reference_vectors_in_order(case):
+    # ref_minimal is _minimal as it was when it expanded every candidate
+    # into its S-multiples and took (p, u) times all of them as its base
+    M, gens = case
+    mdl = M.model()
+    args = (mdl.N, mdl.W, mdl.p, mdl.nexp)
+    Y = [x for v in gens for x in _s_multiples(v, mdl.N, mdl.W, mdl.q)]
+    assert _minimal(gens, Y, mdl.H, *args) == ref_minimal(gens, mdl.H, *args)
+
+
+def _random_module(rng):
+    """W[[u]]^g / (u^b, p^a, c) with a random phi, as in submodule_cases;
+    or, half of the time, the last generator left free of u^b and c, phi
+    keeping the others off it, and only the torsion bound b declared, so
+    that the u-torsion is a proper submodule when g = 2."""
+    p, n, m, g = rng.choice([2, 3]), *(rng.randint(1, 2) for _ in range(3))
+    a, b = rng.randint(1, n), rng.randint(1, 3)
+    W = WittRing(p, n, m)
+
+    def series(lo, hi):
+        return SeriesElem.from_vec(W, [0] * (lo * m) + [
+            rng.randrange(W.q) for _ in range((hi - lo) * m)])
+
+    def unit(i, e):
+        return [e if k == i else S(W, []) for k in range(g)]
+
+    free = rng.random() < 0.5
+    rels = [unit(i, S(W, [0] * b + [1])) for i in range(g - free)]
+    if a < n:
+        rels += [unit(i, S(W, [p ** a])) for i in range(g)]
+    if not free and rng.random() < 0.5:
+        rels.append([series(-(-b // p), b) for _ in range(g)])
+    phi = [[series(0, b + 1) for _ in range(g)] for _ in range(g)]
+    if free:
+        phi[-1][:-1] = [S(W, [])] * (g - 1)
+        return PhiModule(W, g, rels, phi, torsion_bound=b, N=b + 3)
+    return PhiModule(W, g, rels, phi, killed_by=(a, b))
+
+
+def _presentation(P):
+    """Everything a presentation holds, as plain ints."""
+    return (P.g, P.N, P.killed_by,
+            [[tuple(e.vec) for e in col] for col in P.relations],
+            [[tuple(e.vec) for e in row] for row in P.phi])
+
+
+def test_u_torsion_and_split_present_as_the_reference(monkeypatch):
+    # the candidates and their order are unchanged, so the kept vectors
+    # and every presentation built from them equal those of ref_minimal
+    modules = [_random_module(random.Random(seed)) for seed in range(40)]
+    new = [(_presentation(u_torsion(M)),
+            _presentation(split_phi_module(M).M_mult)) for M in modules]
+    monkeypatch.setattr(phi_modules, "_minimal",
+                        lambda vecs, Y, rel, *args: ref_minimal(vecs, rel,
+                                                                *args))
+    for M, got in zip(modules, new):
+        assert got == (_presentation(u_torsion(M)),
+                       _presentation(split_phi_module(M).M_mult))
 
 
 def test_readme_u_torsion_presentation_is_minimal():
